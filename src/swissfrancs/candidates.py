@@ -104,8 +104,8 @@ class Candidate:
             total = mpmath.mpf(0)
             s = mpmath.mpf(self.s.numerator) / self.s.denominator
             t = mpmath.mpf(self.t.numerator) / self.t.denominator
-            for i in range(4):
-                for j in range(4):
+            for i in range(self.matrix.n):
+                for j in range(self.matrix.n):
                     p = Fraction(self.matrix.entries[i][j])
                     w = s if i == j else t
                     total += w * mpmath.log(mpmath.mpf(p.numerator) / p.denominator)

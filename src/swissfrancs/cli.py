@@ -130,7 +130,7 @@ def cmd_solve(args) -> int:
                          "weights; use --method em for general tables")
     s, t = pair
     symmetric = WeightTable.symmetric(weights.n, s, t)
-    result = multistart(symmetric, cfg, method=args.method)
+    result = multistart(symmetric, cfg)
     data = result.to_json_dict()
     data["best_loglik"] = data["best"]["loglik"]
     if weights.kind == "full":
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the numerical maximizers")
     solve.add_argument("--counts", default=None,
                        help="JSON count table (defaults to the 4/2 instance)")
-    solve.add_argument("--method", choices=("newton", "em", "grad"),
+    solve.add_argument("--method", choices=("newton", "em"),
                        default="newton")
     solve.add_argument("--classes", type=int, default=None,
                        help="latent class count for --method em (default 2)")

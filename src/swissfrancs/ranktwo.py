@@ -139,22 +139,50 @@ def from_matrix(P: ProbMatrix) -> RankTwoPoint:
     return RankTwoPoint.of(a, b)
 
 
-def stationarity_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
-    """Gradient form of the first-order conditions at weight ratio rho.
+def gradient(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """Gradient of the scaled log-likelihood
+    sum_ij ln(1 + b_i a_j) + (rho - 1) sum_i ln(1 + b_i a_i) in (a, b).
 
-    Component i is the derivative of the scaled log-likelihood in a_i,
-    component n + j the derivative in b_j; the vector is zero exactly at
-    stationary points with zero-sum a and b.
+    Component i is the derivative in a_i, component n + j the derivative
+    in b_j. The caller guarantees interior feasibility.
     """
-    if rho <= 0:
-        raise ValueError("weight ratio must be positive")
-    _require_feasible(pt)
-    a, b = pt.arrays()
     T = 1.0 + np.outer(b, a)            # T[i, j] = 1 + b_i a_j
     diag = np.diag(T)
     grad_a = (b[:, None] / T).sum(axis=0) + (rho - 1.0) * b / diag
     grad_b = (a[None, :] / T).sum(axis=1) + (rho - 1.0) * a / diag
     return np.concatenate([grad_a, grad_b])
+
+
+def hessian(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """Exact 2n x 2n Hessian of the scaled log-likelihood in (a, b), in
+    the component order of gradient()."""
+    n = len(a)
+    T = 1.0 + np.outer(b, a)
+    diag = np.diag(T)
+    inv2 = 1.0 / T ** 2
+    H = np.zeros((2 * n, 2 * n))
+    # d grad_a[k] / d a_k and d grad_b[k] / d b_k; distinct a's do not interact
+    da = -(b[:, None] ** 2 * inv2).sum(axis=0) - (rho - 1.0) * b ** 2 / diag ** 2
+    db = -(a[None, :] ** 2 * inv2).sum(axis=1) - (rho - 1.0) * a ** 2 / diag ** 2
+    H[:n, :n] = np.diag(da)
+    H[n:, n:] = np.diag(db)
+    # d grad_a[k] / d b_m = 1/T[m,k]^2 (+ diagonal correction), and symmetrically
+    cross = inv2.T + (rho - 1.0) * np.diag(1.0 / diag ** 2)
+    H[:n, n:] = cross
+    H[n:, :n] = cross.T
+    return H
+
+
+def stationarity_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
+    """Gradient form of the first-order conditions at weight ratio rho.
+
+    The gradient() of the scaled log-likelihood at pt; it is zero exactly
+    at stationary points with zero-sum a and b.
+    """
+    if rho <= 0:
+        raise ValueError("weight ratio must be positive")
+    _require_feasible(pt)
+    return gradient(*pt.arrays(), rho)
 
 
 def reciprocal_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:

@@ -13,19 +13,18 @@ the reported residual is always recomputed at the final point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import Convention, ConvergenceError, ProbMatrix, WeightTable
 from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, canonicalize,
-                      stationarity_residual)
+                      gradient, hessian, stationarity_residual)
 
 START_BOX = 0.6
 MAX_HALVINGS = 40
 CLASSIFY_RESIDUAL_TOL = 1e-8
-HESSIAN_STEP = 1e-5
 HESSIAN_EIG_TOL = 1e-7
 ZERO_POINT_TOL = 1e-8
 
@@ -117,41 +116,21 @@ def scaled_loglik(a: np.ndarray, b: np.ndarray, s: float, t: float) -> float:
     return (s - t) * diag + t * logs.sum()
 
 
-def _gradient(a: np.ndarray, b: np.ndarray, rho: float):
-    T = 1.0 + np.outer(b, a)
-    diag = np.diag(T)
-    grad_a = (b[:, None] / T).sum(axis=0) + (rho - 1.0) * b / diag
-    grad_b = (a[None, :] / T).sum(axis=1) + (rho - 1.0) * a / diag
-    return grad_a, grad_b, T
-
-
 def _system(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     """Stationarity gradient, zero sums, and the norm-balance gauge row."""
-    grad_a, grad_b, _ = _gradient(a, b, rho)
-    return np.concatenate([grad_a, grad_b,
+    return np.concatenate([gradient(a, b, rho),
                            [a.sum(), b.sum(), 0.5 * (a @ a - b @ b)]])
 
 
 def _jacobian(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+    """Jacobian of _system: the Hessian over the three constraint rows."""
     n = len(a)
-    T = 1.0 + np.outer(b, a)
-    diag = np.diag(T)
-    inv2 = 1.0 / T ** 2
-    J = np.zeros((2 * n + 3, 2 * n))
-    # d grad_a[k] / d a_k and d grad_b[k] / d b_k
-    da = -(b[:, None] ** 2 * inv2).sum(axis=0) - (rho - 1.0) * b ** 2 / diag ** 2
-    db = -(a[None, :] ** 2 * inv2).sum(axis=1) - (rho - 1.0) * a ** 2 / diag ** 2
-    J[:n, :n] = np.diag(da)
-    J[n:2 * n, n:2 * n] = np.diag(db)
-    # d grad_a[k] / d b_m = 1/T[m,k]^2 (+ diagonal correction), and symmetrically
-    cross = inv2.T + (rho - 1.0) * np.diag(1.0 / diag ** 2)
-    J[:n, n:2 * n] = cross
-    J[n:2 * n, :n] = cross.T
-    J[2 * n, :n] = 1.0
-    J[2 * n + 1, n:2 * n] = 1.0
-    J[2 * n + 2, :n] = a
-    J[2 * n + 2, n:2 * n] = -b
-    return J
+    rows = np.zeros((3, 2 * n))
+    rows[0, :n] = 1.0
+    rows[1, n:] = 1.0
+    rows[2, :n] = a
+    rows[2, n:] = -b
+    return np.vstack([hessian(a, b, rho), rows])
 
 
 def _feasible(a: np.ndarray, b: np.ndarray, margin: float = FEASIBILITY_MARGIN) -> bool:
@@ -222,11 +201,12 @@ def _projected_ascent(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     aligned direction there.
     """
     a, b = pt0.arrays()
+    n = len(a)
     value = scaled_loglik(a, b, rho, 1.0)
     for _ in range(max_iter):
-        grad_a, grad_b, _ = _gradient(a, b, rho)
-        da = grad_a - grad_a.mean()
-        db = grad_b - grad_b.mean()
+        grad = gradient(a, b, rho)
+        da = grad[:n] - grad[:n].mean()
+        db = grad[n:] - grad[n:].mean()
         norm2 = da @ da + db @ db
         if math.sqrt(norm2) < grad_tol:
             break
@@ -248,7 +228,8 @@ def _projected_ascent(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
 
 def classify_stationary(pt: RankTwoPoint, rho: float) -> str:
     """Second-order test on the zero-sum manifold with the gauge direction
-    (a, -b) quotiented out, by central finite differences.
+    (a, -b) quotiented out, from the analytic Hessian projected onto an
+    orthonormal basis of that tangent space.
 
     Returns local_max when all projected Hessian eigenvalues sit below
     -1e-7, saddle when one exceeds +1e-7, degenerate for the flat origin,
@@ -270,25 +251,7 @@ def classify_stationary(pt: RankTwoPoint, rho: float) -> str:
     basis_full, _ = np.linalg.qr(
         np.column_stack([ones_a, ones_b, gauge, raw]))
     basis = basis_full[:, 3:2 * n]
-
-    x0 = np.concatenate([a, b])
-
-    def value(x: np.ndarray) -> float:
-        return scaled_loglik(x[:n], x[n:], rho, 1.0)
-
-    h = HESSIAN_STEP
-    dim = basis.shape[1]
-    H = np.zeros((dim, dim))
-    for p in range(dim):
-        vp = basis[:, p]
-        H[p, p] = (value(x0 + h * vp) - 2.0 * value(x0) + value(x0 - h * vp)) / h ** 2
-        for q in range(p + 1, dim):
-            vq = basis[:, q]
-            H[p, q] = H[q, p] = (
-                value(x0 + h * (vp + vq)) - value(x0 + h * (vp - vq))
-                - value(x0 - h * (vp - vq)) + value(x0 - h * (vp + vq))
-            ) / (4.0 * h ** 2)
-    eigs = np.linalg.eigvalsh(H)
+    eigs = np.linalg.eigvalsh(basis.T @ hessian(a, b, rho) @ basis)
     if eigs.max() < -HESSIAN_EIG_TOL:
         return "local_max"
     if eigs.max() > HESSIAN_EIG_TOL:
@@ -363,17 +326,15 @@ class MultistartResult:
                 "clusters": [c.to_json_dict() for c in self.clusters]}
 
 
-def multistart(weights: WeightTable, cfg: SolverConfig,
-               method: str = "newton") -> MultistartResult:
+def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     """Deterministic seeded multistart for the rank-two problem.
 
-    Start k draws its point from a generator seeded with seed XOR k; runs
-    use Newton with a projected-gradient fallback (or gradient ascent
-    first when method is "grad"), and converged final points are
-    clustered by distance between their gauge-fixed forms.
+    Start k draws its point from a generator seeded with seed XOR k,
+    climbs briefly by projected gradient ascent and finishes with Newton;
+    a run that does not converge retries Newton after a full ascent.
+    Converged final points are clustered by distance between their
+    gauge-fixed forms.
     """
-    if method not in ("newton", "grad"):
-        raise ValueError(f"unknown multistart method {method!r}")
     pair = weights.symmetric_pair()
     if pair is None:
         raise ValueError("multistart requires symmetric (s, t) weights")
@@ -387,32 +348,17 @@ def multistart(weights: WeightTable, cfg: SolverConfig,
         pt0 = _random_start(n, rng)
         if pt0 is None:
             continue
-        if method == "grad":
-            pt0 = _projected_ascent(pt0, rho, cfg)
-        else:
-            pt0 = _projected_ascent(pt0, rho, cfg, max_iter=500, grad_tol=1e-6)
+        pt0 = _projected_ascent(pt0, rho, cfg, max_iter=500, grad_tol=1e-6)
         report = newton_stationary(pt0, rho, cfg, seed=run_seed)
         if not report.converged:
             fallback = _projected_ascent(pt0, rho, cfg)
             retry = newton_stationary(fallback, rho, cfg, seed=run_seed)
             if retry.residual <= report.residual:
-                report = SolveReport(point=retry.point, loglik=retry.loglik,
-                                     residual=retry.residual,
-                                     iterations=report.iterations + retry.iterations,
-                                     classification=retry.classification,
-                                     converged=retry.converged,
-                                     method="newton+grad", seed=run_seed)
+                report = replace(retry, method="newton+grad",
+                                 iterations=report.iterations + retry.iterations)
         # report likelihood at the actual weights, not the t-scaled form
         a, b = report.point.arrays()
-        label = report.method if method == "newton" else "grad+newton"
-        report = SolveReport(point=report.point,
-                             loglik=scaled_loglik(a, b, s, t),
-                             residual=report.residual,
-                             iterations=report.iterations,
-                             classification=report.classification,
-                             converged=report.converged,
-                             method=label, seed=report.seed)
-        reports.append(report)
+        reports.append(replace(report, loglik=scaled_loglik(a, b, s, t)))
     converged = [r for r in reports if r.converged]
     if not converged:
         raise ConvergenceError("no multistart run converged")

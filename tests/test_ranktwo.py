@@ -9,7 +9,8 @@ import pytest
 from swissfrancs.core import (Convention, FeasibilityError, ProbMatrix,
                               RankTwoError, WeightTable, log_likelihood)
 from swissfrancs.ranktwo import (RankTwoPoint, canonicalize, from_matrix,
-                                 normalize_margins, reciprocal_residual,
+                                 gradient, hessian, normalize_margins,
+                                 reciprocal_residual,
                                  reciprocal_residual_exact,
                                  stationarity_residual, swap_delta, to_matrix)
 
@@ -191,6 +192,27 @@ class TestResiduals:
             recip = np.abs(reciprocal_residual(pt, 2.0)).max()
             scale = max(np.abs(pt.arrays()[0]).max(), np.abs(pt.arrays()[1]).max())
             assert (plain <= eps) == (recip <= 10 * eps * max(scale, 1.0))
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0, 100.0])
+    def test_hessian_matches_gradient_differences(self, n, rho):
+        rng = np.random.default_rng(n)
+        h = 1e-6
+        for _ in range(5):
+            a, b = random_feasible(rng, n).arrays()
+            x = np.concatenate([a, b])
+            diffs = np.empty((2 * n, 2 * n))
+            for k in range(2 * n):
+                step = np.zeros(2 * n)
+                step[k] = h
+                up, down = x + step, x - step
+                diffs[:, k] = (gradient(up[:n], up[n:], rho)
+                               - gradient(down[:n], down[n:], rho)) / (2 * h)
+            H = hessian(a, b, rho)
+            assert np.array_equal(H, H.T)
+            assert np.allclose(H, diffs, rtol=1e-6, atol=1e-6 * rho)
 
 
 class TestCanonicalize:

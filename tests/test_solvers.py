@@ -5,16 +5,51 @@ import math
 import numpy as np
 import pytest
 
-from swissfrancs.candidates import SignPattern, enumerate_n4
+from swissfrancs.candidates import (SignPattern, block_point, corner_point,
+                                    enumerate_n4)
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
 from swissfrancs.ranktwo import RankTwoPoint
-from swissfrancs.solvers import (LatentClassModel, SolverConfig,
-                                 classify_stationary, em_fit, em_multistart,
-                                 multistart, newton_stationary)
+from swissfrancs.solvers import (HESSIAN_EIG_TOL, LatentClassModel,
+                                 SolverConfig, classify_stationary, em_fit,
+                                 em_multistart, multistart, newton_stationary,
+                                 scaled_loglik)
 
 CFG = SolverConfig()
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
 L_TARGETS = sorted([c.loglik for c in CANDS.values()] + [0.0])
+
+
+def _finite_difference_label(pt, rho, h=1e-5):
+    """Reference second-order test: central differences of the likelihood
+    along an orthonormal basis of the zero-sum, gauge-free tangent space."""
+    a, b = pt.arrays()
+    n = pt.n
+    gauge = np.concatenate([a, -b])
+    gauge /= np.linalg.norm(gauge)
+    ones_a = np.concatenate([np.ones(n), np.zeros(n)]) / math.sqrt(n)
+    ones_b = np.concatenate([np.zeros(n), np.ones(n)]) / math.sqrt(n)
+    full, _ = np.linalg.qr(np.column_stack([ones_a, ones_b, gauge, np.eye(2 * n)]))
+    basis = full[:, 3:2 * n]
+    x0 = np.concatenate([a, b])
+
+    def value(x):
+        return scaled_loglik(x[:n], x[n:], rho, 1.0)
+
+    dim = basis.shape[1]
+    H = np.zeros((dim, dim))
+    for p in range(dim):
+        vp = basis[:, p]
+        H[p, p] = (value(x0 + h * vp) - 2.0 * value(x0) + value(x0 - h * vp)) / h ** 2
+        for q in range(p + 1, dim):
+            vq = basis[:, q]
+            H[p, q] = H[q, p] = (
+                value(x0 + h * (vp + vq)) - value(x0 + h * (vp - vq))
+                - value(x0 - h * (vp - vq)) + value(x0 - h * (vp + vq))
+            ) / (4.0 * h ** 2)
+    top = np.linalg.eigvalsh(H).max()
+    if top < -HESSIAN_EIG_TOL:
+        return "local_max"
+    return "saddle" if top > HESSIAN_EIG_TOL else "unclassified"
 
 
 class TestConfig:
@@ -80,6 +115,14 @@ class TestClassify:
             label = classify_stationary(cand.point(), 2.0)
             assert label in ("local_max", "saddle", "unclassified")
 
+    @pytest.mark.parametrize("point, rho", [
+        *((cand.point(), 2.0) for cand in CANDS.values()),
+        (block_point(6, 2, 1), 2.0),
+        (corner_point(6, 1, 2), 0.5),
+    ])
+    def test_agrees_with_finite_differences(self, point, rho):
+        assert classify_stationary(point, rho) == _finite_difference_label(point, rho)
+
     def test_requires_stationarity(self):
         with pytest.raises(ValueError, match="stationary"):
             classify_stationary(RankTwoPoint.symmetric([0.3, 0.1, -0.1, -0.3]),
@@ -139,12 +182,13 @@ class TestMultistart:
         with pytest.raises(ValueError, match="symmetric"):
             multistart(table, SolverConfig(starts=5))
 
-    def test_grad_method(self):
-        cfg = SolverConfig(starts=10, seed=5)
-        result = multistart(WeightTable.symmetric(4, 2, 1), cfg, method="grad")
-        assert result.best.converged
-        assert result.best.loglik == pytest.approx(
-            CANDS[SignPattern.PPNN].loglik, abs=1e-9)
+    def test_flat_family_never_saddle(self):
+        # at s = t every optimum lies on the flat family, where the
+        # projected Hessian is singular up to rounding
+        result = multistart(WeightTable.symmetric(4, 1, 1),
+                            SolverConfig(starts=10, seed=1))
+        assert all(c.representative.classification != "saddle"
+                   for c in result.clusters)
 
 
 class TestEM:
