@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 import mpmath
 
 from .core import (Convention, FeasibilityError, Number, ProbMatrix,
-                   WeightTable, exact_likelihood, log_likelihood)
+                   WeightTable, convert_convention, exact_likelihood,
+                   log_likelihood)
 from .ranktwo import RankTwoPoint, reciprocal_residual_exact
 
 MP_DPS = 50
@@ -47,13 +48,6 @@ class SignPattern(Enum):
     @property
     def signs(self) -> str:
         return "".join("+" if c > 0 else "0" if c == 0 else "-" for c in self.value)
-
-    @classmethod
-    def from_signs(cls, text: str) -> "SignPattern":
-        for pattern in cls:
-            if pattern.signs == text:
-                return pattern
-        raise ValueError(f"unknown sign pattern {text!r}")
 
 
 def _as_fraction(x: Number) -> Fraction:
@@ -92,8 +86,7 @@ class Candidate:
         return [[ci * cj * self.alpha_sq for cj in c] for ci in c]
 
     def point(self) -> RankTwoPoint:
-        a = [ci * self.alpha for ci in self.pattern.coeffs]
-        return RankTwoPoint.symmetric(a)
+        return RankTwoPoint.symmetric(self.a_values())
 
     def a_values(self) -> tuple:
         return tuple(ci * self.alpha for ci in self.pattern.coeffs)
@@ -174,6 +167,23 @@ def global_candidate(s: Number, t: Number,
         if i != best and keys[i] == keys[best]:
             raise ValueError("tie between candidate likelihoods")
     return candidates[best]
+
+
+def candidate_lines(cands: Sequence[Candidate], winner: Candidate,
+                    indent: str) -> list:
+    """Text rows of the candidates, the winner marked with *, followed by
+    the winner's matrix in the sum-one convention."""
+    lines = []
+    for cand in cands:
+        mark = "*" if cand is winner else " "
+        like = (f"L = {cand.likelihood}" if cand.likelihood is not None
+                else f"log L = {cand.loglik:.17g}")
+        lines.append(f"{indent}{mark} {cand.pattern.signs}  alpha^2 = "
+                     f"{cand.alpha_sq}  {like}")
+    lines.append("winner matrix (sum-one convention):")
+    sum_one = convert_convention(winner.matrix, Convention.SUM_ONE)
+    lines.extend("    " + "  ".join(str(x) for x in row) for row in sum_one.entries)
+    return lines
 
 
 def block_matrix(n: int, s: Number, t: Number) -> ProbMatrix:

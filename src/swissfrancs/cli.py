@@ -24,35 +24,29 @@ import tempfile
 from fractions import Fraction
 from typing import Optional
 
-from . import verify as verify_mod
-from .candidates import enumerate_n4, global_candidate
+from .candidates import candidate_lines, enumerate_n4, global_candidate
 from .core import (Convention, ConvergenceError, WeightTable,
                    convert_convention, load_weight_table, swiss_counts)
 from .solvers import SolverConfig, em_multistart, multistart
-from .verify import (VERDICT_INCONCLUSIVE, certify, f3_region_scan,
-                     lemma_a2_factorization, scan_csv_rows, tail_pair_solve)
+from .verify import LEMMAS, VERDICT_INCONCLUSIVE, certify, scan_csv_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_INCONCLUSIVE = 4
 
-LEMMA_CHOICES = ("bounds", "order", "fpoly", "f1", "f3", "factor", "tailpair")
-
 
 def _write_output(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".swissfrancs-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -60,17 +54,18 @@ def _write_output(text: str, out: Optional[str]) -> None:
         raise
 
 
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2)
-
-
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+def _emit(args, data, text: Optional[str], header, rows) -> None:
+    """Write the result in the --format asked for: data as JSON, text as
+    given, or header and rows as CSV."""
+    if args.format == "json":
+        text = json.dumps(data, indent=2)
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buffer.getvalue()
+    _write_output(text, args.out)
 
 
 def _parse_weight(text: str) -> Fraction | float:
@@ -109,19 +104,13 @@ def cmd_solve(args) -> int:
         result = em_multistart(weights, classes, cfg)
         data = result.to_json_dict()
         data["best_loglik"] = data["best"]["loglik"]
-        if args.format == "json":
-            _write_output(_json_text(data), args.out)
-        elif args.format == "text":
-            best = result.best
-            lines = [f"EM best log-likelihood: {best.loglik:.17g}",
-                     f"iterations: {best.iterations}  converged: {best.converged}",
-                     f"runs: {len(result.reports)}"]
-            _write_output("\n".join(lines), args.out)
-        else:
-            rows = [(i, f"{r.loglik:.17g}", r.iterations, r.converged)
-                    for i, r in enumerate(result.reports)]
-            _write_output(_csv_text(("run", "loglik", "iterations", "converged"),
-                                    rows), args.out)
+        best = result.best
+        text = "\n".join([f"EM best log-likelihood: {best.loglik:.17g}",
+                          f"iterations: {best.iterations}  converged: {best.converged}",
+                          f"runs: {len(result.reports)}"])
+        rows = [(i, f"{r.loglik:.17g}", r.iterations, r.converged)
+                for i, r in enumerate(result.reports)]
+        _emit(args, data, text, ("run", "loglik", "iterations", "converged"), rows)
         return EXIT_OK
 
     pair = weights.symmetric_pair()
@@ -139,25 +128,18 @@ def cmd_solve(args) -> int:
         total = float(weights.total())
         data["best_loglik_counts"] = float(
             f"{result.best.loglik - total * math.log(weights.n ** 2):.17g}")
-    if args.format == "json":
-        _write_output(_json_text(data), args.out)
-    elif args.format == "text":
-        lines = [f"best log-likelihood: {result.best.loglik:.17g}",
-                 f"classification: {result.best.classification}",
-                 f"residual: {result.best.residual:.3e}",
-                 "clusters:"]
-        for cluster in result.clusters:
-            lines.append(f"  log L = {cluster.loglik:.17g}  size {cluster.size}"
-                         f"  {cluster.representative.classification}")
-        _write_output("\n".join(lines), args.out)
-    else:
-        rows = [(i, f"{c.loglik:.17g}", c.size,
-                 c.representative.classification,
-                 f"{c.representative.residual:.3e}")
-                for i, c in enumerate(result.clusters)]
-        _write_output(_csv_text(
-            ("cluster", "loglik", "size", "classification", "residual"), rows),
-            args.out)
+    lines = [f"best log-likelihood: {result.best.loglik:.17g}",
+             f"classification: {result.best.classification}",
+             f"residual: {result.best.residual:.3e}",
+             "clusters:"]
+    for cluster in result.clusters:
+        lines.append(f"  log L = {cluster.loglik:.17g}  size {cluster.size}"
+                     f"  {cluster.representative.classification}")
+    rows = [(i, f"{c.loglik:.17g}", c.size, c.representative.classification,
+             f"{c.representative.residual:.3e}")
+            for i, c in enumerate(result.clusters)]
+    _emit(args, data, "\n".join(lines),
+          ("cluster", "loglik", "size", "classification", "residual"), rows)
     return EXIT_OK
 
 
@@ -177,147 +159,33 @@ def cmd_candidates(args) -> int:
             "candidates": [c.to_json_dict() for c in cands],
             "winner_sum_one": convert_convention(
                 winner.matrix, Convention.SUM_ONE).to_json_dict()}
-    if args.format == "json":
-        _write_output(_json_text(data), args.out)
-    elif args.format == "text":
-        lines = [f"candidates at s={args.s}, t={args.t}:"]
-        for cand in cands:
-            mark = "*" if cand is winner else " "
-            like = (f"L = {cand.likelihood}" if cand.likelihood is not None
-                    else f"log L = {cand.loglik:.17g}")
-            lines.append(f" {mark} {cand.pattern.signs}  alpha^2 = "
-                         f"{cand.alpha_sq}  {like}")
-        sum_one = convert_convention(winner.matrix, Convention.SUM_ONE)
-        lines.append("winner matrix (sum-one convention):")
-        for row in sum_one.entries:
-            lines.append("    " + "  ".join(str(x) for x in row))
-        _write_output("\n".join(lines), args.out)
-    else:
-        rows = [(c.pattern.signs, str(c.alpha_sq), f"{c.loglik:.17g}",
-                 "" if c.likelihood is None else str(c.likelihood),
-                 c is winner)
-                for c in cands]
-        _write_output(_csv_text(
-            ("pattern", "alpha_sq", "loglik", "likelihood", "winner"), rows),
-            args.out)
+    lines = [f"candidates at s={args.s}, t={args.t}:",
+             *candidate_lines(cands, winner, " ")]
+    rows = [(c.pattern.signs, str(c.alpha_sq), f"{c.loglik:.17g}",
+             "" if c.likelihood is None else str(c.likelihood), c is winner)
+            for c in cands]
+    _emit(args, data, "\n".join(lines),
+          ("pattern", "alpha_sq", "loglik", "likelihood", "winner"), rows)
     return EXIT_OK
 
 
-def _lemma_report(args) -> tuple[bool, dict, str]:
-    name = args.lemma
-    if name == "f1":
-        cases = [((Fraction(0), Fraction(0)), Fraction(0)),
-                 ((Fraction(1, 5), Fraction(1, 5)), Fraction(1, 25)),
-                 ((Fraction(1, 15), Fraction(1, 15)), Fraction(-1, 75))]
-        results = [{"x": str(x), "y": str(y),
-                    "value": str(verify_mod.f1_eval(x, y)),
-                    "expected": str(expected),
-                    "passed": verify_mod.f1_eval(x, y) == expected}
-                   for (x, y), expected in cases]
-        passed = all(r["passed"] for r in results)
-        text = "\n".join(f"f1({r['x']}, {r['y']}) = {r['value']} "
-                         f"(expected {r['expected']})" for r in results)
-        return passed, {"lemma": "f1", "cases": results, "passed": passed}, text
-    if name == "f3":
-        scan = f3_region_scan(args.resolution)
-        passed = scan.below_reference_bound
-        text = (f"grid max {scan.max_value:.9g} at {scan.argmax} over "
-                f"{scan.n_points} points; bound -549/500 = -1.098: "
-                f"{'below' if passed else 'NOT below'}")
-        return passed, {"lemma": "f3", **scan.to_json_dict()}, text
-    if name == "factor":
-        report = lemma_a2_factorization()
-        passed = report.remainder_zero
-        text = (f"remainder zero: {report.remainder_zero}; cofactor vs the explicit "
-                f"17-term polynomial: {report.cofactor_constant}")
-        return passed, {"lemma": "factor", **report.to_json_dict()}, text
-    if name == "tailpair":
-        cases = [((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
-                 ((Fraction(6, 5), Fraction(6, 5)),
-                  (Fraction(4, 5), Fraction(4, 5))),
-                 ((Fraction(16, 15), Fraction(16, 15)),
-                  (Fraction(16, 15), Fraction(4, 5)))]
-        results = []
-        for (x, y), expected in cases:
-            got = tail_pair_solve(x, y)
-            results.append({"A1": str(x), "A2": str(y),
-                            "A3": str(got[0]), "A4": str(got[1]),
-                            "passed": got == expected})
-        passed = all(r["passed"] for r in results)
-        text = "\n".join(f"tail({r['A1']}, {r['A2']}) = ({r['A3']}, {r['A4']})"
-                         for r in results)
-        return passed, {"lemma": "tailpair", "cases": results, "passed": passed}, text
-
-    # the remaining checks run over the four candidates
-    cands = enumerate_n4(args.s if args.s is not None else 2,
-                         args.t if args.t is not None else 1)
-    if name == "bounds":
-        ratio = Fraction(cands[0].s, cands[0].t)
-        if ratio != 2:
-            raise ValueError("the bound checks are specific to weight ratio 2")
-        results = []
-        for cand in cands:
-            checks = verify_mod.check_bounds(cand.point())
-            results.append({"pattern": cand.pattern.signs,
-                            "checks": [c.to_json_dict() for c in checks],
-                            "passed": all(c.passed for c in checks)})
-        passed = all(r["passed"] for r in results)
-        text = "\n".join(f"{r['pattern']}: "
-                         f"{'pass' if r['passed'] else 'fail'}" for r in results)
-        return passed, {"lemma": "bounds", "cases": results, "passed": passed}, text
-    if name == "order":
-        results = [{"pattern": c.pattern.signs,
-                    **verify_mod.sign_order_check(c.point()).to_json_dict()}
-                   for c in cands]
-        passed = all(r["passed"] for r in results)
-        text = "\n".join(f"{r['pattern']}: "
-                         f"{'pass' if r['passed'] else 'fail'}" for r in results)
-        return passed, {"lemma": "order", "cases": results, "passed": passed}, text
-    if name == "fpoly":
-        rho = float(cands[0].s) / float(cands[0].t)
-        results = []
-        for cand in cands:
-            report = verify_mod.f_polynomial(cand.point(), rho=rho)
-            ok = (report.constant == 0 and abs(report.linear) < 1e-12
-                  and report.coordinates_are_roots
-                  and report.function_zeros_in_reference)
-            results.append({"pattern": cand.pattern.signs, "passed": ok,
-                            **report.to_json_dict()})
-        passed = all(r["passed"] for r in results)
-        text = "\n".join(
-            f"{r['pattern']}: degree {r['degree']}, zero low-order coefficients, "
-            f"coordinates are roots: {r['coordinates_are_roots']}"
-            for r in results)
-        return passed, {"lemma": "fpoly", "cases": results, "passed": passed}, text
-    raise ValueError(f"unknown lemma {name!r}")
-
-
 def cmd_verify(args) -> int:
-    if args.lemma is not None:
-        if args.lemma == "f3" and args.format == "csv":
-            rows = scan_csv_rows(args.resolution)
-            _write_output(_csv_text(("a1", "a2", "b2", "f3"), rows), args.out)
-            return EXIT_OK
-        passed, data, text = _lemma_report(args)
-        if args.format == "json":
-            _write_output(_json_text(data), args.out)
-        elif args.format == "text":
-            _write_output(text, args.out)
-        else:
-            _write_output(_csv_text(("lemma", "passed"),
-                                    [(args.lemma, passed)]), args.out)
-        return EXIT_OK if passed else EXIT_INCONCLUSIVE
-
     s = args.s if args.s is not None else 2
     t = args.t if args.t is not None else 1
+    if args.lemma == "f3" and args.format == "csv":
+        # the grid export: one row per grid point in place of the scan summary
+        _emit(args, None, None, ("a1", "a2", "b2", "f3"),
+              scan_csv_rows(args.resolution))
+        return EXIT_OK
+    if args.lemma is not None:
+        passed, data, text = LEMMAS[args.lemma](s, t, args.resolution)
+        _emit(args, data, text, ("lemma", "passed"), [(args.lemma, passed)])
+        return EXIT_OK if passed else EXIT_INCONCLUSIVE
+
     certificate = certify(args.n, s, t, _config(args))
-    if args.format == "json":
-        _write_output(_json_text(certificate.to_json_dict()), args.out)
-    elif args.format == "text":
-        _write_output(certificate.to_text(), args.out)
-    else:
-        rows = [(c.name, c.passed, c.detail) for c in certificate.checks]
-        _write_output(_csv_text(("check", "passed", "detail"), rows), args.out)
+    rows = [(c.name, c.passed, c.detail) for c in certificate.checks]
+    _emit(args, certificate.to_json_dict(), certificate.to_text(),
+          ("check", "passed", "detail"), rows)
     if certificate.verdict == VERDICT_INCONCLUSIVE:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
@@ -330,17 +198,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "problem and its weighted generalizations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, starts_default=200):
+    def add_common(p, solver_options):
+        """Weight and output options, and the multistart solver's options
+        for the subcommands that run it."""
         p.add_argument("--s", type=_parse_weight, default=None,
                        help="diagonal weight")
         p.add_argument("--t", type=_parse_weight, default=None,
                        help="off-diagonal weight")
         p.add_argument("--n", type=int, default=4, help="matrix side")
-        p.add_argument("--starts", type=int, default=starts_default)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--max-iter", type=int, default=10_000)
-        p.add_argument("--cluster-eps", type=float, default=1e-6)
+        if solver_options:
+            p.add_argument("--starts", type=int, default=200)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol", type=float, default=1e-12)
+            p.add_argument("--max-iter", type=int, default=10_000)
+            p.add_argument("--cluster-eps", type=float, default=1e-6)
         p.add_argument("--format", choices=("json", "text", "csv"),
                        default="json")
         p.add_argument("--out", default=None, help="output path (atomic write)")
@@ -352,20 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
                        default="newton")
     solve.add_argument("--classes", type=int, default=None,
                        help="latent class count for --method em (default 2)")
-    add_common(solve)
+    add_common(solve, solver_options=True)
     solve.set_defaults(func=cmd_solve)
 
     cands = sub.add_parser("candidates", help="closed-form candidates at n = 4")
     cands.add_argument("--exact", action="store_true",
                        help="require exact rational likelihoods")
-    add_common(cands)
+    add_common(cands, solver_options=False)
     cands.set_defaults(func=cmd_candidates)
 
     ver = sub.add_parser("verify", help="certificates and individual checks")
-    ver.add_argument("--lemma", choices=LEMMA_CHOICES, default=None)
+    ver.add_argument("--lemma", choices=tuple(LEMMAS), default=None)
     ver.add_argument("--resolution", type=int, default=100,
                      help="grid resolution for --lemma f3")
-    add_common(ver)
+    add_common(ver, solver_options=True)
     ver.set_defaults(func=cmd_verify)
     return parser
 
@@ -375,7 +246,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:

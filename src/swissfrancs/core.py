@@ -106,6 +106,12 @@ class WeightTable:
                 raise ValueError("at least one weight must be positive")
         else:
             raise ValueError(f"unknown weight table kind {self.kind!r}")
+        named = ([("s", self.s), ("t", self.t)] if self.kind == "symmetric" else
+                 [(f"w[{i}][{j}]", x) for i, row in enumerate(self.w)
+                  for j, x in enumerate(row)])
+        for name, value in named:
+            if not _is_exact(value) and not math.isfinite(value):
+                raise ValueError(f"weight {name} is not finite: {value!r}")
 
     @classmethod
     def symmetric(cls, n: int, s: Number, t: Number) -> "WeightTable":
@@ -221,9 +227,6 @@ class ProbMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.entries])
 
-    def is_positive(self) -> bool:
-        return all(x > 0 for row in self.entries for x in row)
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "convention": self.convention.value,
                 "entries": [[format_number(x) for x in row] for row in self.entries]}
@@ -304,8 +307,3 @@ def exact_likelihood(P: ProbMatrix, W: WeightTable) -> Fraction:
 def load_weight_table(path: str) -> WeightTable:
     with open(path, "r", encoding="utf-8") as fh:
         return WeightTable.from_json_dict(json.load(fh))
-
-
-def load_prob_matrix(path: str) -> ProbMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ProbMatrix.from_json_dict(json.load(fh))

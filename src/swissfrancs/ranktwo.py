@@ -70,9 +70,6 @@ class RankTwoPoint:
     def min_entry(self) -> float:
         return float(self.entry_table().min())
 
-    def is_feasible(self, margin: float = FEASIBILITY_MARGIN) -> bool:
-        return self.min_entry() > margin
-
     def is_zero(self, tol: float = 1e-14) -> bool:
         return max(abs(x) for x in self.a) < tol and max(abs(x) for x in self.b) < tol
 

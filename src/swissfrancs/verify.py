@@ -6,8 +6,9 @@ agreement between the two parametrizing vectors, the root structure of
 the degree-six numerator attached to symmetric stationary points, the
 exact divisibility that forces a2 = b2, the negativity scan of its
 17-term cofactor over the feasible box, and the tail-pair quadratic.
-certify() bundles them with exact candidate comparison and an
-independent multistart search into a machine-checkable verdict.
+certify() combines exact candidate comparison, the pointwise checks and
+an independent multistart search into a machine-checkable verdict.
+LEMMAS names every check that `swissfrancs verify --lemma` runs.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .candidates import (Candidate, block_matrix, block_point, corner_matrix,
-                         corner_point, enumerate_n4, global_candidate)
+from .candidates import (Candidate, block_matrix, block_point,
+                         candidate_lines, corner_matrix, corner_point,
+                         enumerate_n4, global_candidate)
 from .core import (Convention, Number, ProbMatrix, WeightTable,
                    convert_convention, log_likelihood)
 from .polys import A1, A2, B2, Poly1, Poly3, greedy_multiset_match
@@ -136,6 +138,11 @@ def _is_canonical(pt: RankTwoPoint) -> bool:
     return sorted_desc and head_equal and a[0] > 0
 
 
+def bounds_established(s: Number, t: Number) -> bool:
+    """check_bounds holds only at weight ratio s/t = 2."""
+    return Fraction(s) / Fraction(t) == 2
+
+
 def check_bounds(pt: RankTwoPoint) -> list:
     """Bound checks valid at canonical stationary points of the weight
     ratio 2 problem: a_1^2 <= 1/2 and the mixed products a_1 a_2,
@@ -197,6 +204,14 @@ class FPolyReport:
     multiset_matched: bool
     coordinates_are_roots: bool
     function_zeros_in_reference: bool
+
+    @property
+    def passed(self) -> bool:
+        """The facts that hold at every n = 4 candidate; degree six and the
+        multiset match fail when coordinates repeat, so they are not required."""
+        return (self.constant == 0 and abs(self.linear) < 1e-12
+                and self.coordinates_are_roots
+                and self.function_zeros_in_reference)
 
     def to_json_dict(self) -> dict:
         return {"coefficients": [float(c) for c in self.poly.coeffs],
@@ -390,9 +405,16 @@ def worker_count(explicit: Optional[int] = None) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _scan_axes(resolution: int):
-    a1_values = np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]
-    return a1_values
+def _scan_axes(resolution: int) -> list:
+    return [float(a1) for a1 in
+            np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]]
+
+
+def _scan_slice(a1: float, resolution: int):
+    """The a2 = b2 grid of one a1 slice of the scan box and the cofactor
+    values on grid x grid."""
+    grid = np.linspace(0.0, min(a1, 1.0 / (5.0 * a1)), resolution)
+    return grid, f3_eval(a1, grid[:, None], grid[None, :])
 
 
 def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult:
@@ -408,20 +430,16 @@ def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult
     a1_values = _scan_axes(resolution)
     workers = worker_count(threads)
 
-    def scan_slice(idx: int):
-        a1 = float(a1_values[idx])
-        upper = min(a1, 1.0 / (5.0 * a1))
-        grid = np.linspace(0.0, upper, resolution)
-        values = f3_eval(a1, grid[:, None], grid[None, :])
-        flat = int(np.argmax(values))
-        i, j = divmod(flat, resolution)
+    def slice_max(a1: float):
+        grid, values = _scan_slice(a1, resolution)
+        i, j = divmod(int(np.argmax(values)), resolution)
         return float(values[i, j]), (a1, float(grid[i]), float(grid[j]))
 
     if workers == 1:
-        results = [scan_slice(i) for i in range(resolution)]
+        results = [slice_max(a1) for a1 in a1_values]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(scan_slice, range(resolution)))
+            results = list(pool.map(slice_max, a1_values))
     best_value, best_arg = results[0]
     for value, arg in results[1:]:
         if value > best_value:
@@ -437,10 +455,7 @@ def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult
 def scan_csv_rows(resolution: int):
     """Yield (a1, a2, b2, f3) rows of the scan grid for external plotting."""
     for a1 in _scan_axes(resolution):
-        a1 = float(a1)
-        upper = min(a1, 1.0 / (5.0 * a1))
-        grid = np.linspace(0.0, upper, resolution)
-        values = f3_eval(a1, grid[:, None], grid[None, :])
+        grid, values = _scan_slice(a1, resolution)
         for i in range(resolution):
             for j in range(resolution):
                 yield (a1, float(grid[i]), float(grid[j]), float(values[i, j]))
@@ -488,17 +503,7 @@ class Certificate:
                  f"verdict: {self.verdict}"]
         if self.candidates is not None:
             lines.append("candidates:")
-            for cand in self.candidates:
-                mark = "  *" if self.winner is cand else "   "
-                like = (f"L = {cand.likelihood}" if cand.likelihood is not None
-                        else f"log L = {cand.loglik:.17g}")
-                lines.append(f"{mark} {cand.pattern.signs}  alpha^2 = "
-                             f"{cand.alpha_sq}  {like}")
-            if self.winner is not None:
-                sum_one = convert_convention(self.winner.matrix, Convention.SUM_ONE)
-                lines.append("winner matrix (sum-one convention):")
-                for row in sum_one.entries:
-                    lines.append("    " + "  ".join(str(x) for x in row))
+            lines.extend(candidate_lines(self.candidates, self.winner, "  "))
         if self.conjecture is not None:
             lines.append(f"conjectured {self.conjecture} matrix, "
                          f"log L = {self.conjectured_loglik:.17g}, "
@@ -576,7 +581,7 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
         order = sign_order_check(point)
         checks.append(CheckResult("sign_order", order.passed,
                                   "coordinate signs and orders agree"))
-        if Fraction(s) / Fraction(t) == 2:
+        if bounds_established(s, t):
             bound_results = check_bounds(point)
             checks.append(CheckResult(
                 "bounds", all(c.passed for c in bound_results),
@@ -623,3 +628,115 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
                        multistart_result=ms, conjecture=conjecture,
                        conjectured_matrix=matrix, conjectured_loglik=loglik,
                        conjectured_residual=residual)
+
+
+# ---------------------------------------------------------------------------
+# the named checks behind `verify --lemma`
+
+LemmaCheck = Callable[[Number, Number, int], Tuple[bool, dict, str]]
+
+
+def _cases_report(name: str, cases: list, line) -> Tuple[bool, dict, str]:
+    """The {"lemma", "cases", "passed"} envelope, passed when every case
+    passed, and a text of line(case) for each case."""
+    passed = all(case["passed"] for case in cases)
+    return (passed, {"lemma": name, "cases": cases, "passed": passed},
+            "\n".join(line(case) for case in cases))
+
+
+def _pass_fail_line(case: dict) -> str:
+    return f"{case['pattern']}: {'pass' if case['passed'] else 'fail'}"
+
+
+def _candidate_report(name: str, s: Number, t: Number, case,
+                      line=_pass_fail_line) -> Tuple[bool, dict, str]:
+    """One case per n = 4 candidate at (s, t): its sign pattern, then the
+    fields of case(candidate)."""
+    cases = [{"pattern": c.pattern.signs, **case(c)} for c in enumerate_n4(s, t)]
+    return _cases_report(name, cases, line)
+
+
+def _bounds_lemma(s: Number, t: Number, resolution: int):
+    def case(cand: Candidate) -> dict:
+        if not bounds_established(cand.s, cand.t):
+            raise ValueError("the bound checks are specific to weight ratio 2")
+        checks = check_bounds(cand.point())
+        return {"checks": [c.to_json_dict() for c in checks],
+                "passed": all(c.passed for c in checks)}
+
+    return _candidate_report("bounds", s, t, case)
+
+
+def _order_lemma(s: Number, t: Number, resolution: int):
+    def case(cand: Candidate) -> dict:
+        return sign_order_check(cand.point()).to_json_dict()
+
+    return _candidate_report("order", s, t, case)
+
+
+def _fpoly_lemma(s: Number, t: Number, resolution: int):
+    def case(cand: Candidate) -> dict:
+        report = f_polynomial(cand.point(), rho=float(cand.s) / float(cand.t))
+        return {"passed": report.passed, **report.to_json_dict()}
+
+    return _candidate_report(
+        "fpoly", s, t, case,
+        "{pattern}: degree {degree}, zero low-order coefficients, "
+        "coordinates are roots: {coordinates_are_roots}".format_map)
+
+
+def _f1_lemma(s: Number, t: Number, resolution: int):
+    cases = []
+    for (x, y), expected in [((Fraction(0), Fraction(0)), Fraction(0)),
+                             ((Fraction(1, 5), Fraction(1, 5)), Fraction(1, 25)),
+                             ((Fraction(1, 15), Fraction(1, 15)), Fraction(-1, 75))]:
+        value = f1_eval(x, y)
+        cases.append({"x": str(x), "y": str(y), "value": str(value),
+                      "expected": str(expected), "passed": value == expected})
+    return _cases_report("f1", cases,
+                         "f1({x}, {y}) = {value} (expected {expected})".format_map)
+
+
+def _f3_lemma(s: Number, t: Number, resolution: int):
+    scan = f3_region_scan(resolution)
+    passed = scan.below_reference_bound
+    text = (f"grid max {scan.max_value:.9g} at {scan.argmax} over "
+            f"{scan.n_points} points; bound -549/500 = -1.098: "
+            f"{'below' if passed else 'NOT below'}")
+    return passed, {"lemma": "f3", **scan.to_json_dict()}, text
+
+
+def _factor_lemma(s: Number, t: Number, resolution: int):
+    report = lemma_a2_factorization()
+    text = (f"remainder zero: {report.remainder_zero}; cofactor vs the explicit "
+            f"17-term polynomial: {report.cofactor_constant}")
+    return (report.remainder_zero, {"lemma": "factor", **report.to_json_dict()},
+            text)
+
+
+def _tailpair_lemma(s: Number, t: Number, resolution: int):
+    cases = []
+    for (x, y), expected in [
+            ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
+            ((Fraction(6, 5), Fraction(6, 5)), (Fraction(4, 5), Fraction(4, 5))),
+            ((Fraction(16, 15), Fraction(16, 15)), (Fraction(16, 15), Fraction(4, 5)))]:
+        got = tail_pair_solve(x, y)
+        cases.append({"A1": str(x), "A2": str(y), "A3": str(got[0]),
+                      "A4": str(got[1]), "passed": got == expected})
+    return _cases_report("tailpair", cases,
+                         "tail({A1}, {A2}) = ({A3}, {A4})".format_map)
+
+
+# Every check is called as check(s, t, resolution) and returns (passed,
+# json_dict, text). bounds, order and fpoly run over the four n = 4
+# candidates at (s, t), f3 scans at the given resolution, and the others
+# ignore all three.
+LEMMAS: dict[str, LemmaCheck] = {
+    "bounds": _bounds_lemma,
+    "order": _order_lemma,
+    "fpoly": _fpoly_lemma,
+    "f1": _f1_lemma,
+    "f3": _f3_lemma,
+    "factor": _factor_lemma,
+    "tailpair": _tailpair_lemma,
+}

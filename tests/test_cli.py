@@ -1,14 +1,19 @@
 """Command-line behavior: flags, exit codes, formats, determinism."""
 
+import argparse
 import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
-from swissfrancs.cli import main
+from swissfrancs.cli import build_parser, main
 from swissfrancs.core import swiss_counts
+from swissfrancs.verify import LEMMAS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -68,6 +73,22 @@ class TestSolve:
                            "--s", "2", "--t", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_counts_rejected(self, capsys, tmp_path, literal):
+        path = tmp_path / "counts.json"
+        path.write_text('{"n": 2, "kind": "full", "w": [[4, %s], [2, 4]]}'
+                        % literal)
+        code, out, err = run(capsys, "solve", "--counts", str(path),
+                             "--method", "em")
+        assert code == 2
+        assert out == ""
+        assert "weight w[0][1]" in err
+
+    def test_non_finite_symmetric_weight_rejected(self, capsys):
+        code, _, err = run(capsys, "solve", "--s", "nan", "--t", "1")
+        assert code == 2
+        assert "weight s" in err
+
     def test_solver_failure_exits_three(self, capsys, monkeypatch):
         from swissfrancs.core import ConvergenceError
         import swissfrancs.cli as cli_mod
@@ -121,6 +142,12 @@ class TestCandidates:
         code, _, err = run(capsys, "candidates", "--s", "2.5", "--t", "1",
                            "--exact")
         assert code == 2
+
+    def test_solver_options_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["candidates", "--s", "2", "--t", "1", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -185,6 +212,57 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "--lemma", lemma)
             assert code == 0, lemma
             assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    @pytest.mark.parametrize("lemma", list(LEMMAS))
+    def test_every_lemma_every_format(self, capsys, lemma, fmt):
+        code, out, err = run(capsys, "verify", "--lemma", lemma,
+                             "--format", fmt, "--resolution", "20")
+        assert code == 0
+        assert err == ""
+        if fmt == "json":
+            data = json.loads(out)
+            assert data["lemma"] == lemma
+            # f3 and factor keep the field names of their reports
+            key = {"f3": "below_reference_bound",
+                   "factor": "remainder_zero"}.get(lemma, "passed")
+            assert data[key] is True
+        elif fmt == "text":
+            assert out.strip()
+        elif lemma == "f3":
+            assert out.startswith("a1,a2,b2,f3\n")
+        else:
+            assert out == f"lemma,passed\n{lemma},True\n"
+
+    def test_lemma_choices_come_from_registry(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        lemma = next(a for a in sub.choices["verify"]._actions
+                     if a.dest == "lemma")
+        assert tuple(lemma.choices) == tuple(LEMMAS) == (
+            "bounds", "order", "fpoly", "f1", "f3", "factor", "tailpair")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("lemma", ["f1", "tailpair", "factor", "order",
+                                       "bounds"])
+    def test_lemma_golden_bytes(self, capsys, lemma, fmt):
+        # fpoly and f3 print floats from eigenvalue and grid arithmetic
+        # that can differ in the last bits between BLAS builds
+        code, out, err = run(capsys, "verify", "--lemma", lemma,
+                             "--format", fmt)
+        assert code == 0
+        assert err == ""
+        suffix = "json" if fmt == "json" else "txt"
+        expected = (GOLDEN / f"lemma_{lemma}.{suffix}").read_bytes()
+        assert out.encode("utf-8") == expected
+
+    def test_bounds_need_ratio_two(self, capsys):
+        code, out, err = run(capsys, "verify", "--lemma", "bounds",
+                             "--s", "3", "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert "weight ratio 2" in err
 
     def test_f3_csv_grid(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "f3",

@@ -215,6 +215,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeightTable.symmetric(4, 0, 1)
 
+    def test_non_finite_weights(self):
+        with pytest.raises(ValueError, match="weight s"):
+            WeightTable.symmetric(4, float("inf"), 1)
+        with pytest.raises(ValueError, match="weight t"):
+            WeightTable.symmetric(4, 2, float("nan"))
+        with pytest.raises(ValueError, match=r"weight w\[1\]\[0\]"):
+            WeightTable.full([[1, 2], [float("inf"), 1]])
+
 
 class TestJson:
     def test_weight_table_round_trip(self):

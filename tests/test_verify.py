@@ -227,6 +227,7 @@ class TestFPolynomial:
             assert report.degree == expected_degree[pattern]
             assert report.coordinates_are_roots
             assert report.function_zeros_in_reference
+            assert report.passed
 
     def test_block_point_roots(self):
         report = f_polynomial(CANDS[SignPattern.PPNN].point())
