@@ -104,14 +104,23 @@ class Candidate:
                     total += w * mpmath.log(mpmath.mpf(p.numerator) / p.denominator)
             return total
 
+    def likelihood_text(self) -> Optional[str]:
+        """The exact likelihood as "p/q" text, or None without integral
+        weights or when its integers pass Python's 4300-digit limit for
+        printing, as at weights 1000:1."""
+        try:
+            return None if self.likelihood is None else str(self.likelihood)
+        except ValueError:
+            return None
+
     def to_json_dict(self) -> dict:
         out = {"pattern": self.pattern.signs,
                "alpha_sq": str(self.alpha_sq),
                "a": list(self.a_values()),
                "matrix": self.matrix.to_json_dict(),
                "loglik": float(f"{self.loglik:.17g}")}
-        if self.likelihood is not None:
-            out["likelihood"] = str(self.likelihood)
+        if (likelihood := self.likelihood_text()) is not None:
+            out["likelihood"] = likelihood
         else:
             with mpmath.workdps(30):
                 out["loglik_30"] = mpmath.nstr(self.loglik_mp(30), 30)
@@ -176,7 +185,8 @@ def candidate_lines(cands: Sequence[Candidate], winner: Candidate,
     lines = []
     for cand in cands:
         mark = "*" if cand is winner else " "
-        like = (f"L = {cand.likelihood}" if cand.likelihood is not None
+        likelihood = cand.likelihood_text()
+        like = (f"L = {likelihood}" if likelihood is not None
                 else f"log L = {cand.loglik:.17g}")
         lines.append(f"{indent}{mark} {cand.pattern.signs}  alpha^2 = "
                      f"{cand.alpha_sq}  {like}")

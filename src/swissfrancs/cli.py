@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -36,17 +35,17 @@ EXIT_SOLVER = 3
 EXIT_INCONCLUSIVE = 4
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+def _write_output(write, out: Optional[str]) -> None:
+    """Call write(fh) on stdout, or on a temporary file that then
+    atomically replaces the path out."""
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".swissfrancs-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,16 +55,17 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def _emit(args, data, text: Optional[str], header, rows) -> None:
     """Write the result in the --format asked for: data as JSON, text as
-    given, or header and rows as CSV."""
-    if args.format == "json":
-        text = json.dumps(data, indent=2)
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buffer.getvalue()
-    _write_output(text, args.out)
+    given, or header and rows as CSV, the rows streamed as they come."""
+    def write(fh) -> None:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return
+        body = json.dumps(data, indent=2) if args.format == "json" else text
+        fh.write(body if body.endswith("\n") else body + "\n")
+
+    _write_output(write, args.out)
 
 
 def _parse_weight(text: str) -> Fraction | float:
@@ -162,7 +162,7 @@ def cmd_candidates(args) -> int:
     lines = [f"candidates at s={args.s}, t={args.t}:",
              *candidate_lines(cands, winner, " ")]
     rows = [(c.pattern.signs, str(c.alpha_sq), f"{c.loglik:.17g}",
-             "" if c.likelihood is None else str(c.likelihood), c is winner)
+             c.likelihood_text() or "", c is winner)
             for c in cands]
     _emit(args, data, "\n".join(lines),
           ("pattern", "alpha_sq", "loglik", "likelihood", "winner"), rows)

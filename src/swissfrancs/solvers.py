@@ -1,6 +1,6 @@
 """Numerical maximizers: damped Newton on the stationarity system, a
-projected-gradient fallback, a deterministic multistart driver with
-clustering, and EM for the two-way latent class model.
+deterministic multistart driver with clustering, and EM for the two-way
+latent class model.
 
 The stationarity system is overdetermined (2n gradient components plus
 the two zero-sum constraints, with one structural dependency and a
@@ -19,8 +19,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import Convention, ConvergenceError, ProbMatrix, WeightTable
-from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, canonicalize,
-                      gradient, hessian, stationarity_residual)
+from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, gradient, hessian,
+                      stationarity_residual)
 
 START_BOX = 0.6
 MAX_HALVINGS = 40
@@ -142,9 +142,10 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     """Damped least-squares Newton on the stationarity system.
 
     Steps are halved (up to 40 times) until they stay interior and reduce
-    the system norm; convergence means the recomputed gradient residual
-    drops below cfg.tol in the max norm. The reported log-likelihood uses
-    weights (rho, 1); multistart rescales it to the caller's (s, t).
+    the system norm. Convergence means the recomputed gradient residual
+    drops below cfg.tol * (n + rho - 1) in the max norm, n + rho - 1 being
+    what every row of the reciprocal form of the system sums to. The
+    log-likelihood uses weights (rho, 1); multistart rescales it to (s, t).
     """
     a, b = pt0.arrays()
     if not _feasible(a, b):
@@ -153,6 +154,8 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     for iterations in range(1, cfg.max_iter + 1):
         F = _system(a, b, rho)
         resid = np.abs(F[:-1]).max()
+        # iterate down to the unscaled tol: stopping at the scaled one
+        # leaves some starts a step short of the scaled rule below
         if resid < cfg.tol:
             break
         J = _jacobian(a, b, rho)
@@ -176,7 +179,7 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     pt = RankTwoPoint.of(a, b)
     resid = float(np.abs(stationarity_residual(pt, rho)).max()) \
         if _feasible(a, b) else float("inf")
-    converged = resid < cfg.tol
+    converged = resid < cfg.tol * (len(a) + rho - 1)
     if max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL:
         classification = "degenerate"
     elif converged or resid < CLASSIFY_RESIDUAL_TOL:
@@ -189,9 +192,8 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
                        method="newton", seed=seed)
 
 
-def _projected_ascent(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
-                      max_iter: int = 2_000,
-                      grad_tol: float = 1e-10) -> RankTwoPoint:
+def _projected_ascent(pt0: RankTwoPoint, rho: float, max_iter: int = 500,
+                      grad_tol: float = 1e-6) -> RankTwoPoint:
     """Backtracking gradient ascent on the scaled log-likelihood over the
     zero-sum manifold.
 
@@ -273,26 +275,12 @@ def _random_start(n: int, rng: np.random.Generator,
 
 
 def _cluster_key(pt: RankTwoPoint) -> np.ndarray:
-    """Orbit-invariant vector used for clustering final points."""
+    """The sorted diagonal of D = b a^T, then all of D's entries sorted: a
+    key unchanged by the gauge (c a, b / c), the sign (-a, -b), simultaneous
+    permutation and transpose, and 1-Lipschitz in D in the max norm."""
     a, b = pt.arrays()
-    if max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL:
-        return np.zeros(2 * pt.n)
-    try:
-        canon = canonicalize(pt)
-        ca, cb = canon.arrays()
-        return np.concatenate([ca, cb])
-    except Exception:
-        pass
-
-    def variant(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        order = sorted(range(len(a)), key=lambda i: (-a[i], -b[i], i))
-        sa, sb = a[order], b[order]
-        scale = math.sqrt(np.linalg.norm(sb) / np.linalg.norm(sa))
-        return np.concatenate([sa * scale, sb / scale])
-
-    v1 = variant(a, b)
-    v2 = variant(-a, -b)
-    return v1 if tuple(np.round(v1, 9)) <= tuple(np.round(v2, 9)) else v2
+    D = np.outer(b, a)
+    return np.concatenate([np.sort(np.diag(D)), np.sort(D, axis=None)])
 
 
 @dataclass(frozen=True)
@@ -330,10 +318,10 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     """Deterministic seeded multistart for the rank-two problem.
 
     Start k draws its point from a generator seeded with seed XOR k,
-    climbs briefly by projected gradient ascent and finishes with Newton;
-    a run that does not converge retries Newton after a full ascent.
-    Converged final points are clustered by distance between their
-    gauge-fixed forms.
+    climbs briefly by projected gradient ascent and finishes with one
+    Newton run, converged below cfg.tol * (n + rho - 1). Converged points
+    whose _cluster_key vectors lie within cfg.cluster_eps form a cluster:
+    one matrix b a^T up to simultaneous permutation and transpose.
     """
     pair = weights.symmetric_pair()
     if pair is None:
@@ -348,14 +336,8 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
         pt0 = _random_start(n, rng)
         if pt0 is None:
             continue
-        pt0 = _projected_ascent(pt0, rho, cfg, max_iter=500, grad_tol=1e-6)
-        report = newton_stationary(pt0, rho, cfg, seed=run_seed)
-        if not report.converged:
-            fallback = _projected_ascent(pt0, rho, cfg)
-            retry = newton_stationary(fallback, rho, cfg, seed=run_seed)
-            if retry.residual <= report.residual:
-                report = replace(retry, method="newton+grad",
-                                 iterations=report.iterations + retry.iterations)
+        report = newton_stationary(_projected_ascent(pt0, rho), rho, cfg,
+                                   seed=run_seed)
         # report likelihood at the actual weights, not the t-scaled form
         a, b = report.point.arrays()
         reports.append(replace(report, loglik=scaled_loglik(a, b, s, t)))

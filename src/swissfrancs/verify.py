@@ -406,6 +406,8 @@ def worker_count(explicit: Optional[int] = None) -> int:
 
 
 def _scan_axes(resolution: int) -> list:
+    if resolution < 10:
+        raise ValueError("resolution must be at least 10")
     return [float(a1) for a1 in
             np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]]
 
@@ -425,8 +427,6 @@ def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult
     a deterministic maximum with ties resolved toward the lexicographically
     first grid index. The maximum must come out negative.
     """
-    if resolution < 10:
-        raise ValueError("resolution must be at least 10")
     a1_values = _scan_axes(resolution)
     workers = worker_count(threads)
 
@@ -453,12 +453,13 @@ def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult
 
 
 def scan_csv_rows(resolution: int):
-    """Yield (a1, a2, b2, f3) rows of the scan grid for external plotting."""
-    for a1 in _scan_axes(resolution):
-        grid, values = _scan_slice(a1, resolution)
-        for i in range(resolution):
-            for j in range(resolution):
-                yield (a1, float(grid[i]), float(grid[j]), float(values[i, j]))
+    """The (a1, a2, b2, f3) rows of the scan grid for external plotting,
+    built one a1 slice at a time. The resolution is checked on the call,
+    since a generator expression evaluates its first iterable at once."""
+    slices = ((a1, *_scan_slice(a1, resolution)) for a1 in _scan_axes(resolution))
+    return ((a1, float(grid[i]), float(grid[j]), float(values[i, j]))
+            for a1, grid, values in slices
+            for i in range(resolution) for j in range(resolution))
 
 
 # ---------------------------------------------------------------------------

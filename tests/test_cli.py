@@ -143,6 +143,19 @@ class TestCandidates:
                            "--exact")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_likelihood_too_long_to_print(self, capsys, fmt):
+        code, out, _ = run(capsys, "candidates", "--s", "1000", "--t", "1",
+                           "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert all("loglik_30" in c for c in json.loads(out)["candidates"])
+        elif fmt == "text":
+            assert out.count("log L = ") == 4
+        else:
+            rows = list(csv.DictReader(out.splitlines()))
+            assert [r["likelihood"] for r in rows] == [""] * 4
+
     def test_solver_options_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["candidates", "--s", "2", "--t", "1", "--seed", "3"])
@@ -271,6 +284,13 @@ class TestVerify:
         rows = list(csv.reader(out.splitlines()))
         assert rows[0] == ["a1", "a2", "b2", "f3"]
         assert len(rows) == 1 + 10 ** 3
+
+    def test_f3_csv_resolution_floor(self, capsys):
+        code, out, err = run(capsys, "verify", "--lemma", "f3",
+                             "--resolution", "5", "--format", "csv")
+        assert code == 2
+        assert out == ""
+        assert "resolution must be at least 10" in err
 
 
 class TestOutputs:

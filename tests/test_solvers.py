@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swissfrancs import solvers
 from swissfrancs.candidates import (SignPattern, block_point, corner_point,
                                     enumerate_n4)
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
 from swissfrancs.ranktwo import RankTwoPoint
 from swissfrancs.solvers import (HESSIAN_EIG_TOL, LatentClassModel,
-                                 SolverConfig, classify_stationary, em_fit,
-                                 em_multistart, multistart, newton_stationary,
-                                 scaled_loglik)
+                                 SolverConfig, _cluster_key,
+                                 classify_stationary, em_fit, em_multistart,
+                                 multistart, newton_stationary, scaled_loglik)
 
 CFG = SolverConfig()
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
@@ -184,11 +187,63 @@ class TestMultistart:
 
     def test_flat_family_never_saddle(self):
         # at s = t every optimum lies on the flat family, where the
-        # projected Hessian is singular up to rounding
+        # projected Hessian is singular up to rounding; b = 0 leaves a
+        # free, but every start reaches the one flat matrix
         result = multistart(WeightTable.symmetric(4, 1, 1),
-                            SolverConfig(starts=10, seed=1))
+                            SolverConfig(starts=50, seed=1))
         assert all(c.representative.classification != "saddle"
                    for c in result.clusters)
+        assert [c.size for c in result.clusters] == [50]
+
+    def test_top_optimum_is_one_cluster(self):
+        # the 3+2 block optimum at n = 5 is reached both as (a, b) and as
+        # its reversed negation, which encode the same matrix
+        result = multistart(WeightTable.symmetric(5, 2, 1),
+                            SolverConfig(starts=50, seed=1))
+        top = [c for c in result.clusters
+               if c.loglik >= result.best.loglik - 1e-9]
+        assert len(top) == 1
+
+    def test_one_newton_run_per_start(self, monkeypatch):
+        calls = []
+        original = solvers.newton_stationary
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "newton_stationary", counted)
+        result = multistart(WeightTable.symmetric(3, 2, 1),
+                            SolverConfig(starts=50, seed=1))
+        assert result.n_failed == 0
+        assert len(calls) == 50
+
+
+@st.composite
+def _zero_sum_pair(draw):
+    n = draw(st.integers(2, 16))
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    a = np.array(draw(entries))
+    b = np.array(draw(entries))
+    perm = np.array(draw(st.permutations(range(n))))
+    return a - a.mean(), b - b.mean(), perm
+
+
+class TestClusterKey:
+    @settings(deadline=None)
+    @given(_zero_sum_pair(), st.floats(1e-3, 1e3))
+    def test_invariant_under_symmetries(self, pair, c):
+        a, b, perm = pair
+        key = _cluster_key(RankTwoPoint.of(a, b))
+        tol = 1e-12 * max(1.0, np.abs(key).max())
+        for va, vb in ((c * a, b / c), (-a, -b), (a[perm], b[perm]), (b, a)):
+            other = _cluster_key(RankTwoPoint.of(va, vb))
+            assert np.abs(other - key).max() <= tol
+
+    def test_separates_candidates(self):
+        keys = [_cluster_key(CANDS[p].point())
+                for p in (SignPattern.PPNN, SignPattern.PPPN)]
+        assert np.abs(keys[0] - keys[1]).max() > CFG.cluster_eps
 
 
 class TestEM:

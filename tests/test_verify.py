@@ -282,6 +282,14 @@ class TestCertify:
         assert cert.verdict == VERDICT_SUPPORTED
         assert cert.conjecture == "corner"
 
+    def test_thousand_to_one_certified(self):
+        # multistart converges near the boundary, and the exact
+        # likelihoods there are too long for Python to print
+        cert = certify(4, 1000, 1, SolverConfig(starts=1, seed=1))
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert cert.to_json_dict()["verdict"] == VERDICT_CERTIFIED
+        assert VERDICT_CERTIFIED in cert.to_text()
+
     def test_json_and_text_render(self):
         cert = certify(4, 2, 1, SolverConfig(starts=20, seed=1))
         data = cert.to_json_dict()
