@@ -27,12 +27,15 @@ from .candidates import candidate_lines, enumerate_n4, global_candidate
 from .core import (Convention, ConvergenceError, WeightTable,
                    convert_convention, load_weight_table, swiss_counts)
 from .solvers import SolverConfig, em_multistart, multistart
-from .verify import LEMMAS, VERDICT_INCONCLUSIVE, certify, scan_csv_rows
+from .verify import LEMMAS, VERDICT_INCONCLUSIVE, certify
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_INCONCLUSIVE = 4
+
+# SolverConfig fields with a flag each; an absent flag keeps the default
+SOLVER_FLAGS = ("starts", "seed", "tol", "max_iter", "cluster_eps")
 
 
 def _write_output(write, out: Optional[str]) -> None:
@@ -77,9 +80,15 @@ def _parse_weight(text: str) -> Fraction | float:
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(max_iter=args.max_iter, tol=args.tol,
-                        starts=args.starts, seed=args.seed,
-                        cluster_eps=args.cluster_eps)
+    return SolverConfig(**{name: getattr(args, name)
+                           for name in SOLVER_FLAGS if hasattr(args, name)})
+
+
+def _weights_given(args) -> bool:
+    """Whether --s and --t were given; one without the other is an error."""
+    if (args.s is None) != (args.t is None):
+        raise ValueError("--s and --t must be given together")
+    return args.s is not None
 
 
 def _weight_source(args) -> WeightTable:
@@ -87,9 +96,7 @@ def _weight_source(args) -> WeightTable:
         raise ValueError("give either --counts or --s/--t, not both")
     if args.counts is not None:
         return load_weight_table(args.counts)
-    if (args.s is None) != (args.t is None):
-        raise ValueError("--s and --t must be given together")
-    if args.s is not None:
+    if _weights_given(args):
         return WeightTable.symmetric(args.n, args.s, args.t)
     return swiss_counts()
 
@@ -170,17 +177,20 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    s = args.s if args.s is not None else 2
-    t = args.t if args.t is not None else 1
-    if args.lemma == "f3" and args.format == "csv":
-        # the grid export: one row per grid point in place of the scan summary
-        _emit(args, None, None, ("a1", "a2", "b2", "f3"),
-              scan_csv_rows(args.resolution))
-        return EXIT_OK
+    s, t = (args.s, args.t) if _weights_given(args) else (2, 1)
     if args.lemma is not None:
-        passed, data, text = LEMMAS[args.lemma](s, t, args.resolution)
-        _emit(args, data, text, ("lemma", "passed"), [(args.lemma, passed)])
-        return EXIT_OK if passed else EXIT_INCONCLUSIVE
+        ignored = [name for name in SOLVER_FLAGS if hasattr(args, name)]
+        if args.n != 4:
+            ignored.insert(0, "n")
+        if ignored:
+            raise ValueError("--lemma does not take " + ", ".join(
+                "--" + name.replace("_", "-") for name in ignored))
+        check = LEMMAS[args.lemma](s, t)
+        if check.passed is None:
+            raise ValueError(f"{check.name}: {check.detail}")
+        _emit(args, check.data, check.detail, ("lemma", "passed"),
+              [(check.name, check.passed)])
+        return EXIT_OK if check.passed else EXIT_INCONCLUSIVE
 
     certificate = certify(args.n, s, t, _config(args))
     rows = [(c.name, c.passed, c.detail) for c in certificate.checks]
@@ -207,11 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="off-diagonal weight")
         p.add_argument("--n", type=int, default=4, help="matrix side")
         if solver_options:
-            p.add_argument("--starts", type=int, default=200)
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--tol", type=float, default=1e-12)
-            p.add_argument("--max-iter", type=int, default=10_000)
-            p.add_argument("--cluster-eps", type=float, default=1e-6)
+            for name in SOLVER_FLAGS:
+                p.add_argument("--" + name.replace("_", "-"),
+                               type=type(getattr(SolverConfig, name)),
+                               default=argparse.SUPPRESS)
         p.add_argument("--format", choices=("json", "text", "csv"),
                        default="json")
         p.add_argument("--out", default=None, help="output path (atomic write)")
@@ -234,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="certificates and individual checks")
     ver.add_argument("--lemma", choices=tuple(LEMMAS), default=None)
-    ver.add_argument("--resolution", type=int, default=100,
-                     help="grid resolution for --lemma f3")
     add_common(ver, solver_options=True)
     ver.set_defaults(func=cmd_verify)
     return parser

@@ -6,9 +6,11 @@ agreement between the two parametrizing vectors, the root structure of
 the degree-six numerator attached to symmetric stationary points, the
 exact divisibility that forces a2 = b2, the negativity scan of its
 17-term cofactor over the feasible box, and the tail-pair quadratic.
-certify() combines exact candidate comparison, the pointwise checks and
-an independent multistart search into a machine-checkable verdict.
-LEMMAS names every check that `swissfrancs verify --lemma` runs.
+LEMMAS is the one registry of these checks: each entry is called as
+check(s, t) and returns a CheckResult. `swissfrancs verify --lemma NAME`
+prints one entry, and certify() runs the steps named in CERTIFY_STEPS
+between its exact candidate comparison and an independent multistart
+search to reach a machine-checkable verdict.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +47,14 @@ VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 # scalar helpers
 
 
+def _f1_parts(x, y):
+    """Numerator E and cleared denominator Q of f1 = E / Q, at numbers or
+    at polynomial arguments."""
+    Q = 5 * (1 + x) * (1 + y) - 2 * (1 + y) - (1 + x)
+    E = (2 - x - y) * (1 + x) * (1 + y) + (x + y - 1) * Q
+    return E, Q
+
+
 def f1_eval(x: Number, y: Number) -> Number:
     """The tail-product function f1(x, y) = (2-x-y)/(5 - 2/(1+x) - 1/(1+y))
     + x + y - 1.
@@ -52,10 +62,10 @@ def f1_eval(x: Number, y: Number) -> Number:
     At a symmetric stationary point, f1 of the two leading products equals
     the product of the two trailing ones. Exact for exact inputs.
     """
-    denom = 5 - 2 / (1 + x) - 1 / (1 + y)
-    if denom == 0:
+    E, Q = _f1_parts(x, y)
+    if Q == 0:
         raise ValueError("f1 undefined: cleared denominator vanishes")
-    return (2 - x - y) / denom + x + y - 1
+    return E / Q
 
 
 def f3_eval(a1: Number, a2: Number, b2: Number) -> Number:
@@ -123,9 +133,12 @@ def tail_pair_solve(A1v: Number, A2v: Number) -> Tuple[Number, Number]:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome: passed is None when the check does not apply.
+    detail is the text body and data the JSON body of `verify --lemma`."""
     name: str
     passed: Optional[bool]
     detail: str
+    data: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -139,7 +152,8 @@ def _is_canonical(pt: RankTwoPoint) -> bool:
 
 
 def bounds_established(s: Number, t: Number) -> bool:
-    """check_bounds holds only at weight ratio s/t = 2."""
+    """Whether s/t = 2, the one weight ratio at which the bounds, f1,
+    factorization, f3 and tail-pair facts are established."""
     return Fraction(s) / Fraction(t) == 2
 
 
@@ -292,13 +306,6 @@ def f_polynomial(pt: RankTwoPoint, rho: float = 2.0) -> FPolyReport:
 # the a2 = b2 factorization
 
 
-def _f1_parts(xp: Poly3, yp: Poly3) -> Tuple[Poly3, Poly3]:
-    """Numerator and cleared denominator of f1 at polynomial arguments."""
-    Q = 5 * (1 + xp) * (1 + yp) - 2 * (1 + yp) - (1 + xp)
-    E = (2 - xp - yp) * (1 + xp) * (1 + yp) + (xp + yp - 1) * Q
-    return E, Q
-
-
 def cross_equation_poly() -> Poly3:
     """The primitive polynomial form f2 of the cross equation
     f1(a1^2, a1 a2)/a1^2 = f1(a2 b2, a1 b2)/b2^2.
@@ -405,20 +412,6 @@ def worker_count(explicit: Optional[int] = None) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _scan_axes(resolution: int) -> list:
-    if resolution < 10:
-        raise ValueError("resolution must be at least 10")
-    return [float(a1) for a1 in
-            np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]]
-
-
-def _scan_slice(a1: float, resolution: int):
-    """The a2 = b2 grid of one a1 slice of the scan box and the cofactor
-    values on grid x grid."""
-    grid = np.linspace(0.0, min(a1, 1.0 / (5.0 * a1)), resolution)
-    return grid, f3_eval(a1, grid[:, None], grid[None, :])
-
-
 def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult:
     """Grid scan of the 17-term cofactor over the bounded feasible box
     {0 < a1 <= 1/sqrt(2), 0 <= a2, b2 <= min(a1, 1/(5 a1))}.
@@ -427,11 +420,15 @@ def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult
     a deterministic maximum with ties resolved toward the lexicographically
     first grid index. The maximum must come out negative.
     """
-    a1_values = _scan_axes(resolution)
+    if resolution < 10:
+        raise ValueError("resolution must be at least 10")
+    a1_values = [float(a1) for a1 in
+                 np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]]
     workers = worker_count(threads)
 
     def slice_max(a1: float):
-        grid, values = _scan_slice(a1, resolution)
+        grid = np.linspace(0.0, min(a1, 1.0 / (5.0 * a1)), resolution)
+        values = f3_eval(a1, grid[:, None], grid[None, :])
         i, j = divmod(int(np.argmax(values)), resolution)
         return float(values[i, j]), (a1, float(grid[i]), float(grid[j]))
 
@@ -450,16 +447,6 @@ def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult
     return ScanResult(max_value=best_value, argmax=best_arg,
                       resolution=resolution, n_points=resolution ** 3,
                       threads=workers)
-
-
-def scan_csv_rows(resolution: int):
-    """The (a1, a2, b2, f3) rows of the scan grid for external plotting,
-    built one a1 slice at a time. The resolution is checked on the call,
-    since a generator expression evaluates its first iterable at once."""
-    slices = ((a1, *_scan_slice(a1, resolution)) for a1 in _scan_axes(resolution))
-    return ((a1, float(grid[i]), float(grid[j]), float(values[i, j]))
-            for a1, grid, values in slices
-            for i in range(resolution) for j in range(resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +504,8 @@ class Certificate:
         for check in self.checks:
             status = ("PASS" if check.passed else
                       "SKIP" if check.passed is None else "FAIL")
-            lines.append(f"  [{status}] {check.name}: {check.detail}")
+            detail = check.detail.replace("\n", "\n      ")
+            lines.append(f"  [{status}] {check.name}: {detail}")
         return "\n".join(lines)
 
 
@@ -543,11 +531,12 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
     """Assemble the certificate for weights (s, t) on n x n matrices.
 
     For n = 4 with t < s the four candidates are enumerated and compared
-    exactly, the winner passes the pointwise checks, and an independent
-    multistart search must not beat it; that yields
-    CERTIFIED_CANDIDATE_MAX. All other shapes compare the conjectured
-    block or corner matrix against multistart and can reach at most
-    SUPPORTED.
+    exactly, the winner is checked for exact stationarity and margins, the
+    registry checks named in CERTIFY_STEPS run at (s, t), and an
+    independent multistart search must not beat the winner; that yields
+    CERTIFIED_CANDIDATE_MAX. A skipped step does not block that verdict.
+    All other shapes compare the conjectured block or corner matrix
+    against multistart and can reach at most SUPPORTED.
     """
     if n < 2:
         raise ValueError("certificates need n >= 2")
@@ -578,18 +567,7 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
             "reciprocal residual identically zero in rational arithmetic"))
         checks.append(CheckResult("margins", _exact_margin_check(winner.matrix),
                                   "row and column sums equal n exactly"))
-        point = winner.point()
-        order = sign_order_check(point)
-        checks.append(CheckResult("sign_order", order.passed,
-                                  "coordinate signs and orders agree"))
-        if bounds_established(s, t):
-            bound_results = check_bounds(point)
-            checks.append(CheckResult(
-                "bounds", all(c.passed for c in bound_results),
-                "; ".join(f"{c.name} {c.detail}" for c in bound_results)))
-        else:
-            checks.append(CheckResult(
-                "bounds", None, "established only for weight ratio 2"))
+        checks.extend(LEMMAS[name](s, t) for name in CERTIFY_STEPS)
         dominance = bool(winner.loglik >= ms.best.loglik - DOMINANCE_TOL)
         checks.append(CheckResult(
             "multistart_dominance", dominance,
@@ -632,17 +610,17 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# the named checks behind `verify --lemma`
+# the named checks behind `verify --lemma` and certify
 
-LemmaCheck = Callable[[Number, Number, int], Tuple[bool, dict, str]]
+F3_RESOLUTION = 100
 
 
-def _cases_report(name: str, cases: list, line) -> Tuple[bool, dict, str]:
-    """The {"lemma", "cases", "passed"} envelope, passed when every case
-    passed, and a text of line(case) for each case."""
+def _cases_report(name: str, cases: list, line) -> CheckResult:
+    """Passed when every case passed, with line(case) for each case as
+    the text and the {"lemma", "cases", "passed"} envelope as the data."""
     passed = all(case["passed"] for case in cases)
-    return (passed, {"lemma": name, "cases": cases, "passed": passed},
-            "\n".join(line(case) for case in cases))
+    return CheckResult(name, passed, "\n".join(line(case) for case in cases),
+                       {"lemma": name, "cases": cases, "passed": passed})
 
 
 def _pass_fail_line(case: dict) -> str:
@@ -650,17 +628,15 @@ def _pass_fail_line(case: dict) -> str:
 
 
 def _candidate_report(name: str, s: Number, t: Number, case,
-                      line=_pass_fail_line) -> Tuple[bool, dict, str]:
+                      line=_pass_fail_line) -> CheckResult:
     """One case per n = 4 candidate at (s, t): its sign pattern, then the
     fields of case(candidate)."""
     cases = [{"pattern": c.pattern.signs, **case(c)} for c in enumerate_n4(s, t)]
     return _cases_report(name, cases, line)
 
 
-def _bounds_lemma(s: Number, t: Number, resolution: int):
+def _bounds_lemma(s: Number, t: Number) -> CheckResult:
     def case(cand: Candidate) -> dict:
-        if not bounds_established(cand.s, cand.t):
-            raise ValueError("the bound checks are specific to weight ratio 2")
         checks = check_bounds(cand.point())
         return {"checks": [c.to_json_dict() for c in checks],
                 "passed": all(c.passed for c in checks)}
@@ -668,14 +644,12 @@ def _bounds_lemma(s: Number, t: Number, resolution: int):
     return _candidate_report("bounds", s, t, case)
 
 
-def _order_lemma(s: Number, t: Number, resolution: int):
-    def case(cand: Candidate) -> dict:
-        return sign_order_check(cand.point()).to_json_dict()
-
-    return _candidate_report("order", s, t, case)
+def _order_lemma(s: Number, t: Number) -> CheckResult:
+    return _candidate_report(
+        "order", s, t, lambda cand: sign_order_check(cand.point()).to_json_dict())
 
 
-def _fpoly_lemma(s: Number, t: Number, resolution: int):
+def _fpoly_lemma(s: Number, t: Number) -> CheckResult:
     def case(cand: Candidate) -> dict:
         report = f_polynomial(cand.point(), rho=float(cand.s) / float(cand.t))
         return {"passed": report.passed, **report.to_json_dict()}
@@ -686,7 +660,7 @@ def _fpoly_lemma(s: Number, t: Number, resolution: int):
         "coordinates are roots: {coordinates_are_roots}".format_map)
 
 
-def _f1_lemma(s: Number, t: Number, resolution: int):
+def _f1_lemma(s: Number, t: Number) -> CheckResult:
     cases = []
     for (x, y), expected in [((Fraction(0), Fraction(0)), Fraction(0)),
                              ((Fraction(1, 5), Fraction(1, 5)), Fraction(1, 25)),
@@ -698,24 +672,24 @@ def _f1_lemma(s: Number, t: Number, resolution: int):
                          "f1({x}, {y}) = {value} (expected {expected})".format_map)
 
 
-def _f3_lemma(s: Number, t: Number, resolution: int):
-    scan = f3_region_scan(resolution)
+def _f3_lemma(s: Number, t: Number) -> CheckResult:
+    scan = f3_region_scan(F3_RESOLUTION)
     passed = scan.below_reference_bound
     text = (f"grid max {scan.max_value:.9g} at {scan.argmax} over "
             f"{scan.n_points} points; bound -549/500 = -1.098: "
             f"{'below' if passed else 'NOT below'}")
-    return passed, {"lemma": "f3", **scan.to_json_dict()}, text
+    return CheckResult("f3", passed, text, {"lemma": "f3", **scan.to_json_dict()})
 
 
-def _factor_lemma(s: Number, t: Number, resolution: int):
+def _factor_lemma(s: Number, t: Number) -> CheckResult:
     report = lemma_a2_factorization()
     text = (f"remainder zero: {report.remainder_zero}; cofactor vs the explicit "
             f"17-term polynomial: {report.cofactor_constant}")
-    return (report.remainder_zero, {"lemma": "factor", **report.to_json_dict()},
-            text)
+    return CheckResult("factor", report.remainder_zero, text,
+                       {"lemma": "factor", **report.to_json_dict()})
 
 
-def _tailpair_lemma(s: Number, t: Number, resolution: int):
+def _tailpair_lemma(s: Number, t: Number) -> CheckResult:
     cases = []
     for (x, y), expected in [
             ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
@@ -728,16 +702,30 @@ def _tailpair_lemma(s: Number, t: Number, resolution: int):
                          "tail({A1}, {A2}) = ({A3}, {A4})".format_map)
 
 
-# Every check is called as check(s, t, resolution) and returns (passed,
-# json_dict, text). bounds, order and fpoly run over the four n = 4
-# candidates at (s, t), f3 scans at the given resolution, and the others
-# ignore all three.
-LEMMAS: dict[str, LemmaCheck] = {
-    "bounds": _bounds_lemma,
+def _ratio_two(name: str, check):
+    """check(s, t) at weight ratio 2, and a skip (passed None) elsewhere."""
+    def gated(s: Number, t: Number) -> CheckResult:
+        if not bounds_established(s, t):
+            return CheckResult(name, None, "established only for weight ratio 2")
+        return check(s, t)
+
+    return gated
+
+
+# Every check is called as check(s, t) and returns a CheckResult. bounds,
+# order and fpoly run over the four n = 4 candidates at (s, t), f3 scans
+# at F3_RESOLUTION, and f1, factor and tailpair take no input. order and
+# fpoly run at any t < s; the rest skip off weight ratio 2.
+LEMMAS = {
+    "bounds": _ratio_two("bounds", _bounds_lemma),
     "order": _order_lemma,
     "fpoly": _fpoly_lemma,
-    "f1": _f1_lemma,
-    "f3": _f3_lemma,
-    "factor": _factor_lemma,
-    "tailpair": _tailpair_lemma,
+    "f1": _ratio_two("f1", _f1_lemma),
+    "f3": _ratio_two("f3", _f3_lemma),
+    "factor": _ratio_two("factor", _factor_lemma),
+    "tailpair": _ratio_two("tailpair", _tailpair_lemma),
 }
+
+# The LEMMAS steps certify runs at n = 4. f3 and fpoly stay out: they
+# rest on float grids and eigenvalues, so they are evidence, not proof.
+CERTIFY_STEPS = ("order", "bounds", "factor", "f1", "tailpair")

@@ -5,6 +5,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from swissfrancs.core import swiss_counts
 from swissfrancs.verify import LEMMAS
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -198,8 +201,7 @@ class TestVerify:
         assert code == 4
 
     def test_lemma_f3(self, capsys):
-        code, out, _ = run(capsys, "verify", "--lemma", "f3",
-                           "--resolution", "20")
+        code, out, _ = run(capsys, "verify", "--lemma", "f3")
         assert code == 0
         data = json.loads(out)
         assert data["max_value"] < -549 / 500
@@ -230,7 +232,7 @@ class TestVerify:
     @pytest.mark.parametrize("lemma", list(LEMMAS))
     def test_every_lemma_every_format(self, capsys, lemma, fmt):
         code, out, err = run(capsys, "verify", "--lemma", lemma,
-                             "--format", fmt, "--resolution", "20")
+                             "--format", fmt)
         assert code == 0
         assert err == ""
         if fmt == "json":
@@ -242,8 +244,6 @@ class TestVerify:
             assert data[key] is True
         elif fmt == "text":
             assert out.strip()
-        elif lemma == "f3":
-            assert out.startswith("a1,a2,b2,f3\n")
         else:
             assert out == f"lemma,passed\n{lemma},True\n"
 
@@ -271,26 +271,41 @@ class TestVerify:
         assert out.encode("utf-8") == expected
 
     def test_bounds_need_ratio_two(self, capsys):
-        code, out, err = run(capsys, "verify", "--lemma", "bounds",
-                             "--s", "3", "--t", "1")
-        assert code == 2
-        assert out == ""
-        assert "weight ratio 2" in err
-
-    def test_f3_csv_grid(self, capsys):
-        code, out, _ = run(capsys, "verify", "--lemma", "f3",
-                           "--resolution", "10", "--format", "csv")
+        for lemma in ("bounds", "f1", "f3", "factor", "tailpair"):
+            code, out, err = run(capsys, "verify", "--lemma", lemma,
+                                 "--s", "3", "--t", "1")
+            assert code == 2, lemma
+            assert out == ""
+            assert "weight ratio 2" in err
+        code, out, _ = run(capsys, "verify", "--lemma", "order",
+                           "--s", "3", "--t", "1")
         assert code == 0
-        rows = list(csv.reader(out.splitlines()))
-        assert rows[0] == ["a1", "a2", "b2", "f3"]
-        assert len(rows) == 1 + 10 ** 3
+        assert json.loads(out)["passed"] is True
 
-    def test_f3_csv_resolution_floor(self, capsys):
-        code, out, err = run(capsys, "verify", "--lemma", "f3",
-                             "--resolution", "5", "--format", "csv")
+    @pytest.mark.parametrize("flags", [["--starts", "3"], ["--n", "7"],
+                                       ["--seed", "1"], ["--tol", "1e-9"],
+                                       ["--max-iter", "5"],
+                                       ["--cluster-eps", "1e-3"]],
+                             ids=lambda flags: flags[0])
+    def test_lemma_rejects_solver_flags(self, capsys, flags):
+        code, out, err = run(capsys, "verify", "--lemma", "f1", *flags,
+                             "--format", "csv")
         assert code == 2
         assert out == ""
-        assert "resolution must be at least 10" in err
+        assert flags[0] in err
+
+    def test_resolution_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--lemma", "f3", "--resolution", "20"])
+        assert exc.value.code == 2
+        assert "--resolution" in capsys.readouterr().err
+
+    def test_weights_given_together(self, capsys):
+        for flag in ("--s", "--t"):
+            code, out, err = run(capsys, "verify", flag, "3")
+            assert code == 2
+            assert out == ""
+            assert "--s and --t must be given together" in err
 
 
 class TestOutputs:
@@ -323,3 +338,26 @@ class TestOutputs:
         assert code == code2 == 0
         best = json.loads(json_out)["best_loglik"]
         assert f"{best:.17g}" in text_out
+
+
+def expand_choices(line: str) -> list:
+    """line once for each option of its {a,b} choices, in order."""
+    choice = re.search(r"\{([^{}]*)\}", line)
+    if choice is None:
+        return [line]
+    return [out for option in choice.group(1).split(",")
+            for out in expand_choices(
+                line[:choice.start()] + option + line[choice.end():])]
+
+
+def test_readme_cli_examples_parse():
+    # every `swissfrancs ...` line of the README's CLI section, comments
+    # dropped, parses; nothing runs
+    section = README.read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+    lines = [expanded for line in section.splitlines()
+             if line.startswith("swissfrancs ")
+             for expanded in expand_choices(line.split("#")[0])]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

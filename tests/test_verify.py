@@ -14,12 +14,12 @@ import sympy as sp
 from swissfrancs.candidates import SignPattern, enumerate_n4
 from swissfrancs.ranktwo import RankTwoPoint
 from swissfrancs.solvers import SolverConfig
-from swissfrancs.verify import (VERDICT_CERTIFIED, VERDICT_SUPPORTED,
-                                certify, check_bounds, cross_equation_poly,
-                                f1_eval, f3_eval, f3_region_scan,
-                                f_polynomial, lemma_a2_factorization,
-                                reference_f3_poly, sign_order_check,
-                                tail_pair_solve)
+from swissfrancs.verify import (LEMMAS, VERDICT_CERTIFIED, VERDICT_SUPPORTED,
+                                CheckResult, certify, check_bounds,
+                                cross_equation_poly, f1_eval, f3_eval,
+                                f3_region_scan, f_polynomial,
+                                lemma_a2_factorization, reference_f3_poly,
+                                sign_order_check, tail_pair_solve)
 
 F = Fraction
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
@@ -258,18 +258,33 @@ class TestFPolynomial:
             f_polynomial(RankTwoPoint.symmetric([0.3, 0.1, -0.1, -0.3]))
 
 
+class TestLemmas:
+    def test_every_entry_returns_a_check_result(self):
+        for name, check in LEMMAS.items():
+            result = check(2, 1)
+            assert isinstance(result, CheckResult)
+            assert result.name == name
+            assert result.passed is True
+            assert result.data["lemma"] == name
+
+
 class TestCertify:
     def test_swiss_instance_certified(self):
         cert = certify(4, 2, 1, SolverConfig(starts=40, seed=1))
         assert cert.verdict == VERDICT_CERTIFIED
         assert cert.winner.pattern is SignPattern.PPNN
-        assert all(c.passed for c in cert.checks if c.passed is not None)
+        assert [c.name for c in cert.checks] == [
+            "exact_ordering", "exact_stationarity", "margins", "order",
+            "bounds", "factor", "f1", "tailpair", "multistart_dominance"]
+        assert all(c.passed is True for c in cert.checks)
 
     def test_non_ratio_two_skips_bounds(self):
         cert = certify(4, 3, 1, SolverConfig(starts=30, seed=1))
         assert cert.verdict == VERDICT_CERTIFIED
-        bounds = [c for c in cert.checks if c.name == "bounds"]
-        assert bounds[0].passed is None
+        passed = {c.name: c.passed for c in cert.checks}
+        for name in ("bounds", "factor", "f1", "tailpair"):
+            assert passed[name] is None, name
+        assert passed["order"] is True
 
     def test_block_support(self):
         cert = certify(5, 2, 1, SolverConfig(starts=30, seed=1))
@@ -297,6 +312,8 @@ class TestCertify:
         assert data["winner_sum_one"]["entries"][0][0] == "3/40"
         text = cert.to_text()
         assert "3/40" in text and "PASS" in text
+        # a multi-line detail keeps its continuation lines indented
+        assert "[PASS] order: +++-: pass\n      ++--: pass" in text
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
