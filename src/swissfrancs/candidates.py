@@ -156,26 +156,29 @@ def enumerate_n4(s: Number, t: Number) -> list:
     return [_build_candidate(pattern, s, t) for pattern in SignPattern]
 
 
-def global_candidate(s: Number, t: Number,
-                     candidates: Optional[Sequence[Candidate]] = None) -> Candidate:
-    """The candidate with the strictly largest likelihood.
-
-    Integer weights compare exactly as rationals; otherwise comparison
-    uses 50-digit logs. A tie raises, since the four values are expected
-    to be pairwise distinct.
-    """
-    if candidates is None:
-        candidates = enumerate_n4(s, t)
+def compare_candidates(candidates: Sequence[Candidate]) -> tuple:
+    """(best, strict, method): the first candidate of largest likelihood,
+    whether all others are strictly smaller, and the method: exact
+    rationals at integer weights, 50-digit logs otherwise."""
     if all(c.likelihood is not None for c in candidates):
         keys = [c.likelihood for c in candidates]
+        method = "exact rational comparison"
     else:
-        with mpmath.workdps(MP_DPS):
-            keys = [c.loglik_mp() for c in candidates]
+        keys = [c.loglik_mp() for c in candidates]
+        method = "50-digit log comparison"
     best = max(range(len(candidates)), key=lambda i: keys[i])
-    for i in range(len(candidates)):
-        if i != best and keys[i] == keys[best]:
-            raise ValueError("tie between candidate likelihoods")
-    return candidates[best]
+    return candidates[best], keys.count(keys[best]) == 1, method
+
+
+def global_candidate(s: Number, t: Number,
+                     candidates: Optional[Sequence[Candidate]] = None) -> Candidate:
+    """The candidate with the strictly largest likelihood. A tie raises,
+    since the four values are expected to be pairwise distinct."""
+    best, strict, _ = compare_candidates(
+        enumerate_n4(s, t) if candidates is None else candidates)
+    if not strict:
+        raise ValueError("tie between candidate likelihoods")
+    return best
 
 
 def candidate_lines(cands: Sequence[Candidate], winner: Candidate,

@@ -92,19 +92,26 @@ def _weights_given(args) -> bool:
 
 
 def _weight_source(args) -> WeightTable:
-    if args.counts is not None and args.s is not None:
+    if args.counts is not None and (args.s, args.t) != (None, None):
         raise ValueError("give either --counts or --s/--t, not both")
-    if args.counts is not None:
-        return load_weight_table(args.counts)
     if _weights_given(args):
-        return WeightTable.symmetric(args.n, args.s, args.t)
-    return swiss_counts()
+        return WeightTable.symmetric(4 if args.n is None else args.n,
+                                     args.s, args.t)
+    table = swiss_counts() if args.counts is None else load_weight_table(args.counts)
+    if args.n not in (None, table.n):
+        raise ValueError(f"--n {args.n} does not match the side {table.n} "
+                         "of the count table")
+    return table
 
 
 def cmd_solve(args) -> int:
     cfg = _config(args)
     if args.classes is not None and args.classes < 1:
         raise ValueError("--classes must be at least 1")
+    if args.method == "em" and hasattr(args, "cluster_eps"):
+        raise ValueError("--method em does not take --cluster-eps")
+    if args.method == "newton" and args.classes is not None:
+        raise ValueError("--method newton does not take --classes")
     weights = _weight_source(args)
     if args.method == "em":
         classes = 2 if args.classes is None else args.classes
@@ -233,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--classes", type=int, default=None,
                        help="latent class count for --method em (default 2)")
     add_common(solve, solver_options=True)
-    solve.set_defaults(func=cmd_solve)
+    # a count table sets its own side, so solve's --n has no default
+    solve.set_defaults(func=cmd_solve, n=None)
 
     cands = sub.add_parser("candidates", help="closed-form candidates at n = 4")
     cands.add_argument("--exact", action="store_true",

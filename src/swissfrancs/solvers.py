@@ -107,9 +107,11 @@ class SolveReport:
 
 
 def scaled_loglik(a: np.ndarray, b: np.ndarray, s: float, t: float) -> float:
-    """s * sum(ln diag) + t * sum(ln offdiag) of the matrix 1 + b_i a_j."""
+    """s * sum(ln diag) + t * sum(ln offdiag) of the matrix 1 + b_i a_j,
+    or -inf when an entry is at or below FEASIBILITY_MARGIN, where Newton
+    and the stationarity residual stop too."""
     T = 1.0 + np.outer(b, a)
-    if T.min() <= 0:
+    if T.min() <= FEASIBILITY_MARGIN:
         return float("-inf")
     logs = np.log(T)
     diag = np.trace(logs)
@@ -133,8 +135,8 @@ def _jacobian(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     return np.vstack([hessian(a, b, rho), rows])
 
 
-def _feasible(a: np.ndarray, b: np.ndarray, margin: float = FEASIBILITY_MARGIN) -> bool:
-    return (1.0 + np.outer(b, a)).min() > margin
+def _feasible(a: np.ndarray, b: np.ndarray) -> bool:
+    return (1.0 + np.outer(b, a)).min() > FEASIBILITY_MARGIN
 
 
 def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
@@ -144,8 +146,10 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     Steps are halved (up to 40 times) until they stay interior and reduce
     the system norm. Convergence means the recomputed gradient residual
     drops below cfg.tol * (n + rho - 1) in the max norm, n + rho - 1 being
-    what every row of the reciprocal form of the system sums to. The
-    log-likelihood uses weights (rho, 1); multistart rescales it to (s, t).
+    what every row of the reciprocal form of the system sums to. Only a
+    point with residual below CLASSIFY_RESIDUAL_TOL is classified; others
+    are unclassified. The log-likelihood uses weights (rho, 1); multistart
+    rescales it to (s, t).
     """
     a, b = pt0.arrays()
     if not _feasible(a, b):
@@ -180,12 +184,8 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     resid = float(np.abs(stationarity_residual(pt, rho)).max()) \
         if _feasible(a, b) else float("inf")
     converged = resid < cfg.tol * (len(a) + rho - 1)
-    if max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL:
-        classification = "degenerate"
-    elif converged or resid < CLASSIFY_RESIDUAL_TOL:
-        classification = classify_stationary(pt, rho)
-    else:
-        classification = "unclassified"
+    classification = classify_stationary(pt, rho) \
+        if resid < CLASSIFY_RESIDUAL_TOL else "unclassified"
     return SolveReport(point=pt, loglik=scaled_loglik(a, b, rho, 1.0),
                        residual=resid, iterations=iterations,
                        classification=classification, converged=converged,
@@ -216,12 +216,11 @@ def _projected_ascent(pt0: RankTwoPoint, rho: float, max_iter: int = 500,
         moved = False
         for _ in range(MAX_HALVINGS):
             na, nb = a + scale * da, b + scale * db
-            if _feasible(na, nb):
-                new_value = scaled_loglik(na, nb, rho, 1.0)
-                if new_value >= value + 1e-4 * scale * norm2:
-                    a, b, value = na, nb, new_value
-                    moved = True
-                    break
+            new_value = scaled_loglik(na, nb, rho, 1.0)
+            if new_value >= value + 1e-4 * scale * norm2:
+                a, b, value = na, nb, new_value
+                moved = True
+                break
             scale *= 0.5
         if not moved:
             break
@@ -261,17 +260,14 @@ def classify_stationary(pt: RankTwoPoint, rho: float) -> str:
     return "unclassified"
 
 
-def _random_start(n: int, rng: np.random.Generator,
-                  tries: int = 100) -> Optional[RankTwoPoint]:
+def _random_start(n: int, rng: np.random.Generator) -> RankTwoPoint:
+    """a and b drawn once from the box of half-width START_BOX / sqrt(n)
+    and centered, so each entry moves at most 2 (n - 1) / n half-widths
+    and 1 + b a^T >= 1 - 1.44 (n - 1)^2 / n^3 >= 0.78: always interior."""
     width = START_BOX / math.sqrt(n)
-    for _ in range(tries):
-        a = rng.uniform(-width, width, size=n)
-        b = rng.uniform(-width, width, size=n)
-        a -= a.mean()
-        b -= b.mean()
-        if _feasible(a, b, margin=1e-6):
-            return RankTwoPoint.of(a, b)
-    return None
+    a = rng.uniform(-width, width, size=n)
+    b = rng.uniform(-width, width, size=n)
+    return RankTwoPoint.of(a - a.mean(), b - b.mean())
 
 
 def _cluster_key(pt: RankTwoPoint) -> np.ndarray:
@@ -332,10 +328,7 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     reports = []
     for k in range(cfg.starts):
         run_seed = cfg.seed ^ k
-        rng = np.random.default_rng(run_seed)
-        pt0 = _random_start(n, rng)
-        if pt0 is None:
-            continue
+        pt0 = _random_start(n, np.random.default_rng(run_seed))
         report = newton_stationary(_projected_ascent(pt0, rho), rho, cfg,
                                    seed=run_seed)
         # report likelihood at the actual weights, not the t-scaled form
@@ -380,7 +373,16 @@ def _em_init(n: int, r: int, rng: np.random.Generator):
 
 
 def _em_step(counts: np.ndarray, lam, R, C):
+    """One EM update: the next (lam, R, C), and the count-weighted
+    log-likelihood of the given ones, read off the table P that the E step
+    forms (-inf when a counted cell has P <= 0)."""
     P = np.einsum("h,hi,hj->ij", lam, R, C)
+    if (P[counts > 0] <= 0).any():
+        loglik = float("-inf")
+    else:
+        with np.errstate(divide="ignore"):
+            logs = np.where(counts > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
+        loglik = float((counts * logs).sum())
     joint = lam[:, None, None] * R[:, :, None] * C[:, None, :]
     weighted = counts[None, :, :] * joint / P[None, :, :]
     mass = weighted.sum(axis=(1, 2))
@@ -393,7 +395,7 @@ def _em_step(counts: np.ndarray, lam, R, C):
     if keep.any():
         new_R[keep] = R[keep]
         new_C[keep] = C[keep]
-    return new_lam, new_R, new_C
+    return (new_lam, new_R, new_C), loglik
 
 
 def em_fit(counts: WeightTable, r: int, cfg: SolverConfig,
@@ -418,24 +420,18 @@ def em_fit(counts: WeightTable, r: int, cfg: SolverConfig,
         rng = np.random.default_rng(0 if seed is None else seed)
         lam, R, C = _em_init(n, r, rng)
 
-    def loglik(lam, R, C) -> float:
-        P = np.einsum("h,hi,hj->ij", lam, R, C)
-        if (P[table > 0] <= 0).any():
-            return float("-inf")
-        with np.errstate(divide="ignore"):
-            logs = np.where(table > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-        return float((table * logs).sum())
-
-    trace = [loglik(lam, R, C)]
+    step, loglik = _em_step(table, lam, R, C)
+    trace = [loglik]
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
-        lam, R, C = _em_step(table, lam, R, C)
-        trace.append(loglik(lam, R, C))
+        lam, R, C = step
+        step, loglik = _em_step(table, lam, R, C)
+        trace.append(loglik)
         if trace[-1] - trace[-2] < cfg.tol:
             converged = True
             break
-    nl, nR, nC = _em_step(table, lam, R, C)
+    nl, nR, nC = step
     residual = max(np.abs(nl - lam).max(), np.abs(nR - R).max(),
                    np.abs(nC - C).max())
     model = LatentClassModel.of(lam, R, C)

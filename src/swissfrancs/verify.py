@@ -25,8 +25,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .candidates import (Candidate, block_matrix, block_point,
-                         candidate_lines, corner_matrix, corner_point,
-                         enumerate_n4, global_candidate)
+                         candidate_lines, compare_candidates, corner_matrix,
+                         corner_point, enumerate_n4)
 from .core import (Convention, Number, ProbMatrix, WeightTable,
                    convert_convention, log_likelihood)
 from .polys import A1, A2, B2, Poly1, Poly3, greedy_multiset_match
@@ -513,10 +513,7 @@ def _exact_margin_check(matrix: ProbMatrix) -> bool:
     n = matrix.n
     rows = [sum(row) for row in matrix.entries]
     cols = [sum(matrix.entries[i][j] for i in range(n)) for j in range(n)]
-    if matrix.is_exact:
-        return all(r == n for r in rows) and all(c == n for c in cols)
-    return max(max(abs(float(r) - n) for r in rows),
-               max(abs(float(c) - n) for c in cols)) < 1e-9
+    return all(r == n for r in rows) and all(c == n for c in cols)
 
 
 def _rank_one_deviation(matrix: ProbMatrix) -> float:
@@ -548,18 +545,8 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
 
     if n == 4 and t < s:
         cands = tuple(enumerate_n4(s, t))
-        winner = global_candidate(s, t, cands)
-        exact = all(c.likelihood is not None for c in cands)
-        if exact:
-            strict = all(c.likelihood < winner.likelihood
-                         for c in cands if c is not winner)
-            detail = "exact rational comparison"
-        else:
-            logs = [c.loglik_mp() for c in cands]
-            best = logs[cands.index(winner)]
-            strict = all(l < best for c, l in zip(cands, logs) if c is not winner)
-            detail = "50-digit log comparison"
-        checks.append(CheckResult("exact_ordering", strict, detail))
+        winner, strict, method = compare_candidates(cands)
+        checks.append(CheckResult("exact_ordering", strict, method))
         residual = reciprocal_residual_exact(winner.products(),
                                              Fraction(s) / Fraction(t))
         checks.append(CheckResult(

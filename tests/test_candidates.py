@@ -135,6 +135,12 @@ class TestGlobalCandidate:
         assert winner.pattern is SignPattern.PPNN
         assert winner.likelihood is None
 
+    @pytest.mark.parametrize("s", [2, F(5, 2)])
+    def test_tie_raises(self, s):
+        cands = enumerate_n4(s, 1)
+        with pytest.raises(ValueError, match="tie"):
+            global_candidate(s, 1, [cands[1]] + cands[1:])
+
 
 class TestBlockMatrix:
     def test_n4_equals_winning_candidate(self):

@@ -76,6 +76,13 @@ class TestSolve:
                            "--s", "2", "--t", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("weight", ["--s", "--t"])
+    def test_one_weight_with_counts_rejected(self, capsys, counts_file, weight):
+        code, out, err = run(capsys, "solve", "--counts", counts_file,
+                             weight, "2")
+        assert (code, out) == (2, "")
+        assert "give either --counts or --s/--t, not both" in err
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_non_finite_counts_rejected(self, capsys, tmp_path, literal):
         path = tmp_path / "counts.json"
@@ -103,6 +110,39 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--s", "2", "--t", "1")
         assert code == 3
         assert "solver failure" in err
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--classes", "3"], "--classes"),
+        (["--method", "newton", "--classes", "2"], "--classes"),
+        (["--method", "em", "--cluster-eps", "1e-3"], "--cluster-eps"),
+        (["--method", "em", "--n", "5"], "--n 5"),
+        (["--n", "5"], "--n 5"),
+    ], ids=["classes", "newton-classes", "em-cluster-eps", "em-n", "newton-n"])
+    def test_flags_the_method_ignores_rejected(self, capsys, counts_file,
+                                                flags, flag):
+        code, out, err = run(capsys, "solve", "--counts", counts_file,
+                             *flags, "--starts", "2")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_n_other_than_the_default_table_rejected(self, capsys):
+        code, out, err = run(capsys, "solve", "--n", "6", "--starts", "2")
+        assert (code, out) == (2, "")
+        assert "--n 6 does not match the side 4" in err
+
+    def test_n_matching_the_table_accepted(self, capsys, counts_file):
+        code, out, _ = run(capsys, "solve", "--counts", counts_file,
+                           "--method", "em", "--n", "4", "--starts", "2")
+        assert code == 0
+        assert json.loads(out)["best"]["point"]["n"] == 4
+
+    def test_loose_tol(self, capsys):
+        code, out, _ = run(capsys, "solve", "--tol", "1e-4", "--starts", "20",
+                           "--seed", "1")
+        assert code == 0
+        classes = {c["classification"] for c in json.loads(out)["clusters"]}
+        assert classes == {"unclassified"}
 
     def test_text_and_csv_formats(self, capsys):
         code, out, _ = run(capsys, "solve", "--s", "2", "--t", "1",
@@ -178,6 +218,12 @@ class TestVerify:
              ["3/40", "3/40", "1/20", "1/20"],
              ["1/20", "1/20", "3/40", "3/40"],
              ["1/20", "1/20", "3/40", "3/40"]]
+
+    def test_loose_tol_certifies(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "4", "--s", "2", "--t", "1",
+                             "--starts", "20", "--seed", "1", "--tol", "1e-6")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "CERTIFIED_CANDIDATE_MAX"
 
     def test_block_support_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6", "--s", "2", "--t", "1",

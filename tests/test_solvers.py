@@ -12,10 +12,11 @@ from swissfrancs.candidates import (SignPattern, block_point, corner_point,
                                     enumerate_n4)
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
 from swissfrancs.ranktwo import RankTwoPoint
-from swissfrancs.solvers import (HESSIAN_EIG_TOL, LatentClassModel,
-                                 SolverConfig, _cluster_key,
-                                 classify_stationary, em_fit, em_multistart,
-                                 multistart, newton_stationary, scaled_loglik)
+from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HESSIAN_EIG_TOL,
+                                 LatentClassModel, SolverConfig, _cluster_key,
+                                 _random_start, classify_stationary, em_fit,
+                                 em_multistart, multistart, newton_stationary,
+                                 scaled_loglik)
 
 CFG = SolverConfig()
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
@@ -95,6 +96,15 @@ class TestNewton:
         assert report.iterations == 1
         assert report.residual == 0.0
         assert report.classification == "degenerate"
+
+    def test_loose_tol_labels_only_stationary_points(self):
+        # a start that stops above the classification residual is
+        # unclassified, not passed to classify_stationary, which raises
+        result = multistart(WeightTable.symmetric(4, 2, 1),
+                            SolverConfig(starts=20, seed=1, tol=1e-6))
+        loose = [r for r in result.reports if r.residual >= CLASSIFY_RESIDUAL_TOL]
+        assert loose and all(r.converged for r in loose)
+        assert {r.classification for r in loose} == {"unclassified"}
 
     def test_infeasible_start_rejected(self):
         bad = RankTwoPoint.of([1.0, 0.5, -0.5, -1.0], [2.0, 1.0, -1.0, -2.0])
@@ -219,6 +229,22 @@ class TestMultistart:
         assert len(calls) == 50
 
 
+class TestRandomStart:
+    @settings(deadline=None)
+    @given(st.integers(2, 16), st.integers(0, 2 ** 63 - 1))
+    def test_one_draw_is_interior(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _random_start(n, rng).arrays()
+        assert abs(a.sum()) < 1e-12 and abs(b.sum()) < 1e-12
+        bound = 1 - 1.44 * (n - 1) ** 2 / n ** 3
+        assert bound >= 0.78
+        assert (1.0 + np.outer(b, a)).min() >= bound - 1e-12
+        # exactly the two vectors were drawn
+        reference = np.random.default_rng(seed)
+        reference.uniform(size=2 * n)
+        assert rng.uniform() == reference.uniform()
+
+
 @st.composite
 def _zero_sum_pair(draw):
     n = draw(st.integers(2, 16))
@@ -272,6 +298,20 @@ class TestEM:
         result = em_multistart(swiss_counts(), 2, cfg)
         target = 24 * math.log(3 / 40) + 16 * math.log(1 / 20)
         assert result.best.loglik == pytest.approx(target, abs=1e-6)
+
+    @pytest.mark.parametrize("max_iter", [3, 10_000])
+    def test_last_trace_value_is_the_models_loglik(self, max_iter):
+        table = WeightTable.full([[5, 1, 2], [1, 4, 3], [2, 2, 6]])
+        report = em_fit(table, 2, SolverConfig(max_iter=max_iter), seed=2)
+        model = report.point
+        expected = math.fsum(
+            table.as_array()[i, j] * math.log(math.fsum(
+                model.weights[h] * model.row_cond[h][i] * model.col_cond[h][j]
+                for h in range(model.r)))
+            for i in range(3) for j in range(3))
+        assert report.loglik == report.trace[-1]
+        assert report.trace[-1] == pytest.approx(expected, rel=1e-13)
+        assert report.iterations == len(report.trace) - 1
 
     def test_rejects_bad_class_count(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,9 @@ import sympy as sp
 from swissfrancs.candidates import SignPattern, enumerate_n4
 from swissfrancs.ranktwo import RankTwoPoint
 from swissfrancs.solvers import SolverConfig
-from swissfrancs.verify import (LEMMAS, VERDICT_CERTIFIED, VERDICT_SUPPORTED,
+from swissfrancs import verify
+from swissfrancs.verify import (LEMMAS, VERDICT_CERTIFIED,
+                                VERDICT_INCONCLUSIVE, VERDICT_SUPPORTED,
                                 CheckResult, certify, check_bounds,
                                 cross_equation_poly, f1_eval, f3_eval,
                                 f3_region_scan, f_polynomial,
@@ -314,6 +316,23 @@ class TestCertify:
         assert "3/40" in text and "PASS" in text
         # a multi-line detail keeps its continuation lines indented
         assert "[PASS] order: +++-: pass\n      ++--: pass" in text
+
+    @pytest.mark.parametrize("s, method", [(2, "exact rational comparison"),
+                                           (F(5, 2), "50-digit log comparison")],
+                             ids=["exact", "log"])
+    def test_tied_candidates_are_inconclusive(self, monkeypatch, s, method):
+        # the winner listed twice ties the top likelihood
+        def tied(s, t):
+            cands = enumerate_n4(s, t)
+            return [cands[1]] + cands[1:]
+
+        monkeypatch.setattr(verify, "enumerate_n4", tied)
+        cert = certify(4, s, 1, SolverConfig(starts=5, seed=1))
+        assert cert.verdict == VERDICT_INCONCLUSIVE
+        ordering = cert.checks[0]
+        assert (ordering.name, ordering.passed, ordering.detail) == \
+            ("exact_ordering", False, method)
+        assert cert.winner.pattern is SignPattern.PPNN
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
