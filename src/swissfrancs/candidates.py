@@ -25,8 +25,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
-
 from .core import (Convention, FeasibilityError, Number, ProbMatrix,
                    WeightTable, convert_convention, exact_likelihood,
                    log_likelihood)
@@ -91,8 +89,12 @@ class Candidate:
     def a_values(self) -> tuple:
         return tuple(ci * self.alpha for ci in self.pattern.coeffs)
 
-    def loglik_mp(self, dps: int = MP_DPS) -> mpmath.mpf:
-        """Log-likelihood at high precision, usable for any positive weights."""
+    def loglik_mp(self, dps: int = MP_DPS):
+        """Log-likelihood at high precision, an mpmath.mpf, usable for any
+        positive weights."""
+        # imported here: only weights without an exact likelihood need
+        # mpmath, and loading it costs about 3.8 MB of resident memory
+        import mpmath
         with mpmath.workdps(dps):
             total = mpmath.mpf(0)
             s = mpmath.mpf(self.s.numerator) / self.s.denominator
@@ -122,6 +124,7 @@ class Candidate:
         if (likelihood := self.likelihood_text()) is not None:
             out["likelihood"] = likelihood
         else:
+            import mpmath
             with mpmath.workdps(30):
                 out["loglik_30"] = mpmath.nstr(self.loglik_mp(30), 30)
         return out

@@ -64,8 +64,7 @@ class RankTwoPoint:
 
     def entry_table(self) -> np.ndarray:
         """The n x n table 1 + b_i a_j."""
-        a, b = self.arrays()
-        return 1.0 + np.outer(b, a)
+        return entry_tables(*self.arrays())
 
     def min_entry(self) -> float:
         return float(self.entry_table().min())
@@ -136,37 +135,50 @@ def from_matrix(P: ProbMatrix) -> RankTwoPoint:
     return RankTwoPoint.of(a, b)
 
 
+def entry_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tables T[..., i, j] = 1 + b_i a_j of (..., n) arrays a and b,
+    formed in place, so a batch holds one (..., n, n) array."""
+    T = b[..., :, None] * a[..., None, :]
+    T += 1.0
+    return T
+
+
 def gradient(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     """Gradient of the scaled log-likelihood
     sum_ij ln(1 + b_i a_j) + (rho - 1) sum_i ln(1 + b_i a_i) in (a, b).
 
     Component i is the derivative in a_i, component n + j the derivative
-    in b_j. The caller guarantees interior feasibility.
+    in b_j. a and b may carry leading batch axes, (..., n) -> (..., 2n);
+    each row gets the bits a 1-D call on it gives. The caller guarantees
+    interior feasibility.
     """
-    T = 1.0 + np.outer(b, a)            # T[i, j] = 1 + b_i a_j
-    diag = np.diag(T)
-    grad_a = (b[:, None] / T).sum(axis=0) + (rho - 1.0) * b / diag
-    grad_b = (a[None, :] / T).sum(axis=1) + (rho - 1.0) * a / diag
-    return np.concatenate([grad_a, grad_b])
+    T = entry_tables(a, b)
+    diag = T.diagonal(0, -2, -1)
+    grad_a = (b[..., :, None] / T).sum(axis=-2) + (rho - 1.0) * b / diag
+    grad_b = (a[..., None, :] / T).sum(axis=-1) + (rho - 1.0) * a / diag
+    return np.concatenate([grad_a, grad_b], axis=-1)
 
 
 def hessian(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     """Exact 2n x 2n Hessian of the scaled log-likelihood in (a, b), in
-    the component order of gradient()."""
-    n = len(a)
-    T = 1.0 + np.outer(b, a)
-    diag = np.diag(T)
+    the component order of gradient(); batched like gradient(),
+    (..., n) -> (..., 2n, 2n)."""
+    n = a.shape[-1]
+    T = entry_tables(a, b)
+    diag = T.diagonal(0, -2, -1)
     inv2 = 1.0 / T ** 2
-    H = np.zeros((2 * n, 2 * n))
+    H = np.zeros(a.shape[:-1] + (2 * n, 2 * n))
+    i = np.arange(n)
     # d grad_a[k] / d a_k and d grad_b[k] / d b_k; distinct a's do not interact
-    da = -(b[:, None] ** 2 * inv2).sum(axis=0) - (rho - 1.0) * b ** 2 / diag ** 2
-    db = -(a[None, :] ** 2 * inv2).sum(axis=1) - (rho - 1.0) * a ** 2 / diag ** 2
-    H[:n, :n] = np.diag(da)
-    H[n:, n:] = np.diag(db)
+    H[..., i, i] = -(b[..., :, None] ** 2 * inv2).sum(axis=-2) \
+        - (rho - 1.0) * b ** 2 / diag ** 2
+    H[..., n + i, n + i] = -(a[..., None, :] ** 2 * inv2).sum(axis=-1) \
+        - (rho - 1.0) * a ** 2 / diag ** 2
     # d grad_a[k] / d b_m = 1/T[m,k]^2 (+ diagonal correction), and symmetrically
-    cross = inv2.T + (rho - 1.0) * np.diag(1.0 / diag ** 2)
-    H[:n, n:] = cross
-    H[n:, :n] = cross.T
+    cross = np.swapaxes(inv2, -2, -1).copy()
+    cross[..., i, i] += (rho - 1.0) * (1.0 / diag ** 2)
+    H[..., :n, n:] = cross
+    H[..., n:, :n] = np.swapaxes(cross, -2, -1)
     return H
 
 
@@ -194,7 +206,7 @@ def reciprocal_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
     _require_feasible(pt)
     a, b = pt.arrays()
     n = pt.n
-    T = 1.0 + np.outer(b, a)
+    T = entry_tables(a, b)
     diag = np.diag(T)
     target = n + rho - 1.0
     rows = (1.0 / T).sum(axis=0) + (rho - 1.0) / diag - target
@@ -272,7 +284,7 @@ def swap_delta(pt: RankTwoPoint, i: int, j: int, W: WeightTable) -> float:
     if i == j:
         return 0.0
     a, b = pt.arrays()
-    T = 1.0 + np.outer(b, a)
+    T = entry_tables(a, b)
     n = pt.n
     # product over cells unaffected by the swap, at their weights
     log_rest = 0.0

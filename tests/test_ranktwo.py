@@ -13,6 +13,7 @@ from swissfrancs.ranktwo import (RankTwoPoint, canonicalize, from_matrix,
                                  reciprocal_residual,
                                  reciprocal_residual_exact,
                                  stationarity_residual, swap_delta, to_matrix)
+from swissfrancs.solvers import scaled_loglik
 
 F = Fraction
 A5 = 1 / math.sqrt(5)
@@ -213,6 +214,26 @@ class TestDerivatives:
             H = hessian(a, b, rho)
             assert np.array_equal(H, H.T)
             assert np.allclose(H, diffs, rtol=1e-6, atol=1e-6 * rho)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_batched_rows_equal_single_calls(self, n):
+        # multistart runs all starts as one (K, n) batch and promises each
+        # start the bits it gets alone
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-0.5, 0.5, size=(3, 5, n)) / math.sqrt(n)
+        b = rng.uniform(-0.5, 0.5, size=(3, 5, n)) / math.sqrt(n)
+        for rho in (0.5, 1.0, 2.0, 1000.0):
+            G, H = gradient(a, b, rho), hessian(a, b, rho)
+            L = scaled_loglik(a, b, rho, 1.0)
+            for idx in np.ndindex(3, 5):
+                assert G[idx].tobytes() == gradient(a[idx], b[idx], rho).tobytes()
+                assert H[idx].tobytes() == hessian(a[idx], b[idx], rho).tobytes()
+                assert L[idx].tobytes() == scaled_loglik(a[idx], b[idx], rho, 1.0).tobytes()
+        a[0] *= 100.0
+        L = scaled_loglik(a, b, 2.0, 1.0)
+        assert np.isneginf(L[0]).any()
+        for idx in np.ndindex(3, 5):
+            assert L[idx].tobytes() == scaled_loglik(a[idx], b[idx], 2.0, 1.0).tobytes()
 
 
 class TestCanonicalize:

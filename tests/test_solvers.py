@@ -1,22 +1,24 @@
 """Newton iteration, multistart search, classification, and EM."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swissfrancs import solvers
 from swissfrancs.candidates import (SignPattern, block_point, corner_point,
                                     enumerate_n4)
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
-from swissfrancs.ranktwo import RankTwoPoint
+from swissfrancs.ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, gradient,
+                                 hessian, stationarity_residual)
 from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HESSIAN_EIG_TOL,
-                                 LatentClassModel, SolverConfig, _cluster_key,
-                                 _random_start, classify_stationary, em_fit,
-                                 em_multistart, multistart, newton_stationary,
-                                 scaled_loglik)
+                                 LatentClassModel, SolveReport, SolverConfig,
+                                 _cluster_key, _random_start,
+                                 classify_stationary, em_fit, em_multistart,
+                                 multistart, newton_stationary, scaled_loglik)
 
 CFG = SolverConfig()
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
@@ -54,6 +56,116 @@ def _finite_difference_label(pt, rho, h=1e-5):
     if top < -HESSIAN_EIG_TOL:
         return "local_max"
     return "saddle" if top > HESSIAN_EIG_TOL else "unclassified"
+
+
+def _bits(report):
+    """Every field of a rank-two SolveReport, floats as hex."""
+    return (tuple(x.hex() for x in report.point.a),
+            tuple(x.hex() for x in report.point.b),
+            float(report.loglik).hex(), report.residual.hex(), report.iterations,
+            report.classification, report.converged, report.method, report.seed)
+
+
+def _reference_loglik(a, b, s, t):
+    T = 1.0 + np.outer(b, a)
+    if T.min() <= FEASIBILITY_MARGIN:
+        return float("-inf")
+    logs = np.log(T)
+    return (s - t) * np.trace(logs) + t * logs.sum()
+
+
+def _reference_system(a, b, rho):
+    return np.concatenate([gradient(a, b, rho),
+                           [a.sum(), b.sum(), 0.5 * (a @ a - b @ b)]])
+
+
+def _reference_feasible(a, b):
+    return (1.0 + np.outer(b, a)).min() > FEASIBILITY_MARGIN
+
+
+def _reference_newton(pt0, rho, cfg, seed):
+    """Damped least-squares Newton on one start, one trial scale at a time."""
+    a, b = pt0.arrays()
+    n = len(a)
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        F = _reference_system(a, b, rho)
+        if np.abs(F[:-1]).max() < cfg.tol:
+            break
+        rows = np.zeros((3, 2 * n))
+        rows[0, :n] = 1.0
+        rows[1, n:] = 1.0
+        rows[2, :n] = a
+        rows[2, n:] = -b
+        J = np.vstack([hessian(a, b, rho), rows])
+        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        norm0 = np.linalg.norm(F)
+        scale = 1.0
+        improved = False
+        for _ in range(40):
+            na = a + scale * step[:n]
+            nb = b + scale * step[n:]
+            if _reference_feasible(na, nb):
+                if np.linalg.norm(_reference_system(na, nb, rho)) \
+                        < norm0 * (1.0 - 1e-4 * scale):
+                    a, b = na, nb
+                    improved = True
+                    break
+            scale *= 0.5
+        if not improved:
+            break
+    a = a - a.mean()
+    b = b - b.mean()
+    pt = RankTwoPoint.of(a, b)
+    resid = float(np.abs(stationarity_residual(pt, rho)).max()) \
+        if _reference_feasible(a, b) else float("inf")
+    return SolveReport(
+        point=pt, loglik=_reference_loglik(a, b, rho, 1.0), residual=resid,
+        iterations=iterations,
+        classification=classify_stationary(pt, rho)
+        if resid < CLASSIFY_RESIDUAL_TOL else "unclassified",
+        converged=resid < cfg.tol * (n + rho - 1), method="newton", seed=seed)
+
+
+def _reference_ascent(pt0, rho, max_iter=500, grad_tol=1e-6):
+    """Backtracking projected gradient ascent on one start."""
+    a, b = pt0.arrays()
+    n = len(a)
+    value = _reference_loglik(a, b, rho, 1.0)
+    for _ in range(max_iter):
+        grad = gradient(a, b, rho)
+        da = grad[:n] - grad[:n].mean()
+        db = grad[n:] - grad[n:].mean()
+        norm2 = da @ da + db @ db
+        if math.sqrt(norm2) < grad_tol:
+            break
+        scale = 1.0
+        moved = False
+        for _ in range(40):
+            na, nb = a + scale * da, b + scale * db
+            new_value = _reference_loglik(na, nb, rho, 1.0)
+            if new_value >= value + 1e-4 * scale * norm2:
+                a, b, value = na, nb, new_value
+                moved = True
+                break
+            scale *= 0.5
+        if not moved:
+            break
+    return RankTwoPoint.of(a - a.mean(), b - b.mean())
+
+
+def _reference_multistart(weights, cfg):
+    """The reports of multistart as a loop over the starts, one at a time."""
+    s, t = (float(x) for x in weights.symmetric_pair())
+    rho = s / t
+    reports = []
+    for k in range(cfg.starts):
+        run_seed = cfg.seed ^ k
+        pt0 = _random_start(weights.n, np.random.default_rng(run_seed))
+        report = _reference_newton(_reference_ascent(pt0, rho), rho, cfg, run_seed)
+        a, b = report.point.arrays()
+        reports.append(replace(report, loglik=_reference_loglik(a, b, s, t)))
+    return reports
 
 
 class TestConfig:
@@ -214,19 +326,22 @@ class TestMultistart:
                if c.loglik >= result.best.loglik - 1e-9]
         assert len(top) == 1
 
-    def test_one_newton_run_per_start(self, monkeypatch):
-        calls = []
-        original = solvers.newton_stationary
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "newton_stationary", counted)
-        result = multistart(WeightTable.symmetric(3, 2, 1),
-                            SolverConfig(starts=50, seed=1))
-        assert result.n_failed == 0
-        assert len(calls) == 50
+    @pytest.mark.parametrize("n, s, t, starts", [
+        (4, 2, 1, 40), (4, 3, 2, 40), (3, 2, 1, 20), (16, 2, 1, 20),
+        (4, 1, 1, 20), (4, 100, 1, 10), (4, 1000, 1, 1)])
+    def test_batched_starts_match_the_per_start_loop(self, n, s, t, starts):
+        # the batched kernels take logs and quotients only of feasible
+        # trial points, so no warning escapes even at 1000:1; at n = 16
+        # the 20 starts run as two batches
+        weights = WeightTable.symmetric(n, s, t)
+        cfg = SolverConfig(starts=starts, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = multistart(weights, cfg)
+        reference = _reference_multistart(weights, cfg)
+        assert len(result.reports) == starts
+        assert [_bits(r) for r in result.reports] == [_bits(r) for r in reference]
+        assert result.n_failed == sum(not r.converged for r in reference) == 0
 
 
 class TestRandomStart:
