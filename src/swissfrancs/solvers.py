@@ -9,10 +9,11 @@ the full system augmented with a norm-balance gauge row. The zero-sum
 rows are linear and therefore preserved exactly along the iteration;
 the reported residual is always recomputed at the final point.
 
-The likelihood, its gradient and Hessian, the ascent and Newton all take
-(K, n) arrays, so multistart runs its K starts together. Each row gets
-the bits it would get alone: per-row dot products use np.vecdot, every
-expression keeps its order of operations, and least squares runs per row.
+The likelihood, its gradient and Hessian, the ascent, Newton and the
+second-order labels all take (K, n) arrays, so multistart runs its K
+starts in one pass. Each row gets the bits it would get alone: per-row
+dot products use np.vecdot, every expression keeps its order of
+operations, and least squares runs per row.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ MAX_HALVINGS = 40
 # Line-search trial scales 2^-k: exactly the values repeated halving gives.
 _SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))
 _LINE_SEARCH_BLOCK = 8
-# multistart climbs and finishes at most this many entries of 1 + b a^T at
-# once, which keeps each (rows, block, n, n) temporary to 256 KB: all 256
-# starts at n = 4, 16 at n = 16
-_BATCH_ENTRIES = 4096
 CLASSIFY_RESIDUAL_TOL = 1e-8
 HESSIAN_EIG_TOL = 1e-7
 ZERO_POINT_TOL = 1e-8
@@ -50,6 +47,9 @@ class SolverConfig:
     cluster_eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("tol", "cluster_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_iter <= 0 or self.tol <= 0 or self.starts <= 0 \
                 or self.cluster_eps <= 0 or self.seed < 0:
             raise ValueError("solver configuration values must be positive")
@@ -243,25 +243,23 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
 def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
              cfg: SolverConfig, s: float, t: float, seeds) -> list:
     """One SolveReport per row of Newton's end points, with the gradient
-    residual of all rows from one batched call and log L at weights
-    (s, t). Only a row with residual below CLASSIFY_RESIDUAL_TOL is
-    classified; the others are unclassified."""
+    residual, the label of every row below CLASSIFY_RESIDUAL_TOL (the
+    others are unclassified) and log L at weights (s, t), each from one
+    batched call."""
     n = a.shape[-1]
     feasible = _feasible(a, b)
     resid = np.full(len(a), np.inf)
     resid[feasible] = np.abs(gradient(a[feasible], b[feasible], rho)).max(axis=-1)
+    stationary = resid < CLASSIFY_RESIDUAL_TOL
+    labels = iter(_labels(a[stationary], b[stationary], rho))
+    converged = resid < cfg.tol * (n + rho - 1)
     loglik = scaled_loglik(a, b, s, t)
-    reports = []
-    for k, seed in enumerate(seeds):
-        pt = RankTwoPoint.of(a[k], b[k])
-        r = float(resid[k])
-        label = classify_stationary(pt, rho) if r < CLASSIFY_RESIDUAL_TOL \
-            else "unclassified"
-        reports.append(SolveReport(
-            point=pt, loglik=loglik[k], residual=r, iterations=int(iterations[k]),
-            classification=label, converged=r < cfg.tol * (n + rho - 1),
-            method="newton", seed=seed))
-    return reports
+    return [SolveReport(
+        point=RankTwoPoint.of(a[k], b[k]), loglik=loglik[k], residual=float(resid[k]),
+        iterations=int(iterations[k]),
+        classification=next(labels) if stationary[k] else "unclassified",
+        converged=bool(converged[k]), method="newton", seed=seed)
+        for k, seed in enumerate(seeds)]
 
 
 def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
@@ -332,56 +330,59 @@ def _projected_ascent(a: np.ndarray, b: np.ndarray, rho: float,
     return a - a.mean(axis=-1, keepdims=True), b - b.mean(axis=-1, keepdims=True)
 
 
-def classify_stationary(pt: RankTwoPoint, rho: float) -> str:
-    """Second-order test on the zero-sum manifold with the gauge direction
-    (a, -b) quotiented out, from the analytic Hessian projected onto an
-    orthonormal basis of that tangent space.
+def _labels(a: np.ndarray, b: np.ndarray, rho: float) -> list:
+    """The label of each stationary row of the (K, n) arrays a and b:
+    degenerate when flat, else from the analytic Hessian projected onto an
+    orthonormal basis of the zero-sum tangent space without the gauge line
+    (a, -b): local_max when all its eigenvalues sit below -HESSIAN_EIG_TOL,
+    saddle when one exceeds +HESSIAN_EIG_TOL, and unclassified otherwise."""
+    n = a.shape[-1]
+    flat = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1)) < ZERO_POINT_TOL
+    a, b = a[~flat], b[~flat]
+    gauge = np.concatenate([a, -b], axis=-1)
+    gauge /= _norm(gauge)[:, None]
+    # orthonormal basis of {sum a = 0} x {sum b = 0} minus the gauge line
+    columns = np.zeros((len(a), 2 * n, 2 * n + 3))
+    columns[:, :n, 0] = columns[:, n:, 1] = 1.0 / math.sqrt(n)
+    columns[:, :, 2] = gauge
+    columns[:, :, 3:] = np.eye(2 * n)
+    basis = np.linalg.qr(columns)[0][..., 3:2 * n]
+    top = np.zeros(len(flat))
+    top[~flat] = np.linalg.eigvalsh(
+        np.swapaxes(basis, -2, -1) @ hessian(a, b, rho) @ basis).max(axis=-1)
+    return ["degenerate" if is_flat else "local_max" if e < -HESSIAN_EIG_TOL
+            else "saddle" if e > HESSIAN_EIG_TOL else "unclassified"
+            for is_flat, e in zip(flat, top)]
 
-    Returns local_max when all projected Hessian eigenvalues sit below
-    -1e-7, saddle when one exceeds +1e-7, degenerate for the flat origin,
-    and unclassified otherwise.
-    """
-    a, b = pt.arrays()
-    n = pt.n
+
+def classify_stationary(pt: RankTwoPoint, rho: float) -> str:
+    """The label _labels gives the one stationary point pt; raises
+    ValueError when its residual is not below CLASSIFY_RESIDUAL_TOL."""
     resid = np.abs(stationarity_residual(pt, rho)).max()
     if resid >= CLASSIFY_RESIDUAL_TOL:
         raise ValueError(f"point is not stationary: residual {resid:.3e}")
-    if max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL:
-        return "degenerate"
-    gauge = np.concatenate([a, -b])
-    gauge /= np.linalg.norm(gauge)
-    # orthonormal basis of {sum a = 0} x {sum b = 0} minus the gauge line
-    ones_a = np.concatenate([np.ones(n), np.zeros(n)]) / math.sqrt(n)
-    ones_b = np.concatenate([np.zeros(n), np.ones(n)]) / math.sqrt(n)
-    raw = np.eye(2 * n)
-    basis_full, _ = np.linalg.qr(
-        np.column_stack([ones_a, ones_b, gauge, raw]))
-    basis = basis_full[:, 3:2 * n]
-    eigs = np.linalg.eigvalsh(basis.T @ hessian(a, b, rho) @ basis)
-    if eigs.max() < -HESSIAN_EIG_TOL:
-        return "local_max"
-    if eigs.max() > HESSIAN_EIG_TOL:
-        return "saddle"
-    return "unclassified"
-
-
-def _random_start(n: int, rng: np.random.Generator) -> RankTwoPoint:
-    """a and b drawn once from the box of half-width START_BOX / sqrt(n)
-    and centered, so each entry moves at most 2 (n - 1) / n half-widths
-    and 1 + b a^T >= 1 - 1.44 (n - 1)^2 / n^3 >= 0.78: always interior."""
-    width = START_BOX / math.sqrt(n)
-    a = rng.uniform(-width, width, size=n)
-    b = rng.uniform(-width, width, size=n)
-    return RankTwoPoint.of(a - a.mean(), b - b.mean())
-
-
-def _cluster_key(pt: RankTwoPoint) -> np.ndarray:
-    """The sorted diagonal of D = b a^T, then all of D's entries sorted: a
-    key unchanged by the gauge (c a, b / c), the sign (-a, -b), simultaneous
-    permutation and transpose, and 1-Lipschitz in D in the max norm."""
     a, b = pt.arrays()
-    D = np.outer(b, a)
-    return np.concatenate([np.sort(np.diag(D)), np.sort(D, axis=None)])
+    return _labels(a[None], b[None], rho)[0]
+
+
+def _random_start(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The rows a and b of one (2, n) draw from the box of half-width
+    START_BOX / sqrt(n), centered, so each entry moves at most 2 (n - 1) / n
+    half-widths and 1 + b a^T >= 1 - 1.44 (n - 1)^2 / n^3 >= 0.78: always
+    interior."""
+    width = START_BOX / math.sqrt(n)
+    ab = rng.uniform(-width, width, size=(2, n))
+    return ab - ab.mean(axis=-1, keepdims=True)
+
+
+def _cluster_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of the (K, n) arrays a and b, the sorted diagonal of
+    D = b a^T, then all of D's entries sorted: a key unchanged by the gauge
+    (c a, b / c), the sign (-a, -b), simultaneous permutation and
+    transpose, and 1-Lipschitz in D in the max norm."""
+    D = b[:, :, None] * a[:, None, :]
+    return np.concatenate([np.sort(D.diagonal(0, -2, -1), axis=-1),
+                           np.sort(D.reshape(len(D), -1), axis=-1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -420,38 +421,34 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
 
     Start k draws its point from a generator seeded with seed XOR k,
     climbs briefly by projected gradient ascent and finishes with one
-    Newton run, converged below cfg.tol * (n + rho - 1). The starts climb
-    and finish together as (rows, n) arrays, up to _BATCH_ENTRIES // n^2
-    rows at a time, and each start's report is bit-identical to running
-    it alone. Converged points whose _cluster_key vectors lie within
-    cfg.cluster_eps form a cluster: one matrix b a^T up to simultaneous
-    permutation and transpose.
+    Newton run, converged below cfg.tol * (n + rho - 1). All starts climb,
+    finish, are labelled and get cluster keys together as (starts, n)
+    arrays, each report bit-identical to running its start alone; the
+    largest temporary, the line search's (starts, 8, n, n) table, is
+    3.3 MB at n = 16 and 200 starts. Converged points whose _cluster_keys
+    lie within cfg.cluster_eps form a cluster: one matrix b a^T up to
+    simultaneous permutation and transpose.
     """
     pair = weights.symmetric_pair()
     if pair is None:
         raise ValueError("multistart requires symmetric (s, t) weights")
     s, t = float(pair[0]), float(pair[1])
     rho = s / t
-    n = weights.n
     seeds = [cfg.seed ^ k for k in range(cfg.starts)]
-    starts = [_random_start(n, np.random.default_rng(seed)) for seed in seeds]
-    a0 = np.array([p.a for p in starts])
-    b0 = np.array([p.b for p in starts])
-    batch = max(1, _BATCH_ENTRIES // n ** 2)
-    reports = []
-    for lo in range(0, cfg.starts, batch):
-        a, b = _projected_ascent(a0[lo:lo + batch], b0[lo:lo + batch], rho)
-        # report likelihood at the actual weights, not the t-scaled form
-        reports += _reports(*_newton(a, b, rho, cfg), rho, cfg, s, t,
-                            seeds[lo:lo + batch])
+    ab = np.array([_random_start(weights.n, np.random.default_rng(seed))
+                   for seed in seeds])
+    a, b = _projected_ascent(ab[:, 0], ab[:, 1], rho)
+    a, b, iterations = _newton(a, b, rho, cfg)
+    # report likelihood at the actual weights, not the t-scaled form
+    reports = _reports(a, b, iterations, rho, cfg, s, t, seeds)
+    mask = [r.converged for r in reports]
     converged = [r for r in reports if r.converged]
     if not converged:
         raise ConvergenceError("no multistart run converged")
 
     clusters: list[list] = []
     keys: list[np.ndarray] = []
-    for report in converged:
-        key = _cluster_key(report.point)
+    for report, key in zip(converged, _cluster_keys(a[mask], b[mask])):
         for idx, existing in enumerate(keys):
             if np.abs(existing - key).max() < cfg.cluster_eps:
                 clusters[idx].append(report)

@@ -554,7 +554,7 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
             "reciprocal residual identically zero in rational arithmetic"))
         checks.append(CheckResult("margins", _exact_margin_check(winner.matrix),
                                   "row and column sums equal n exactly"))
-        checks.extend(LEMMAS[name](s, t) for name in CERTIFY_STEPS)
+        checks.extend(LEMMAS[name](s, t, cands) for name in CERTIFY_STEPS)
         dominance = bool(winner.loglik >= ms.best.loglik - DOMINANCE_TOL)
         checks.append(CheckResult(
             "multistart_dominance", dominance,
@@ -614,40 +614,41 @@ def _pass_fail_line(case: dict) -> str:
     return f"{case['pattern']}: {'pass' if case['passed'] else 'fail'}"
 
 
-def _candidate_report(name: str, s: Number, t: Number, case,
+def _candidate_report(name: str, s: Number, t: Number, cands, case,
                       line=_pass_fail_line) -> CheckResult:
-    """One case per n = 4 candidate at (s, t): its sign pattern, then the
-    fields of case(candidate)."""
-    cases = [{"pattern": c.pattern.signs, **case(c)} for c in enumerate_n4(s, t)]
+    """One case per n = 4 candidate at (s, t), cands or else enumerate_n4:
+    its sign pattern, then the fields of case(candidate)."""
+    cases = [{"pattern": c.pattern.signs, **case(c)}
+             for c in (enumerate_n4(s, t) if cands is None else cands)]
     return _cases_report(name, cases, line)
 
 
-def _bounds_lemma(s: Number, t: Number) -> CheckResult:
+def _bounds_lemma(s: Number, t: Number, cands=None) -> CheckResult:
     def case(cand: Candidate) -> dict:
         checks = check_bounds(cand.point())
         return {"checks": [c.to_json_dict() for c in checks],
                 "passed": all(c.passed for c in checks)}
 
-    return _candidate_report("bounds", s, t, case)
+    return _candidate_report("bounds", s, t, cands, case)
 
 
-def _order_lemma(s: Number, t: Number) -> CheckResult:
-    return _candidate_report(
-        "order", s, t, lambda cand: sign_order_check(cand.point()).to_json_dict())
+def _order_lemma(s: Number, t: Number, cands=None) -> CheckResult:
+    return _candidate_report("order", s, t, cands,
+                             lambda cand: sign_order_check(cand.point()).to_json_dict())
 
 
-def _fpoly_lemma(s: Number, t: Number) -> CheckResult:
+def _fpoly_lemma(s: Number, t: Number, cands=None) -> CheckResult:
     def case(cand: Candidate) -> dict:
         report = f_polynomial(cand.point(), rho=float(cand.s) / float(cand.t))
         return {"passed": report.passed, **report.to_json_dict()}
 
     return _candidate_report(
-        "fpoly", s, t, case,
+        "fpoly", s, t, cands, case,
         "{pattern}: degree {degree}, zero low-order coefficients, "
         "coordinates are roots: {coordinates_are_roots}".format_map)
 
 
-def _f1_lemma(s: Number, t: Number) -> CheckResult:
+def _f1_lemma(s: Number, t: Number, cands=None) -> CheckResult:
     cases = []
     for (x, y), expected in [((Fraction(0), Fraction(0)), Fraction(0)),
                              ((Fraction(1, 5), Fraction(1, 5)), Fraction(1, 25)),
@@ -659,7 +660,7 @@ def _f1_lemma(s: Number, t: Number) -> CheckResult:
                          "f1({x}, {y}) = {value} (expected {expected})".format_map)
 
 
-def _f3_lemma(s: Number, t: Number) -> CheckResult:
+def _f3_lemma(s: Number, t: Number, cands=None) -> CheckResult:
     scan = f3_region_scan(F3_RESOLUTION)
     passed = scan.below_reference_bound
     text = (f"grid max {scan.max_value:.9g} at {scan.argmax} over "
@@ -668,7 +669,7 @@ def _f3_lemma(s: Number, t: Number) -> CheckResult:
     return CheckResult("f3", passed, text, {"lemma": "f3", **scan.to_json_dict()})
 
 
-def _factor_lemma(s: Number, t: Number) -> CheckResult:
+def _factor_lemma(s: Number, t: Number, cands=None) -> CheckResult:
     report = lemma_a2_factorization()
     text = (f"remainder zero: {report.remainder_zero}; cofactor vs the explicit "
             f"17-term polynomial: {report.cofactor_constant}")
@@ -676,7 +677,7 @@ def _factor_lemma(s: Number, t: Number) -> CheckResult:
                        {"lemma": "factor", **report.to_json_dict()})
 
 
-def _tailpair_lemma(s: Number, t: Number) -> CheckResult:
+def _tailpair_lemma(s: Number, t: Number, cands=None) -> CheckResult:
     cases = []
     for (x, y), expected in [
             ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
@@ -690,18 +691,19 @@ def _tailpair_lemma(s: Number, t: Number) -> CheckResult:
 
 
 def _ratio_two(name: str, check):
-    """check(s, t) at weight ratio 2, and a skip (passed None) elsewhere."""
-    def gated(s: Number, t: Number) -> CheckResult:
+    """check(s, t, cands) at weight ratio 2, and a skip (passed None) elsewhere."""
+    def gated(s: Number, t: Number, cands=None) -> CheckResult:
         if not bounds_established(s, t):
             return CheckResult(name, None, "established only for weight ratio 2")
-        return check(s, t)
+        return check(s, t, cands)
 
     return gated
 
 
-# Every check is called as check(s, t) and returns a CheckResult. bounds,
-# order and fpoly run over the four n = 4 candidates at (s, t), f3 scans
-# at F3_RESOLUTION, and f1, factor and tailpair take no input. order and
+# Every check is called as check(s, t, cands=None) and returns a
+# CheckResult. bounds, order and fpoly run over the four n = 4 candidates
+# at (s, t), cands (certify's list) or else enumerate_n4(s, t); f3 scans at
+# F3_RESOLUTION, and f1, factor and tailpair take no input. order and
 # fpoly run at any t < s; the rest skip off weight ratio 2.
 LEMMAS = {
     "bounds": _ratio_two("bounds", _bounds_lemma),

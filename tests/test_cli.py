@@ -225,6 +225,13 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == "CERTIFIED_CANDIDATE_MAX"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--cluster-eps", "nan")])
+    def test_non_finite_solver_setting_rejected(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--starts", "2", flag, value)
+        assert (code, out) == (2, "")
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err
+
     def test_block_support_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "6", "--s", "2", "--t", "1",
                            "--starts", "30")

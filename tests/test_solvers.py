@@ -1,7 +1,6 @@
 """Newton iteration, multistart search, classification, and EM."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +14,11 @@ from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
 from swissfrancs.ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, gradient,
                                  hessian, stationarity_residual)
 from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HESSIAN_EIG_TOL,
-                                 LatentClassModel, SolveReport, SolverConfig,
-                                 _cluster_key, _random_start,
-                                 classify_stationary, em_fit, em_multistart,
-                                 multistart, newton_stationary, scaled_loglik)
+                                 START_BOX, ZERO_POINT_TOL, LatentClassModel,
+                                 SolveReport, SolverConfig, _cluster_keys,
+                                 _labels, _random_start, classify_stationary,
+                                 em_fit, em_multistart, multistart,
+                                 newton_stationary, scaled_loglik)
 
 CFG = SolverConfig()
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
@@ -59,11 +59,33 @@ def _finite_difference_label(pt, rho, h=1e-5):
 
 
 def _bits(report):
-    """Every field of a rank-two SolveReport, floats as hex."""
+    """Every field of a rank-two SolveReport, floats as hex. The flag and
+    the label must be the builtin types json.dumps takes."""
+    assert type(report.converged) is bool
+    assert type(report.classification) is str
     return (tuple(x.hex() for x in report.point.a),
             tuple(x.hex() for x in report.point.b),
             float(report.loglik).hex(), report.residual.hex(), report.iterations,
             report.classification, report.converged, report.method, report.seed)
+
+
+def _reference_label(pt, rho):
+    """Second-order label of one stationary point: QR of the zero-sum,
+    gauge-free tangent space, then eigvalsh of the projected Hessian."""
+    a, b = pt.arrays()
+    n = pt.n
+    if max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL:
+        return "degenerate"
+    gauge = np.concatenate([a, -b])
+    gauge /= np.linalg.norm(gauge)
+    ones_a = np.concatenate([np.ones(n), np.zeros(n)]) / math.sqrt(n)
+    ones_b = np.concatenate([np.zeros(n), np.ones(n)]) / math.sqrt(n)
+    full, _ = np.linalg.qr(np.column_stack([ones_a, ones_b, gauge, np.eye(2 * n)]))
+    basis = full[:, 3:2 * n]
+    top = np.linalg.eigvalsh(basis.T @ hessian(a, b, rho) @ basis).max()
+    if top < -HESSIAN_EIG_TOL:
+        return "local_max"
+    return "saddle" if top > HESSIAN_EIG_TOL else "unclassified"
 
 
 def _reference_loglik(a, b, s, t):
@@ -122,7 +144,7 @@ def _reference_newton(pt0, rho, cfg, seed):
     return SolveReport(
         point=pt, loglik=_reference_loglik(a, b, rho, 1.0), residual=resid,
         iterations=iterations,
-        classification=classify_stationary(pt, rho)
+        classification=_reference_label(pt, rho)
         if resid < CLASSIFY_RESIDUAL_TOL else "unclassified",
         converged=resid < cfg.tol * (n + rho - 1), method="newton", seed=seed)
 
@@ -161,7 +183,11 @@ def _reference_multistart(weights, cfg):
     reports = []
     for k in range(cfg.starts):
         run_seed = cfg.seed ^ k
-        pt0 = _random_start(weights.n, np.random.default_rng(run_seed))
+        rng = np.random.default_rng(run_seed)
+        width = START_BOX / math.sqrt(weights.n)
+        a = rng.uniform(-width, width, size=weights.n)
+        b = rng.uniform(-width, width, size=weights.n)
+        pt0 = RankTwoPoint.of(a - a.mean(), b - b.mean())
         report = _reference_newton(_reference_ascent(pt0, rho), rho, cfg, run_seed)
         a, b = report.point.arrays()
         reports.append(replace(report, loglik=_reference_loglik(a, b, s, t)))
@@ -181,6 +207,12 @@ class TestConfig:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(tol=-1.0)
+
+    @pytest.mark.parametrize("field", ["tol", "cluster_eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
 
 
 class TestNewton:
@@ -252,6 +284,24 @@ class TestClassify:
         with pytest.raises(ValueError, match="stationary"):
             classify_stationary(RankTwoPoint.symmetric([0.3, 0.1, -0.1, -0.3]),
                                 2.0)
+
+    def test_batch_labels_each_row_as_the_reference_does(self):
+        # the 2:1 candidates (local maxima and saddles) and the flat origin
+        # in one batch at ratio 2; a converged start on the s = t flat
+        # family is stationary only at ratio 1, so it has a batch of its own
+        flat = multistart(WeightTable.symmetric(4, 1, 1),
+                          SolverConfig(starts=1, seed=1)).best.point
+        rows = [(c.point(), 2.0) for c in CANDS.values()]
+        rows += [(RankTwoPoint.symmetric([0.0] * 4), 2.0), (flat, 1.0)]
+        expected = [_reference_label(pt, rho) for pt, rho in rows]
+        assert set(expected) == {"local_max", "saddle", "degenerate", "unclassified"}
+        for rho in (2.0, 1.0):
+            batch = [pt for pt, r in rows if r == rho]
+            a = np.array([pt.a for pt in batch])
+            b = np.array([pt.b for pt in batch])
+            assert _labels(a, b, rho) == \
+                [label for (_, r), label in zip(rows, expected) if r == rho]
+        assert _labels(np.empty((0, 4)), np.empty((0, 4)), 2.0) == []
 
 
 class TestMultistart:
@@ -331,13 +381,11 @@ class TestMultistart:
         (4, 1, 1, 20), (4, 100, 1, 10), (4, 1000, 1, 1)])
     def test_batched_starts_match_the_per_start_loop(self, n, s, t, starts):
         # the batched kernels take logs and quotients only of feasible
-        # trial points, so no warning escapes even at 1000:1; at n = 16
-        # the 20 starts run as two batches
+        # trial points, so no warning escapes even at 1000:1 (warnings
+        # are errors in the test suite)
         weights = WeightTable.symmetric(n, s, t)
         cfg = SolverConfig(starts=starts, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = multistart(weights, cfg)
+        result = multistart(weights, cfg)
         reference = _reference_multistart(weights, cfg)
         assert len(result.reports) == starts
         assert [_bits(r) for r in result.reports] == [_bits(r) for r in reference]
@@ -349,7 +397,9 @@ class TestRandomStart:
     @given(st.integers(2, 16), st.integers(0, 2 ** 63 - 1))
     def test_one_draw_is_interior(self, n, seed):
         rng = np.random.default_rng(seed)
-        a, b = _random_start(n, rng).arrays()
+        start = _random_start(n, rng)
+        assert start.shape == (2, n)
+        a, b = start
         assert abs(a.sum()) < 1e-12 and abs(b.sum()) < 1e-12
         bound = 1 - 1.44 * (n - 1) ** 2 / n ** 3
         assert bound >= 0.78
@@ -375,15 +425,16 @@ class TestClusterKey:
     @given(_zero_sum_pair(), st.floats(1e-3, 1e3))
     def test_invariant_under_symmetries(self, pair, c):
         a, b, perm = pair
-        key = _cluster_key(RankTwoPoint.of(a, b))
-        tol = 1e-12 * max(1.0, np.abs(key).max())
-        for va, vb in ((c * a, b / c), (-a, -b), (a[perm], b[perm]), (b, a)):
-            other = _cluster_key(RankTwoPoint.of(va, vb))
-            assert np.abs(other - key).max() <= tol
+        images = [(a, b), (c * a, b / c), (-a, -b), (a[perm], b[perm]), (b, a)]
+        keys = _cluster_keys(np.array([va for va, _ in images]),
+                             np.array([vb for _, vb in images]))
+        tol = 1e-12 * max(1.0, np.abs(keys[0]).max())
+        assert np.abs(keys[1:] - keys[0]).max() <= tol
 
     def test_separates_candidates(self):
-        keys = [_cluster_key(CANDS[p].point())
-                for p in (SignPattern.PPNN, SignPattern.PPPN)]
+        points = [CANDS[p].point() for p in (SignPattern.PPNN, SignPattern.PPPN)]
+        keys = _cluster_keys(np.array([pt.a for pt in points]),
+                             np.array([pt.b for pt in points]))
         assert np.abs(keys[0] - keys[1]).max() > CFG.cluster_eps
 
 

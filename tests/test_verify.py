@@ -334,6 +334,19 @@ class TestCertify:
             ("exact_ordering", False, method)
         assert cert.winner.pattern is SignPattern.PPNN
 
+    @pytest.mark.parametrize("s, t", [(2, 1), (3, 2)])
+    def test_candidates_built_once(self, monkeypatch, s, t):
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return enumerate_n4(s, t)
+
+        monkeypatch.setattr(verify, "enumerate_n4", counted)
+        cert = certify(4, s, t, SolverConfig(starts=5, seed=1))
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert calls == [(s, t)]
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             certify(1, 2, 1, SolverConfig(starts=5))
