@@ -165,16 +165,25 @@ class WeightTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightTable":
-        if data.get("kind") == "symmetric":
+        """The table a JSON object describes; ValueError when data is not
+        an object or lacks a field its kind needs."""
+        if not isinstance(data, dict):
+            raise ValueError("a weight table must be a JSON object")
+        kind = data.get("kind")
+        needed = {"symmetric": ("n", "s", "t"), "full": ("n", "w")}.get(kind, ())
+        missing = [name for name in needed if name not in data]
+        if missing:
+            raise ValueError(f"{kind} weight table lacks {', '.join(missing)}")
+        if kind == "symmetric":
             return cls.symmetric(int(data["n"]),
                                  parse_rational(data["s"]), parse_rational(data["t"]))
-        if data.get("kind") == "full":
+        if kind == "full":
             rows = [[parse_rational(x) for x in row] for row in data["w"]]
             table = cls.full(rows)
             if table.n != int(data["n"]):
                 raise ValueError("declared n does not match table shape")
             return table
-        raise ValueError(f"unknown weight table kind {data.get('kind')!r}")
+        raise ValueError(f"unknown weight table kind {kind!r}")
 
 
 def swiss_counts() -> WeightTable:

@@ -94,6 +94,42 @@ class TestSolve:
         assert out == ""
         assert "weight w[0][1]" in err
 
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "must be a JSON object"),
+        ({"kind": "full"}, "full weight table lacks n, w"),
+        ({"kind": "full", "n": 2}, "full weight table lacks w"),
+        ({"kind": "symmetric", "n": 4, "s": 2}, "symmetric weight table lacks t"),
+        ({"kind": "symmetric", "s": 2, "t": 1}, "symmetric weight table lacks n"),
+    ], ids=["list", "full-empty", "full-no-w", "symmetric-no-t", "symmetric-no-n"])
+    def test_malformed_counts_file_exits_two(self, capsys, tmp_path, data, message):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "solve", "--counts", str(path), "--method", "em")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_em_on_a_zero_row_and_column(self, capsys, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({"n": 3, "kind": "full",
+                                    "w": [[5, 0, 2], [0, 0, 0], [2, 0, 1]]}))
+        code, out, err = run(capsys, "solve", "--method", "em", "--counts", str(path),
+                             "--starts", "3", "--seed", "1")
+        assert code == 0
+        assert err == "" and "NaN" not in out
+        # two classes fit the 2 x 2 table of the counted cells exactly
+        saturated = 5 * math.log(0.5) + 4 * math.log(0.2) + math.log(0.1)
+        assert abs(json.loads(out)["best_loglik"] - saturated) < 1e-6
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_em_golden_bytes(self, capsys, fmt):
+        # recorded from the per-start EM loop; the batched runs must match it
+        code, out, err = run(capsys, "solve", "--method", "em", "--starts", "10",
+                             "--seed", "1", "--format", fmt)
+        assert code == 0
+        assert err == ""
+        assert out.encode("utf-8") == (GOLDEN / f"solve_em.{fmt}").read_bytes()
+
     def test_non_finite_symmetric_weight_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--s", "nan", "--t", "1")
         assert code == 2
@@ -252,6 +288,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n", "4", "--s", "2", "--t", "1",
                          "--starts", "10")
         assert code == 4
+
+    def test_search_without_a_converged_start_exits_four(self, capsys):
+        # the one start's Newton run misses tol at --max-iter 100 as at the
+        # default 10000, and 100 keeps the test quick
+        code, out, err = run(capsys, "verify", "--n", "4", "--s", "1000", "--t", "1",
+                             "--starts", "1", "--seed", "3331072", "--max-iter", "100")
+        assert code == 4
+        assert err == ""
+        data = json.loads(out)
+        assert data["verdict"] == "INCONCLUSIVE"
+        assert data["multistart"] is None
+        assert data["checks"][-1] == {
+            "name": "multistart_dominance", "passed": False,
+            "detail": "search failed: no multistart run converged"}
 
     def test_lemma_f3(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "f3")

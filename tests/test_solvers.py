@@ -1,6 +1,7 @@
 """Newton iteration, multistart search, classification, and EM."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HESSIAN_EIG_TOL,
                                  newton_stationary, scaled_loglik)
 
 CFG = SolverConfig()
+UNIFORM_2 = LatentClassModel.of([0.5, 0.5], [[0.25] * 4] * 2, [[0.25] * 4] * 2)
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
 L_TARGETS = sorted([c.loglik for c in CANDS.values()] + [0.0])
 
@@ -192,6 +194,71 @@ def _reference_multistart(weights, cfg):
         a, b = report.point.arrays()
         reports.append(replace(report, loglik=_reference_loglik(a, b, s, t)))
     return reports
+
+
+def _reference_em_step(counts, lam, R, C):
+    """One EM update of one start, as the per-start loop ran it."""
+    P = np.einsum("h,hi,hj->ij", lam, R, C)
+    if (P[counts > 0] <= 0).any():
+        loglik = float("-inf")
+    else:
+        logs = np.where(counts > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
+        loglik = float((counts * logs).sum())
+    joint = lam[:, None, None] * R[:, :, None] * C[:, None, :]
+    weighted = counts[None, :, :] * joint / P[None, :, :]
+    mass = weighted.sum(axis=(1, 2))
+    new_lam = mass / counts.sum()
+    safe = np.where(mass > 0, mass, 1.0)
+    new_R = weighted.sum(axis=2) / safe[:, None]
+    new_C = weighted.sum(axis=1) / safe[:, None]
+    keep = mass == 0
+    new_R[keep] = R[keep]
+    new_C[keep] = C[keep]
+    return (new_lam, new_R, new_C), loglik
+
+
+def _reference_em(counts, r, cfg, init=None, seed=None):
+    """EM on one start, until the log-likelihood gains less than cfg.tol."""
+    table = counts.as_array()
+    if init is not None:
+        lam, R, C = init.arrays()
+    else:
+        rng = np.random.default_rng(0 if seed is None else seed)
+        lam = rng.uniform(0.1, 1.0, size=r)
+        lam /= lam.sum()
+        R = rng.uniform(0.1, 1.0, size=(r, counts.n))
+        R /= R.sum(axis=1, keepdims=True)
+        C = rng.uniform(0.1, 1.0, size=(r, counts.n))
+        C /= C.sum(axis=1, keepdims=True)
+    step, loglik = _reference_em_step(table, lam, R, C)
+    trace = [loglik]
+    iterations = 0
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
+        lam, R, C = step
+        step, loglik = _reference_em_step(table, lam, R, C)
+        trace.append(loglik)
+        if trace[-1] - trace[-2] < cfg.tol:
+            converged = True
+            break
+    nl, nR, nC = step
+    residual = max(np.abs(nl - lam).max(), np.abs(nR - R).max(), np.abs(nC - C).max())
+    return SolveReport(point=LatentClassModel.of(lam, R, C), loglik=trace[-1],
+                       residual=float(residual), iterations=iterations,
+                       classification="unclassified", converged=converged,
+                       method="em", seed=seed, trace=tuple(trace))
+
+
+def _em_bits(report):
+    """Every field of an EM SolveReport, floats as hex, the trace included."""
+    assert type(report.loglik) is float and type(report.converged) is bool
+    model = report.point
+    return (tuple(x.hex() for x in model.weights),
+            tuple(tuple(x.hex() for x in row) for row in model.row_cond),
+            tuple(tuple(x.hex() for x in row) for row in model.col_cond),
+            report.loglik.hex(), report.residual.hex(), report.iterations,
+            report.classification, report.converged, report.method, report.seed,
+            tuple(x.hex() for x in report.trace))
 
 
 class TestConfig:
@@ -446,8 +513,7 @@ class TestEM:
         assert np.allclose(matrix, 1 / 16, atol=1e-12)
 
     def test_uniform_init_is_fixed_point(self):
-        init = LatentClassModel.of([0.5, 0.5], [[0.25] * 4] * 2, [[0.25] * 4] * 2)
-        report = em_fit(swiss_counts(), 2, CFG, init=init)
+        report = em_fit(swiss_counts(), 2, CFG, init=UNIFORM_2)
         assert report.converged
         assert report.iterations == 1
         assert report.loglik == pytest.approx(40 * math.log(1 / 16), abs=1e-10)
@@ -490,3 +556,84 @@ class TestEM:
         assert report.residual < 1e-6
         data = report.to_json_dict()
         assert data["point"]["kind"] == "latent"
+
+
+def _random_counts(seed, n):
+    """An n x n table of counts 1 to 49, drawn as the bench draws its 8 x 8
+    EM table."""
+    rng = random.Random(seed)
+    return WeightTable.full([[rng.randint(1, 49) for _ in range(n)] for _ in range(n)])
+
+
+class TestBatchedEM:
+    """em_multistart runs its starts as one batch; every report must be
+    the one the per-start loop gives, bit for bit, trace included."""
+
+    def _assert_matches_loop(self, counts, r, cfg):
+        result = em_multistart(counts, r, cfg)
+        reference = [_reference_em(counts, r, cfg, seed=cfg.seed ^ k)
+                     for k in range(cfg.starts)]
+        assert [_em_bits(rep) for rep in result.reports] \
+            == [_em_bits(rep) for rep in reference]
+        assert result.best is result.reports[
+            max(range(cfg.starts), key=lambda k: reference[k].loglik)]
+        return result
+
+    @pytest.mark.parametrize("seed", [1, 2, 11])
+    def test_swiss_table(self, seed):
+        self._assert_matches_loop(swiss_counts(), 2, SolverConfig(starts=20, seed=seed))
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_bench_eight_by_eight_table(self, seed):
+        self._assert_matches_loop(_random_counts(0, 8), 3, SolverConfig(starts=3, seed=seed))
+
+    def test_starts_that_hit_max_iter(self):
+        result = self._assert_matches_loop(
+            _random_counts(0, 8), 3, SolverConfig(starts=8, seed=1, max_iter=1300))
+        stopped = [rep.converged for rep in result.reports]
+        assert any(stopped) and not all(stopped)
+        for rep in result.reports:
+            if not rep.converged:
+                assert rep.iterations == 1300 and len(rep.trace) == 1301
+
+    def test_one_class(self):
+        self._assert_matches_loop(swiss_counts(), 1, SolverConfig(starts=5, seed=3))
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (3, 4), (5, 2), (9, 3)])
+    def test_other_shapes(self, n, r):
+        self._assert_matches_loop(_random_counts(n, n), r,
+                                  SolverConfig(starts=4, seed=n, max_iter=200))
+
+    def test_em_fit_is_the_one_row_call(self):
+        for kwargs in ({"init": UNIFORM_2}, {"seed": None}, {"seed": 7}):
+            assert _em_bits(em_fit(swiss_counts(), 2, CFG, **kwargs)) \
+                == _em_bits(_reference_em(swiss_counts(), 2, CFG, **kwargs))
+
+
+class TestEMZeroCounts:
+    """An all-zero row or column of counts drives P to 0 there; EM must
+    stay finite (warnings are errors in the test suite)."""
+
+    @pytest.mark.parametrize("rows", [
+        [[5, 0, 2], [0, 0, 0], [2, 0, 1]],
+        [[5, 1, 2, 0], [1, 4, 3, 0], [2, 2, 6, 0], [0, 0, 0, 0]],
+        [[5, 0, 2], [0, 4, 3], [2, 0, 0]],
+    ], ids=["zero-row-and-column", "zero-border", "scattered-zeros"])
+    def test_fit_stays_finite(self, rows):
+        table = WeightTable.full(rows)
+        counts = table.as_array()
+        total = counts.sum()
+        saturated = math.fsum(x * math.log(x / total) for x in counts.flat if x > 0)
+        result = em_multistart(table, 2, SolverConfig(starts=3, seed=1))
+        for report in result.reports:
+            assert report.converged
+            assert math.isfinite(report.residual) and report.residual < 1e-6
+            assert np.diff(report.trace).min() >= -1e-12
+            model = report.point
+            expected = math.fsum(
+                counts[i, j] * math.log(math.fsum(
+                    model.weights[h] * model.row_cond[h][i] * model.col_cond[h][j]
+                    for h in range(model.r)))
+                for i in range(table.n) for j in range(table.n) if counts[i, j] > 0)
+            assert report.loglik == pytest.approx(expected, rel=1e-12)
+            assert report.loglik <= saturated + 1e-9

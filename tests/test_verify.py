@@ -4,6 +4,7 @@ The factorization machinery is cross-checked against sympy, which plays
 the independent-oracle role for the exact polynomial algebra.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -69,7 +70,37 @@ class TestF3:
             assert sp.Rational(str(ours)) == theirs
 
 
+def _whole_slice_scan(resolution, f):
+    """The f3_region_scan maximum and argmax from whole a1 slices, one
+    np.argmax per slice and the first strictly larger slice winning."""
+    best = None
+    for a1 in np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]:
+        a1 = float(a1)
+        grid = np.linspace(0.0, min(a1, 1.0 / (5.0 * a1)), resolution)
+        values = f(a1, grid[:, None], grid[None, :])
+        i, j = divmod(int(np.argmax(values)), resolution)
+        if best is None or values[i, j] > best[0]:
+            best = float(values[i, j]), (a1, float(grid[i]), float(grid[j]))
+    return best
+
+
 class TestRegionScan:
+    @pytest.mark.parametrize("resolution", [10, 100, 101, 250])
+    def test_row_blocks_match_whole_slices(self, resolution):
+        scan = f3_region_scan(resolution)
+        assert (scan.max_value, scan.argmax) == _whole_slice_scan(resolution, f3_eval)
+
+    def test_row_blocks_keep_the_first_maximum(self, monkeypatch):
+        # a plateau over the rows from 150 on ties across blocks and slices
+        def plateau(a1, a2, b2):
+            return np.minimum(a2 / min(a1, 1.0 / (5.0 * a1)), 150 / 249) - 1.0 + 0.0 * b2
+
+        monkeypatch.setattr(verify, "f3_eval", plateau)
+        scan = f3_region_scan(250)
+        expected = _whole_slice_scan(250, plateau)
+        assert (scan.max_value, scan.argmax) == expected
+        assert expected[1][1] > 0 and expected[1][2] == 0.0
+
     def test_coarse_scan_negative(self):
         scan = f3_region_scan(10)
         assert scan.max_value < 0
@@ -306,6 +337,30 @@ class TestCertify:
         assert cert.verdict == VERDICT_CERTIFIED
         assert cert.to_json_dict()["verdict"] == VERDICT_CERTIFIED
         assert VERDICT_CERTIFIED in cert.to_text()
+
+    def test_search_without_a_converged_start_is_inconclusive(self):
+        # no start converges at this seed; certify answers instead of raising
+        cert = certify(4, 1000, 1, SolverConfig(starts=1, seed=3331072))
+        assert cert.verdict == VERDICT_INCONCLUSIVE
+        assert cert.multistart_result is None
+        dominance = cert.checks[-1]
+        assert dominance.name == "multistart_dominance"
+        assert dominance.passed is False
+        assert dominance.detail == "search failed: no multistart run converged"
+        assert json.loads(json.dumps(cert.to_json_dict()))["multistart"] is None
+        assert "multistart: no start converged" in cert.to_text()
+
+    def test_search_failure_off_n_four(self, monkeypatch):
+        from swissfrancs.core import ConvergenceError
+
+        def fail(weights, cfg):
+            raise ConvergenceError("no multistart run converged")
+
+        monkeypatch.setattr(verify, "multistart", fail)
+        cert = certify(6, 2, 1, SolverConfig(starts=1))
+        assert cert.verdict == VERDICT_INCONCLUSIVE
+        assert cert.checks[-1].passed is False
+        assert cert.to_json_dict()["multistart"] is None
 
     def test_json_and_text_render(self):
         cert = certify(4, 2, 1, SolverConfig(starts=20, seed=1))
