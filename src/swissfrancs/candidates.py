@@ -48,10 +48,6 @@ class SignPattern(Enum):
         return "".join("+" if c > 0 else "0" if c == 0 else "-" for c in self.value)
 
 
-def _as_fraction(x: Number) -> Fraction:
-    return Fraction(x)
-
-
 def _alpha_sq(pattern: SignPattern, s: Fraction, t: Fraction) -> Fraction:
     if pattern is SignPattern.PPPN:
         return (s - t) / (3 * s + 9 * t)
@@ -153,7 +149,7 @@ def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction) -> Candidat
 
 def enumerate_n4(s: Number, t: Number) -> list:
     """All four stationary candidates at weights (s, t), 0 < t < s."""
-    s, t = _as_fraction(s), _as_fraction(t)
+    s, t = Fraction(s), Fraction(t)
     if not 0 < t < s:
         raise ValueError("candidates degenerate to the flat matrix unless 0 < t < s")
     return [_build_candidate(pattern, s, t) for pattern in SignPattern]
@@ -211,7 +207,7 @@ def block_matrix(n: int, s: Number, t: Number) -> ProbMatrix:
     """
     if n < 2:
         raise ValueError("block matrix needs n >= 2")
-    s, t = _as_fraction(s), _as_fraction(t)
+    s, t = Fraction(s), Fraction(t)
     if not 0 < t < s:
         raise ValueError("block matrix requires 0 < t < s")
     p = (n + 1) // 2
@@ -258,7 +254,7 @@ def corner_matrix(n: int, s: Number, t: Number) -> ProbMatrix:
     2s/(n^2 (s+t)) on the main diagonal and 2t/(n^2 (s+t)) off it."""
     if n < 2:
         raise ValueError("corner matrix needs n >= 2")
-    s, t = _as_fraction(s), _as_fraction(t)
+    s, t = Fraction(s), Fraction(t)
     if not 0 < s <= t:
         raise ValueError("corner matrix requires 0 < s <= t")
     base = Fraction(1, n * n)

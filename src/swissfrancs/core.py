@@ -112,6 +112,17 @@ class WeightTable:
         for name, value in named:
             if not _is_exact(value) and not math.isfinite(value):
                 raise ValueError(f"weight {name} is not finite: {value!r}")
+        if self.kind == "symmetric":
+            # the solvers take s, t and s/t as floats: one that rounds to 0
+            # or overflows makes them divide by zero or overflow
+            ratio = Fraction(self.s) / Fraction(self.t)
+            for name, value in (("s", self.s), ("t", self.t), ("ratio s/t", ratio)):
+                try:
+                    in_range = float(value) > 0
+                except OverflowError:
+                    in_range = False
+                if not in_range:
+                    raise ValueError(f"weight {name} is outside the float range")
 
     @classmethod
     def symmetric(cls, n: int, s: Number, t: Number) -> "WeightTable":

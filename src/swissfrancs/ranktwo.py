@@ -224,15 +224,10 @@ def reciprocal_residual_exact(products: Sequence[Sequence[Number]],
     """
     n = len(products)
     rho = Fraction(rho)
-    target = n + rho - 1
-    out = []
-    for i in range(n):
-        total = sum(Fraction(1, 1) / (1 + Fraction(products[i][j])) for j in range(n))
-        out.append(total + (rho - 1) / (1 + Fraction(products[i][i])) - target)
-    for j in range(n):
-        total = sum(Fraction(1, 1) / (1 + Fraction(products[i][j])) for i in range(n))
-        out.append(total + (rho - 1) / (1 + Fraction(products[j][j])) - target)
-    return out
+    recip = [[1 / (1 + Fraction(p)) for p in row] for row in products]
+    diag = [(rho - 1) * recip[i][i] - (n + rho - 1) for i in range(n)]
+    return ([sum(row) + d for row, d in zip(recip, diag)]
+            + [sum(col) + d for col, d in zip(zip(*recip), diag)])
 
 
 def canonicalize(pt: RankTwoPoint) -> RankTwoPoint:

@@ -10,7 +10,8 @@ LEMMAS is the one registry of these checks: each entry is called as
 check(s, t) and returns a CheckResult. `swissfrancs verify --lemma NAME`
 prints one entry, and certify() runs the steps named in CERTIFY_STEPS
 between its exact candidate comparison and an independent multistart
-search to reach a machine-checkable verdict.
+search to reach a machine-checkable verdict; matrix_checks tests the
+matrix it names for stationarity, margins and rank in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .candidates import (Candidate, block_matrix, block_point,
-                         candidate_lines, compare_candidates, corner_matrix,
-                         corner_point, enumerate_n4)
+from .candidates import (Candidate, block_matrix, candidate_lines,
+                         compare_candidates, corner_matrix, enumerate_n4)
 from .core import (Convention, ConvergenceError, Number, ProbMatrix,
                    WeightTable, convert_convention, log_likelihood)
 from .polys import A1, A2, B2, Poly1, Poly3, greedy_multiset_match
@@ -36,7 +36,6 @@ from .solvers import MultistartResult, SolverConfig, multistart
 
 BOUND_TOL = 1e-12
 DOMINANCE_TOL = 1e-8
-STATIONARY_TOL = 1e-10
 # rows of an a1 slice that f3_region_scan evaluates at once: at resolution
 # 400 with two workers the scan's temporaries peak at 2.8 MB in 80-row
 # blocks, against 6.1 MB for whole slices, at about the same speed
@@ -524,19 +523,37 @@ class Certificate:
         return "\n".join(lines)
 
 
-def _exact_margin_check(matrix: ProbMatrix) -> bool:
+def matrix_checks(matrix: ProbMatrix, rho: Number) -> tuple:
+    """The exact_stationarity, margins and rank checks of a SUM_NSQ matrix
+    P with rational entries at weight ratio rho, and its largest reciprocal
+    residual, all in rational arithmetic on D = P - J.
+
+    With D_ij = a_i b_j, the reciprocal residual of coordinate i is -a_i
+    times the gradient in a_i, so by itself it proves nothing where a_i = 0;
+    exact_stationarity also asks that D be symmetric, which forces b_i = 0
+    there and so that gradient, (rho - 1) b_i for zero-sum b, to 0. rank
+    asks that every 2 x 2 minor through one nonzero pivot of D vanish.
+    """
     n = matrix.n
-    rows = [sum(row) for row in matrix.entries]
-    cols = [sum(matrix.entries[i][j] for i in range(n)) for j in range(n)]
-    return all(r == n for r in rows) and all(c == n for c in cols)
-
-
-def _rank_one_deviation(matrix: ProbMatrix) -> float:
-    arr = matrix.as_array() - 1.0
-    sing = np.linalg.svd(arr, compute_uv=False)
-    if sing[0] == 0:
-        return 0.0
-    return float(sing[1] / sing[0])
+    D = [[Fraction(x) - 1 for x in row] for row in matrix.entries]
+    residual = max(reciprocal_residual_exact(D, rho), key=abs)
+    symmetric = D == [list(col) for col in zip(*D)]
+    stationary = CheckResult(
+        "exact_stationarity", symmetric and residual == 0,
+        "P - J is not symmetric" if not symmetric else
+        "reciprocal residual identically zero in rational arithmetic"
+        if residual == 0 else f"largest reciprocal residual {residual}")
+    margins = CheckResult(
+        "margins", not any(map(sum, D)) and not any(map(sum, zip(*D))),
+        "row and column sums equal n exactly")
+    # a zero D has no nonzero pivot, and every minor through (0, 0) is 0
+    p, q = next(((i, j) for i in range(n) for j in range(n) if D[i][j]), (0, 0))
+    minor = next((m for i in range(n) for j in range(n)
+                  if (m := D[i][j] * D[p][q] - D[i][q] * D[p][j])), 0)
+    rank = CheckResult("rank", minor == 0,
+                       "every 2 x 2 minor of P - J vanishes exactly" if minor == 0
+                       else f"P - J has a nonzero 2 x 2 minor {minor}")
+    return (stationary, margins, rank), residual
 
 
 def _dominance(label: str, loglik: float, ms: Optional[MultistartResult],
@@ -555,70 +572,49 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
     """Assemble the certificate for weights (s, t) on n x n matrices.
 
     For n = 4 with t < s the four candidates are enumerated and compared
-    exactly, the winner is checked for exact stationarity and margins, the
-    registry checks named in CERTIFY_STEPS run at (s, t), and an
-    independent multistart search must not beat the winner; that yields
-    CERTIFIED_CANDIDATE_MAX. A skipped step does not block that verdict.
-    All other shapes compare the conjectured block or corner matrix
-    against multistart and can reach at most SUPPORTED. When no multistart
-    start converges, multistart_dominance fails with that reason and the
-    verdict is INCONCLUSIVE.
+    exactly, the winner gets the exact_stationarity and margins checks of
+    matrix_checks, the registry checks named in CERTIFY_STEPS run at
+    (s, t), and an independent multistart search must not beat the winner;
+    that yields CERTIFIED_CANDIDATE_MAX. A skipped step does not block that
+    verdict. All other shapes take the conjectured block or corner matrix
+    through all three matrix_checks and compare it against multistart, and
+    can reach at most SUPPORTED. When no multistart start converges,
+    multistart_dominance fails with that reason and the verdict is
+    INCONCLUSIVE.
     """
     if n < 2:
         raise ValueError("certificates need n >= 2")
-    if s <= 0 or t <= 0:
-        raise ValueError("weights must be positive")
     weights = WeightTable.symmetric(n, s, t)
+    rho = Fraction(s) / Fraction(t)
     try:
         ms, failure = multistart(weights, cfg), None
     except ConvergenceError as exc:
         ms, failure = None, f"search failed: {exc}"
-    checks = []
 
     if n == 4 and t < s:
         cands = tuple(enumerate_n4(s, t))
         winner, strict, method = compare_candidates(cands)
-        checks.append(CheckResult("exact_ordering", strict, method))
-        residual = reciprocal_residual_exact(winner.products(),
-                                             Fraction(s) / Fraction(t))
-        checks.append(CheckResult(
-            "exact_stationarity", all(r == 0 for r in residual),
-            "reciprocal residual identically zero in rational arithmetic"))
-        checks.append(CheckResult("margins", _exact_margin_check(winner.matrix),
-                                  "row and column sums equal n exactly"))
-        checks.extend(LEMMAS[name](s, t, cands) for name in CERTIFY_STEPS)
-        checks.append(_dominance("winner", winner.loglik, ms, failure))
+        (stationary, margins, _), _ = matrix_checks(winner.matrix, rho)
+        checks = [CheckResult("exact_ordering", strict, method), stationary, margins,
+                  *(LEMMAS[name](s, t, cands) for name in CERTIFY_STEPS),
+                  _dominance("winner", winner.loglik, ms, failure)]
         decided = [c.passed for c in checks if c.passed is not None]
         verdict = VERDICT_CERTIFIED if all(decided) else VERDICT_INCONCLUSIVE
         return Certificate(n=n, s=s, t=t, verdict=verdict, checks=tuple(checks),
                            multistart_result=ms, candidates=cands, winner=winner)
 
-    if t < s:
-        conjecture = "block"
-        matrix = block_matrix(n, s, t)
-        point = block_point(n, s, t)
-    else:
-        conjecture = "corner"
-        matrix = corner_matrix(n, s, t)
-        point = corner_point(n, s, t)
+    conjecture = "block" if t < s else "corner"
+    matrix = (block_matrix if t < s else corner_matrix)(n, s, t)
     nsq = convert_convention(matrix, Convention.SUM_NSQ)
     loglik = log_likelihood(nsq, weights)
-    residual = float(np.abs(stationarity_residual(
-        point, float(s) / float(t))).max()) if not point.is_zero() else 0.0
-    checks.append(CheckResult("stationarity", bool(residual < STATIONARY_TOL),
-                              f"residual {residual:.3e}"))
-    checks.append(CheckResult("margins", _exact_margin_check(nsq),
-                              "row and column sums equal n exactly"))
-    deviation = _rank_one_deviation(nsq)
-    checks.append(CheckResult("rank", bool(deviation <= 1e-12),
-                              f"relative second singular value {deviation:.3e}"))
-    checks.append(_dominance("conjectured", loglik, ms, failure))
+    exact, residual = matrix_checks(nsq, rho)
+    checks = [*exact, _dominance("conjectured", loglik, ms, failure)]
     verdict = VERDICT_SUPPORTED if all(
         c.passed for c in checks if c.passed is not None) else VERDICT_INCONCLUSIVE
     return Certificate(n=n, s=s, t=t, verdict=verdict, checks=tuple(checks),
                        multistart_result=ms, conjecture=conjecture,
                        conjectured_matrix=matrix, conjectured_loglik=loglik,
-                       conjectured_residual=residual)
+                       conjectured_residual=float(residual))
 
 
 # ---------------------------------------------------------------------------

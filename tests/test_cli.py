@@ -411,6 +411,20 @@ class TestVerify:
             assert "--s and --t must be given together" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("verify --n 3 --s 1 --t 1e-400", "weight t"),
+    ("solve --n 3 --s 1 --t 1e-400", "weight t"),
+    ("verify --n 3 --s 1e400 --t 1", "weight s"),
+    ("candidates --s 1e400 --t 1", "weight s"),
+    ("verify --n 3 --s 1e300 --t 1e-300", "weight ratio s/t"),
+])
+def test_weights_outside_the_float_range_exit_two(capsys, argv, name):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} is outside the float range\n"
+
+
 class TestOutputs:
     def test_atomic_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

@@ -223,6 +223,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"weight w\[1\]\[0\]"):
             WeightTable.full([[1, 2], [float("inf"), 1]])
 
+    @pytest.mark.parametrize("s, t, name", [
+        (1, F(1, 10 ** 400), "weight t"), (F(10 ** 400), 1, "weight s"),
+        (1e300, 1e-300, "weight ratio s/t"), (1e-300, 1e300, "weight ratio s/t"),
+        (1, 5e-324, "weight ratio s/t")])
+    def test_symmetric_weights_outside_the_float_range(self, s, t, name):
+        with pytest.raises(ValueError, match=f"{name} is outside the float range"):
+            WeightTable.symmetric(3, s, t)
+
+    def test_symmetric_weights_at_the_float_range_edge(self):
+        table = WeightTable.symmetric(3, 1e300, 1e-7)
+        assert 0 < float(table.s) / float(table.t) < math.inf
+
 
 class TestJson:
     def test_weight_table_round_trip(self):

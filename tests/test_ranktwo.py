@@ -173,6 +173,26 @@ class TestResiduals:
         residual = reciprocal_residual_exact(products, F(2))
         assert all(r == 0 for r in residual)
 
+    def test_exact_reciprocal_matches_the_two_pass_formula(self):
+        # every cell divided once per row sum and once per column sum,
+        # as the residual was first written
+        def two_pass(products, rho):
+            n = len(products)
+            target = n + rho - 1
+            rows = [sum(1 / (1 + products[i][j]) for j in range(n))
+                    + (rho - 1) / (1 + products[i][i]) - target for i in range(n)]
+            cols = [sum(1 / (1 + products[i][j]) for i in range(n))
+                    + (rho - 1) / (1 + products[j][j]) - target for j in range(n)]
+            return rows + cols
+
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3, 4, 7):
+            for _ in range(20):
+                products = [[F(int(rng.integers(-90, 300)), int(rng.integers(100, 400)))
+                             for _ in range(n)] for _ in range(n)]
+                rho = F(int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+                assert reciprocal_residual_exact(products, rho) == two_pass(products, rho)
+
     def test_reciprocal_is_weighted_gradient(self):
         # componentwise, recip_i = -a_i * grad_i and recip_{n+j} = -b_j * grad_{n+j}
         rng = np.random.default_rng(17)

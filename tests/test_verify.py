@@ -7,13 +7,18 @@ the independent-oracle role for the exact polynomial algebra.
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swissfrancs.candidates import SignPattern, enumerate_n4
-from swissfrancs.ranktwo import RankTwoPoint
+from swissfrancs.candidates import (SignPattern, block_matrix, corner_matrix,
+                                    enumerate_n4)
+from swissfrancs.core import Convention, ProbMatrix, convert_convention
+from swissfrancs.ranktwo import RankTwoPoint, reciprocal_residual_exact
 from swissfrancs.solvers import SolverConfig
 from swissfrancs import verify
 from swissfrancs.verify import (LEMMAS, VERDICT_CERTIFIED,
@@ -21,10 +26,12 @@ from swissfrancs.verify import (LEMMAS, VERDICT_CERTIFIED,
                                 CheckResult, certify, check_bounds,
                                 cross_equation_poly, f1_eval, f3_eval,
                                 f3_region_scan, f_polynomial,
-                                lemma_a2_factorization, reference_f3_poly,
-                                sign_order_check, tail_pair_solve)
+                                lemma_a2_factorization, matrix_checks,
+                                reference_f3_poly, sign_order_check,
+                                tail_pair_solve)
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
 
 
@@ -301,6 +308,83 @@ class TestLemmas:
             assert result.data["lemma"] == name
 
 
+def _deviation(rows) -> ProbMatrix:
+    """The SUM_NSQ matrix J + D of a table D of rationals."""
+    return ProbMatrix.of([[1 + F(x) for x in row] for row in rows], Convention.SUM_NSQ)
+
+
+def _outcome(matrix, rho) -> dict:
+    checks, _ = matrix_checks(matrix, rho)
+    return {c.name: c.passed for c in checks}
+
+
+class TestMatrixChecks:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 16),
+           st.fractions(F(1001, 1000), 1000, max_denominator=1000),
+           st.booleans())
+    def test_conjectured_matrices_pass_exactly(self, n, ratio, block):
+        # the block matrix at s/t = ratio, or the corner matrix at 1/ratio
+        s, t = (ratio, 1) if block else (1, ratio)
+        matrix = (block_matrix if block else corner_matrix)(n, s, t)
+        checks, residual = matrix_checks(
+            convert_convention(matrix, Convention.SUM_NSQ), F(s) / F(t))
+        assert [(c.name, c.passed) for c in checks] == [
+            ("exact_stationarity", True), ("margins", True), ("rank", True)]
+        assert residual == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_flat_matrix_passes(self, n):
+        flat = convert_convention(corner_matrix(n, 3, 3), Convention.SUM_NSQ)
+        checks, residual = matrix_checks(flat, 1)
+        assert all(c.passed for c in checks) and residual == 0
+        assert checks[2].detail == "every 2 x 2 minor of P - J vanishes exactly"
+
+    def test_wrong_scale_fails_stationarity_only(self):
+        # the ++-- shape with alpha^2 = 1/10 at ratio 2, where it is 1/5
+        c = (1, 1, -1, -1)
+        matrix = _deviation([[ci * cj * F(1, 10) for cj in c] for ci in c])
+        assert _outcome(matrix, 2) == {"exact_stationarity": False,
+                                       "margins": True, "rank": True}
+        assert reciprocal_residual_exact(
+            [[F(x) - 1 for x in row] for row in matrix.entries], 2) == [F(-5, 99)] * 8
+        checks, residual = matrix_checks(matrix, 2)
+        assert residual == F(-5, 99)
+        assert checks[0].detail == "largest reciprocal residual -5/99"
+
+    def test_rank_two_deviation_fails_rank_only(self):
+        # (u u^T + v v^T) / 10 is stationary in the reciprocal form at
+        # ratio 11/9, with margins n, but has rank two
+        u, v = (1, -1, 0, 0), (0, 0, 1, -1)
+        matrix = _deviation([[F(ui * uj + vi * vj, 10) for uj, vj in zip(u, v)]
+                             for ui, vi in zip(u, v)])
+        assert _outcome(matrix, F(11, 9)) == {"exact_stationarity": True,
+                                              "margins": True, "rank": False}
+        checks, _ = matrix_checks(matrix, F(11, 9))
+        assert checks[2].detail == "P - J has a nonzero 2 x 2 minor 1/100"
+        # the same blocks behind a zero first row and column: the pivot
+        # is the first nonzero entry, not the corner
+        u, v = (0, 1, -1, 0, 0), (0, 0, 0, 1, -1)
+        padded = _deviation([[F(ui * uj + vi * vj, 10) for uj, vj in zip(u, v)]
+                             for ui, vi in zip(u, v)])
+        assert _outcome(padded, 2)["rank"] is False
+
+    def test_asymmetric_deviation_fails_stationarity_only(self):
+        # D = a b^T with a = (1, -1, 0, 0) / 10 and b = (0, 0, 1, -1):
+        # margins n and rank one, but not symmetric, which the detail names
+        # ahead of its nonzero reciprocal residual
+        a, b = (F(1, 10), F(-1, 10), 0, 0), (0, 0, 1, -1)
+        matrix = _deviation([[ai * bj for bj in b] for ai in a])
+        assert _outcome(matrix, 2) == {"exact_stationarity": False,
+                                       "margins": True, "rank": True}
+        checks, _ = matrix_checks(matrix, 2)
+        assert checks[0].detail == "P - J is not symmetric"
+
+    def test_unbalanced_margins_fail_margins(self):
+        matrix = _deviation([[F(1, 10), 0], [0, F(-1, 10)]])
+        assert _outcome(matrix, 2)["margins"] is False
+
+
 class TestCertify:
     def test_swiss_instance_certified(self):
         cert = certify(4, 2, 1, SolverConfig(starts=40, seed=1))
@@ -401,6 +485,18 @@ class TestCertify:
         cert = certify(4, s, t, SolverConfig(starts=5, seed=1))
         assert cert.verdict == VERDICT_CERTIFIED
         assert calls == [(s, t)]
+
+    @pytest.mark.parametrize("n, s, t", [(4, 2, 1), (5, 2, 1), (4, 1, 2)])
+    def test_pinned_checks_and_matrix(self, n, s, t):
+        # every check but multistart_dominance, whose floats come from
+        # lstsq and eigh and can differ in the last bits between BLAS builds
+        data = certify(n, s, t, SolverConfig(starts=5, seed=1)).to_json_dict()
+        key = "winner_sum_one" if n == 4 and t < s else "conjectured_matrix"
+        pinned = {"checks": [c for c in data["checks"]
+                             if c["name"] != "multistart_dominance"],
+                  key: data[key]}
+        golden = json.loads((GOLDEN / "certify_checks.json").read_text())
+        assert pinned == golden[f"{n},{s},{t}"]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
