@@ -31,6 +31,13 @@ from .core import (Convention, FeasibilityError, Number, ProbMatrix,
 from .ranktwo import RankTwoPoint, reciprocal_residual_exact
 
 MP_DPS = 50
+# The exact likelihood at integral weights (s, t) is a product of entry
+# powers whose exponents sum to 4 s + 12 t, and its integers grow with that
+# sum: forming the four takes 0.01 s at 1000:1 (sum 4012), 0.2 s at
+# 1001:1000 (16004), 0.3 s at 5000:1 (20012) and 1 s at 10000:1 (40012).
+# Up to this bound, which holds every t < s <= 1000, candidates carry it;
+# above it they compare by 50-digit logs.
+EXACT_EXPONENT_MAX = 20_000
 
 
 class SignPattern(Enum):
@@ -103,9 +110,9 @@ class Candidate:
             return total
 
     def likelihood_text(self) -> Optional[str]:
-        """The exact likelihood as "p/q" text, or None without integral
-        weights or when its integers pass Python's 4300-digit limit for
-        printing, as at weights 1000:1."""
+        """The exact likelihood as "p/q" text, or None without one (see
+        has_exact_likelihood) or when its integers pass Python's
+        4300-digit limit for printing, as at weights 1000:1."""
         try:
             return None if self.likelihood is None else str(self.likelihood)
         except ValueError:
@@ -140,11 +147,19 @@ def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction) -> Candidat
             f"pattern {pattern.signs} is not stationary at these weights; "
             "no candidate exists")
     weights = WeightTable.symmetric(4, s, t)
-    integral = s.denominator == 1 and t.denominator == 1
-    likelihood = exact_likelihood(matrix, weights) if integral else None
+    likelihood = (exact_likelihood(matrix, weights)
+                  if has_exact_likelihood(s, t) else None)
     loglik = log_likelihood(matrix, weights)
     return Candidate(pattern=pattern, s=s, t=t, alpha_sq=x, matrix=matrix,
                      likelihood=likelihood, loglik=loglik)
+
+
+def has_exact_likelihood(s: Number, t: Number) -> bool:
+    """Whether candidates at weights (s, t) carry their exact likelihood:
+    integral weights with 4 s + 12 t <= EXACT_EXPONENT_MAX."""
+    s, t = Fraction(s), Fraction(t)
+    return s.denominator == 1 and t.denominator == 1 \
+        and 4 * s + 12 * t <= EXACT_EXPONENT_MAX
 
 
 def enumerate_n4(s: Number, t: Number) -> list:
@@ -158,7 +173,8 @@ def enumerate_n4(s: Number, t: Number) -> list:
 def compare_candidates(candidates: Sequence[Candidate]) -> tuple:
     """(best, strict, method): the first candidate of largest likelihood,
     whether all others are strictly smaller, and the method: exact
-    rationals at integer weights, 50-digit logs otherwise."""
+    rationals when every candidate carries its likelihood (see
+    has_exact_likelihood), 50-digit logs otherwise."""
     if all(c.likelihood is not None for c in candidates):
         keys = [c.likelihood for c in candidates]
         method = "exact rational comparison"

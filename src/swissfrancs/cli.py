@@ -23,7 +23,8 @@ import tempfile
 from fractions import Fraction
 from typing import Optional
 
-from .candidates import candidate_lines, enumerate_n4, global_candidate
+from .candidates import (EXACT_EXPONENT_MAX, candidate_lines, enumerate_n4,
+                         global_candidate, has_exact_likelihood)
 from .core import (Convention, ConvergenceError, WeightTable,
                    convert_convention, load_weight_table, swiss_counts)
 from .solvers import SolverConfig, em_multistart, multistart
@@ -162,10 +163,9 @@ def cmd_candidates(args) -> int:
         raise ValueError("candidates needs --s and --t")
     if args.n != 4:
         raise ValueError("closed-form candidates exist only for n = 4")
-    if args.exact:
-        s, t = Fraction(args.s), Fraction(args.t)
-        if s.denominator != 1 or t.denominator != 1:
-            raise ValueError("--exact likelihoods need integer weights")
+    if args.exact and not has_exact_likelihood(args.s, args.t):
+        raise ValueError("--exact likelihoods need integer weights with "
+                         f"4 s + 12 t <= {EXACT_EXPONENT_MAX}")
     cands = enumerate_n4(args.s, args.t)
     winner = global_candidate(args.s, args.t, cands)
     data = {"s": str(args.s), "t": str(args.t),

@@ -9,9 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from swissfrancs.candidates import (SignPattern, block_matrix, block_point,
-                                    corner_matrix, corner_point, enumerate_n4,
-                                    global_candidate)
+from swissfrancs.candidates import (EXACT_EXPONENT_MAX, SignPattern,
+                                    block_matrix, block_point,
+                                    compare_candidates, corner_matrix,
+                                    corner_point, enumerate_n4,
+                                    global_candidate, has_exact_likelihood)
 from swissfrancs.core import Convention, convert_convention
 from swissfrancs.ranktwo import (reciprocal_residual_exact,
                                  stationarity_residual, to_matrix)
@@ -134,6 +136,20 @@ class TestGlobalCandidate:
         winner = global_candidate(F(5, 2), 1)
         assert winner.pattern is SignPattern.PPNN
         assert winner.likelihood is None
+
+    @pytest.mark.parametrize("s, t, exact", [
+        (1000, 1, True), (1001, 1000, True), (2000, 1000, True),
+        (2001, 1000, False), (100000, 1, False), (F(5, 2), 1, False)])
+    def test_exact_likelihood_bound(self, s, t, exact):
+        assert EXACT_EXPONENT_MAX == 20_000
+        assert has_exact_likelihood(s, t) is exact
+
+    def test_past_the_bound_compares_by_logs(self):
+        cands = enumerate_n4(100000, 1)
+        assert all(c.likelihood is None for c in cands)
+        winner, strict, method = compare_candidates(cands)
+        assert (winner.pattern, strict, method) == \
+            (SignPattern.PPNN, True, "50-digit log comparison")
 
     @pytest.mark.parametrize("s", [2, F(5, 2)])
     def test_tie_raises(self, s):

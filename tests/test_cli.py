@@ -235,6 +235,19 @@ class TestCandidates:
             rows = list(csv.DictReader(out.splitlines()))
             assert [r["likelihood"] for r in rows] == [""] * 4
 
+    def test_weights_past_the_exact_bound(self, capsys):
+        # 4 s + 12 t = 400012: the exact likelihood took over 20 s
+        code, out, _ = run(capsys, "candidates", "--s", "100000", "--t", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert data["winner"] == "++--"
+        assert all("loglik_30" in c and "likelihood" not in c
+                   for c in data["candidates"])
+        code, _, err = run(capsys, "candidates", "--s", "100000", "--t", "1",
+                           "--exact")
+        assert code == 2
+        assert "4 s + 12 t <= 20000" in err
+
     def test_solver_options_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["candidates", "--s", "2", "--t", "1", "--seed", "3"])

@@ -9,17 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swissfrancs import solvers
 from swissfrancs.candidates import (SignPattern, block_point, corner_point,
                                     enumerate_n4)
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
 from swissfrancs.ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, gradient,
                                  hessian, stationarity_residual)
-from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HESSIAN_EIG_TOL,
-                                 START_BOX, ZERO_POINT_TOL, LatentClassModel,
-                                 SolveReport, SolverConfig, _cluster_keys,
-                                 _labels, _random_start, classify_stationary,
+from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HANDOFF_EVERY,
+                                 HANDOFF_STEP, HESSIAN_EIG_TOL, START_BOX,
+                                 ZERO_POINT_TOL, LatentClassModel, SolveReport,
+                                 SolverConfig, _cluster_keys, _labels,
+                                 _random_start, classify_stationary,
                                  em_fit, em_multistart, multistart,
                                  newton_stationary, scaled_loglik)
+from swissfrancs.verify import certify
 
 CFG = SolverConfig()
 UNIFORM_2 = LatentClassModel.of([0.5, 0.5], [[0.25] * 4] * 2, [[0.25] * 4] * 2)
@@ -32,12 +35,7 @@ def _finite_difference_label(pt, rho, h=1e-5):
     along an orthonormal basis of the zero-sum, gauge-free tangent space."""
     a, b = pt.arrays()
     n = pt.n
-    gauge = np.concatenate([a, -b])
-    gauge /= np.linalg.norm(gauge)
-    ones_a = np.concatenate([np.ones(n), np.zeros(n)]) / math.sqrt(n)
-    ones_b = np.concatenate([np.zeros(n), np.ones(n)]) / math.sqrt(n)
-    full, _ = np.linalg.qr(np.column_stack([ones_a, ones_b, gauge, np.eye(2 * n)]))
-    basis = full[:, 3:2 * n]
+    basis = _reference_tangent_hessian(a, b, rho)[0]
     x0 = np.concatenate([a, b])
 
     def value(x):
@@ -71,23 +69,44 @@ def _bits(report):
             report.classification, report.converged, report.method, report.seed)
 
 
-def _reference_label(pt, rho):
-    """Second-order label of one stationary point: QR of the zero-sum,
-    gauge-free tangent space, then eigvalsh of the projected Hessian."""
-    a, b = pt.arrays()
-    n = pt.n
-    if max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL:
-        return "degenerate"
+def _reference_tangent_hessian(a, b, rho):
+    """Basis of the zero-sum, gauge-free tangent space at one point, by its
+    own QR, and the Hessian projected onto it."""
+    n = len(a)
     gauge = np.concatenate([a, -b])
     gauge /= np.linalg.norm(gauge)
     ones_a = np.concatenate([np.ones(n), np.zeros(n)]) / math.sqrt(n)
     ones_b = np.concatenate([np.zeros(n), np.ones(n)]) / math.sqrt(n)
     full, _ = np.linalg.qr(np.column_stack([ones_a, ones_b, gauge, np.eye(2 * n)]))
     basis = full[:, 3:2 * n]
-    top = np.linalg.eigvalsh(basis.T @ hessian(a, b, rho) @ basis).max()
+    return basis, basis.T @ hessian(a, b, rho) @ basis
+
+
+def _reference_flat(a, b):
+    return max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL
+
+
+def _reference_label(pt, rho):
+    """Second-order label of one stationary point: QR of the zero-sum,
+    gauge-free tangent space, then eigvalsh of the projected Hessian."""
+    a, b = pt.arrays()
+    if _reference_flat(a, b):
+        return "degenerate"
+    top = np.linalg.eigvalsh(_reference_tangent_hessian(a, b, rho)[1]).max()
     if top < -HESSIAN_EIG_TOL:
         return "local_max"
     return "saddle" if top > HESSIAN_EIG_TOL else "unclassified"
+
+
+def _reference_handoff(a, b, grad, rho):
+    """The hand-off rule at one point: not flat, projected Hessian
+    negative definite, projected Newton step below HANDOFF_STEP."""
+    if _reference_flat(a, b):
+        return False
+    basis, H = _reference_tangent_hessian(a, b, rho)
+    if not np.linalg.eigvalsh(H).max() < -HESSIAN_EIG_TOL:
+        return False
+    return bool(np.linalg.norm(np.linalg.solve(H, basis.T @ grad)) < HANDOFF_STEP)
 
 
 def _reference_loglik(a, b, s, t):
@@ -152,16 +171,19 @@ def _reference_newton(pt0, rho, cfg, seed):
 
 
 def _reference_ascent(pt0, rho, max_iter=500, grad_tol=1e-6):
-    """Backtracking projected gradient ascent on one start."""
+    """Backtracking projected gradient ascent on one start, handed to
+    Newton every HANDOFF_EVERY steps once _reference_handoff holds."""
     a, b = pt0.arrays()
     n = len(a)
     value = _reference_loglik(a, b, rho, 1.0)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         grad = gradient(a, b, rho)
         da = grad[:n] - grad[:n].mean()
         db = grad[n:] - grad[n:].mean()
         norm2 = da @ da + db @ db
         if math.sqrt(norm2) < grad_tol:
+            break
+        if it and it % HANDOFF_EVERY == 0 and _reference_handoff(a, b, grad, rho):
             break
         scale = 1.0
         moved = False
@@ -457,6 +479,64 @@ class TestMultistart:
         assert len(result.reports) == starts
         assert [_bits(r) for r in result.reports] == [_bits(r) for r in reference]
         assert result.n_failed == sum(not r.converged for r in reference) == 0
+
+
+class TestHandoff:
+    @pytest.mark.parametrize("n, s, t, starts", [
+        (4, 21, 20, 20), (4, 11, 10, 20), (4, 3, 2, 20), (3, 2, 1, 20),
+        (16, 2, 1, 20), (4, 100, 1, 10)])
+    def test_answers_match_the_climb_to_grad_tol(self, monkeypatch, n, s, t,
+                                                 starts):
+        # with HANDOFF_EVERY past the 500-step cap, every row climbs until
+        # its projected gradient falls below 1e-6, as before the hand-off
+        def answers(cfg):
+            cert = certify(n, s, t, cfg)
+            ms = cert.multistart_result
+            return (cert.verdict, [c.size for c in ms.clusters], ms.n_failed,
+                    ms.best.loglik)
+
+        for seed in range(1, 6):
+            cfg = SolverConfig(starts=starts, seed=seed)
+            handed = answers(cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "HANDOFF_EVERY", 10 ** 9)
+                climbed = answers(cfg)
+            assert handed[:3] == climbed[:3], seed
+            assert abs(handed[3] - climbed[3]) < 1e-9, seed
+
+    def test_flat_rows_are_never_handed_off(self):
+        # the 2:1 optimum is handed off; the origin, and a row within
+        # ZERO_POINT_TOL of it, are flat, where the gauge line is undefined
+        a, b = CANDS[SignPattern.PPNN].point().arrays()
+        tiny = 1e-9 * np.array([1.0, 1.0, -1.0, -1.0])
+        rows_a = np.array([a, np.zeros(4), tiny])
+        rows_b = np.array([b, np.zeros(4), tiny])
+        out = solvers._handoff(rows_a, rows_b, gradient(rows_a, rows_b, 2.0), 2.0)
+        assert out.tolist() == [True, False, False]
+
+    def test_every_handed_off_row_meets_the_rule(self, monkeypatch):
+        calls = []
+        handoff = solvers._handoff
+
+        def recorded(a, b, grad, rho):
+            out = handoff(a, b, grad, rho)
+            calls.append((a, b, grad, rho, out))
+            return out
+
+        monkeypatch.setattr(solvers, "_handoff", recorded)
+        for n, s, t, starts in [(3, 2, 1, 20), (16, 2, 1, 10), (4, 3, 2, 40),
+                                (4, 1, 1, 20), (4, 100, 1, 10)]:
+            multistart(WeightTable.symmetric(n, s, t),
+                       SolverConfig(starts=starts, seed=1))
+        # _reference_handoff holds exactly when both conditions do
+        handed = checked = 0
+        for a, b, grad, rho, out in calls:
+            assert out.dtype == bool and out.shape == (len(a),)
+            assert out.tolist() == [_reference_handoff(*row, rho)
+                                    for row in zip(a, b, grad)]
+            handed += out.sum()
+            checked += len(out)
+        assert 0 < handed < checked
 
 
 class TestRandomStart:

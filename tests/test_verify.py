@@ -434,6 +434,26 @@ class TestCertify:
         assert json.loads(json.dumps(cert.to_json_dict()))["multistart"] is None
         assert "multistart: no start converged" in cert.to_text()
 
+    # the weight range s/t from 1 + 1e-3 to 1e3 and its inverse; 1000:1
+    # runs at n = 5 only: at n = 2 two of the starts run Newton to its
+    # 10,000-iteration cap (5.5 s), at n = 3 one converges after 3,958
+    # iterations (2.6 s)
+    @pytest.mark.parametrize("n, s, t", [
+        (n, s, t) for n in (2, 3, 5)
+        for s, t in ((1001, 1000), (3, 2), (1, 1), (1000, 1), (1, 1000))
+        if (s, t) != (1000, 1) or n == 5])
+    def test_answers_across_the_weight_range(self, n, s, t):
+        cert = certify(n, s, t, SolverConfig(starts=3, seed=1))
+        assert cert.verdict != VERDICT_INCONCLUSIVE \
+            or any(c.passed is False for c in cert.checks)
+        json.dumps(cert.to_json_dict())
+        cert.to_text()
+
+    def test_hundred_to_one_finds_both_maxima(self):
+        cert = certify(4, 100, 1, SolverConfig(starts=10, seed=1))
+        assert cert.verdict == VERDICT_CERTIFIED
+        assert [c.size for c in cert.multistart_result.clusters] == [6, 4]
+
     def test_search_failure_off_n_four(self, monkeypatch):
         from swissfrancs.core import ConvergenceError
 
