@@ -13,7 +13,8 @@ The likelihood, its gradient and Hessian, the ascent, Newton and the
 second-order labels all take (K, n) arrays, so multistart runs its K
 starts in one pass. Each row gets the bits it would get alone: per-row
 dot products use np.vecdot, every expression keeps its order of
-operations, and least squares runs per row. EM does the same with (K, r)
+operations, and one stacked call runs np.linalg.lstsq's gelsd, with its
+rcond, on each row's system (_lstsq_rows). EM does the same with (K, r)
 mixture weights and (K, r, n) conditionals: the E step's table comes from
 one einsum over the batch, log L sums each row's n^2 cells as one axis,
 and the M step reduces over the same axes as a single start does.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import Convention, ConvergenceError, ProbMatrix, WeightTable
 from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, entry_tables, gradient,
@@ -134,12 +136,15 @@ def scaled_loglik(a: np.ndarray, b: np.ndarray, s: float, t: float):
     """
     T = entry_tables(a, b)
     ok = T.min(axis=(-2, -1)) > FEASIBILITY_MARGIN
-    out = np.full(ok.shape, -np.inf)
-    logs = T[ok]
+    logs = T if ok.all() else T[ok]
     np.log(logs, out=logs)
     # the sum runs over the n^2 entries as one axis, as a 1-D call's does
-    out[ok] = (s - t) * logs.trace(0, -2, -1) \
-        + t * logs.reshape(len(logs), T.shape[-1] ** 2).sum(axis=-1)
+    value = (s - t) * logs.trace(0, -2, -1) \
+        + t * logs.reshape(logs.shape[:-2] + (T.shape[-1] ** 2,)).sum(axis=-1)
+    if logs is T:
+        return value
+    out = np.full(ok.shape, -np.inf)
+    out[ok] = value
     return out[()]
 
 
@@ -197,11 +202,27 @@ def _line_search(trial, m: int):
     return first, value
 
 
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_rows(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(J[k], F[k], rcond=None)[0] for each row k of the
+    (K, m, p) stack J and (K, m) right sides F. The wrapper rejects stacks;
+    the gufunc under it, from the private module numpy.linalg._umath_linalg,
+    runs gelsd on each matrix, here with the wrapper's rcond, signature and
+    errstate. A per-row reference test pins its bits."""
+    rcond = np.finfo(float).eps * max(J.shape[-2:])
+    with np.errstate(all="ignore", invalid="call", call=_raise_lstsq):
+        return _umath_linalg.lstsq(J, F[..., None], rcond, signature="ddd->ddid")[0][..., 0]
+
+
 def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
     """Damped least-squares Newton on every row of the (K, n) arrays a and
     b at once. Each row runs as if alone, with its own step, line search,
     stop test and iteration count, and drops out when it stops. Returns
-    the end points, centered, and the iteration counts.
+    the end points, centered, and the iteration counts. Each iteration
+    solves all live rows' steps in one stacked gelsd call, _lstsq_rows.
     """
     if not _feasible(a, b).all():
         raise ConvergenceError("infeasible start for Newton iteration")
@@ -219,11 +240,9 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
         if not len(live):
             break
         la, lb = a[live], b[live]
-        J = _jacobian(la, lb, rho)
-        # numpy has no stacked least squares, and a normal-equations or
-        # pinv solve changes the bits and is ill-conditioned near the edge
-        step = np.array([np.linalg.lstsq(Jk, -Fk, rcond=None)[0]
-                         for Jk, Fk in zip(J, F)])
+        # gelsd on each row as np.linalg.lstsq runs it: a normal-equations
+        # or pinv solve changes the bits and is ill-conditioned near the edge
+        step = _lstsq_rows(_jacobian(la, lb, rho), -F)
         norm0 = _norm(F)
 
         def trial(rows, scales):
@@ -260,11 +279,11 @@ def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
     converged = resid < cfg.tol * (n + rho - 1)
     loglik = scaled_loglik(a, b, s, t)
     return [SolveReport(
-        point=RankTwoPoint.of(a[k], b[k]), loglik=loglik[k], residual=float(resid[k]),
+        point=RankTwoPoint.of(ra, rb), loglik=loglik[k], residual=float(resid[k]),
         iterations=int(iterations[k]),
         classification=next(labels) if stationary[k] else "unclassified",
         converged=bool(converged[k]), method="newton", seed=seed)
-        for k, seed in enumerate(seeds)]
+        for k, (seed, ra, rb) in enumerate(zip(seeds, a.tolist(), b.tolist()))]
 
 
 def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
@@ -312,24 +331,27 @@ def _projected_ascent(a: np.ndarray, b: np.ndarray, rho: float,
     would otherwise run all max_iter steps where Newton takes three or
     four. HANDOFF_EVERY = 100 checks four times within the 500-step cap,
     each check a stacked QR, eigvalsh and solve of the live rows; checking
-    every 50 steps gained no more time over the timed bench shapes.
+    every 50 steps gained no more time over the timed bench shapes. The
+    live rows stay in compact arrays, written back only when they stop.
     """
     a, b = a.copy(), b.copy()
     n = a.shape[-1]
-    value = scaled_loglik(a, b, rho, 1.0)
-    live = np.arange(len(a))
+    live, la, lb = np.arange(len(a)), a, b
+    lv = scaled_loglik(a, b, rho, 1.0)
     for it in range(max_iter):
-        grad = gradient(a[live], b[live], rho)
+        grad = gradient(la, lb, rho)
         da = grad[:, :n] - grad[:, :n].mean(axis=-1, keepdims=True)
         db = grad[:, n:] - grad[:, n:].mean(axis=-1, keepdims=True)
         norm2 = np.vecdot(da, da) + np.vecdot(db, db)
         going = ~(np.sqrt(norm2) < grad_tol)
         if it and it % HANDOFF_EVERY == 0:
-            going[going] = ~_handoff(a[live[going]], b[live[going]], grad[going], rho)
-        live, da, db, norm2 = live[going], da[going], db[going], norm2[going]
+            going[going] = ~_handoff(la[going], lb[going], grad[going], rho)
+        if not going.all():
+            a[live[~going]], b[live[~going]] = la[~going], lb[~going]
+            live, la, lb, lv, da, db, norm2 = (
+                x[going] for x in (live, la, lb, lv, da, db, norm2))
         if not len(live):
             break
-        la, lb, lv = a[live], b[live], value[live]
 
         def trial(rows, scales):
             values = scaled_loglik(la[rows, None] + scales[:, None] * da[rows, None],
@@ -337,13 +359,15 @@ def _projected_ascent(a: np.ndarray, b: np.ndarray, rho: float,
                                    rho, 1.0)
             return values >= lv[rows, None] + 1e-4 * scales * norm2[rows, None], values
 
-        first, new_value = _line_search(trial, len(live))
+        first, lv = _line_search(trial, len(live))
         moved = first >= 0
-        scales = _SCALES[first[moved], None]
-        a[live[moved]] = la[moved] + scales * da[moved]
-        b[live[moved]] = lb[moved] + scales * db[moved]
-        value[live[moved]] = new_value[moved]
-        live = live[moved]
+        if not moved.all():
+            a[live[~moved]], b[live[~moved]] = la[~moved], lb[~moved]
+            live, la, lb, lv, da, db, first = (
+                x[moved] for x in (live, la, lb, lv, da, db, first))
+        scales = _SCALES[first, None]
+        la, lb = la + scales * da, lb + scales * db
+    a[live], b[live] = la, lb
     return a - a.mean(axis=-1, keepdims=True), b - b.mean(axis=-1, keepdims=True)
 
 
@@ -422,14 +446,14 @@ def classify_stationary(pt: RankTwoPoint, rho: float) -> str:
     return _labels(a[None], b[None], rho)[0]
 
 
-def _random_start(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The rows a and b of one (2, n) draw from the box of half-width
-    START_BOX / sqrt(n), centered, so each entry moves at most 2 (n - 1) / n
-    half-widths and 1 + b a^T >= 1 - 1.44 (n - 1)^2 / n^3 >= 0.78: always
-    interior."""
+def _random_starts(n: int, rngs) -> np.ndarray:
+    """For each generator, one (2, n) draw of rows a and b from the box of
+    half-width START_BOX / sqrt(n), centered (sum / n, np.mean's bits), so
+    each entry moves at most 2 (n - 1) / n half-widths and 1 + b a^T >=
+    1 - 1.44 (n - 1)^2 / n^3 >= 0.78: always interior. Returns (K, 2, n)."""
     width = START_BOX / math.sqrt(n)
-    ab = rng.uniform(-width, width, size=(2, n))
-    return ab - ab.mean(axis=-1, keepdims=True)
+    ab = np.array([rng.uniform(-width, width, size=(2, n)) for rng in rngs])
+    return ab - ab.sum(axis=-1, keepdims=True) / n
 
 
 def _cluster_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -496,8 +520,7 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     s, t = float(pair[0]), float(pair[1])
     rho = s / t
     seeds = [cfg.seed ^ k for k in range(cfg.starts)]
-    ab = np.array([_random_start(weights.n, np.random.default_rng(seed))
-                   for seed in seeds])
+    ab = _random_starts(weights.n, [np.random.default_rng(seed) for seed in seeds])
     a, b = _projected_ascent(ab[:, 0], ab[:, 1], rho)
     a, b, iterations = _newton(a, b, rho, cfg)
     # report likelihood at the actual weights, not the t-scaled form

@@ -19,7 +19,7 @@ from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HANDOFF_EVERY,
                                  HANDOFF_STEP, HESSIAN_EIG_TOL, START_BOX,
                                  ZERO_POINT_TOL, LatentClassModel, SolveReport,
                                  SolverConfig, _cluster_keys, _labels,
-                                 _random_start, classify_stationary,
+                                 _random_starts, classify_stationary,
                                  em_fit, em_multistart, multistart,
                                  newton_stationary, scaled_loglik)
 from swissfrancs.verify import certify
@@ -172,18 +172,22 @@ def _reference_newton(pt0, rho, cfg, seed):
 
 def _reference_ascent(pt0, rho, max_iter=500, grad_tol=1e-6):
     """Backtracking projected gradient ascent on one start, handed to
-    Newton every HANDOFF_EVERY steps once _reference_handoff holds."""
+    Newton every HANDOFF_EVERY steps once _reference_handoff holds. Returns
+    the end point and why the climb stopped."""
     a, b = pt0.arrays()
     n = len(a)
     value = _reference_loglik(a, b, rho, 1.0)
+    why = "max_iter"
     for it in range(max_iter):
         grad = gradient(a, b, rho)
         da = grad[:n] - grad[:n].mean()
         db = grad[n:] - grad[n:].mean()
         norm2 = da @ da + db @ db
         if math.sqrt(norm2) < grad_tol:
+            why = "grad_tol"
             break
         if it and it % HANDOFF_EVERY == 0 and _reference_handoff(a, b, grad, rho):
+            why = "handoff"
             break
         scale = 1.0
         moved = False
@@ -196,8 +200,9 @@ def _reference_ascent(pt0, rho, max_iter=500, grad_tol=1e-6):
                 break
             scale *= 0.5
         if not moved:
+            why = "line_search"
             break
-    return RankTwoPoint.of(a - a.mean(), b - b.mean())
+    return RankTwoPoint.of(a - a.mean(), b - b.mean()), why
 
 
 def _reference_multistart(weights, cfg):
@@ -212,7 +217,7 @@ def _reference_multistart(weights, cfg):
         a = rng.uniform(-width, width, size=weights.n)
         b = rng.uniform(-width, width, size=weights.n)
         pt0 = RankTwoPoint.of(a - a.mean(), b - b.mean())
-        report = _reference_newton(_reference_ascent(pt0, rho), rho, cfg, run_seed)
+        report = _reference_newton(_reference_ascent(pt0, rho)[0], rho, cfg, run_seed)
         a, b = report.point.arrays()
         reports.append(replace(report, loglik=_reference_loglik(a, b, s, t)))
     return reports
@@ -343,6 +348,69 @@ class TestNewton:
         bad = RankTwoPoint.of([1.0, 0.5, -0.5, -1.0], [2.0, 1.0, -1.0, -2.0])
         with pytest.raises(ConvergenceError, match="infeasible"):
             newton_stationary(bad, 2.0, CFG)
+
+
+def _lstsq_hex(J, F):
+    """Each row's np.linalg.lstsq(J[k], F[k], rcond=None)[0], and the
+    stacked _lstsq_rows answer, as hex."""
+    stacked = solvers._lstsq_rows(J, F)
+    assert stacked.shape == F.shape[:-1] + (J.shape[-1],)
+    return ([[x.hex() for x in row] for row in stacked],
+            [[x.hex() for x in np.linalg.lstsq(Jk, Fk, rcond=None)[0]]
+             for Jk, Fk in zip(J, F)])
+
+
+class TestLstsqRows:
+    BENCH_SHAPES = [(4, 2, 1, 10), (4, 3, 2, 10), (6, 1, 2, 5), (3, 2, 1, 5),
+                    (5, 2, 1, 5), (16, 2, 1, 3), (4, 1, 1, 5), (4, 100, 1, 3),
+                    (4, 1000, 1, 1)]
+
+    def test_newton_systems_of_the_bench_shapes(self, monkeypatch):
+        # every stack Newton solves on the bench shapes, row by row
+        calls = []
+        lstsq_rows = solvers._lstsq_rows
+
+        def recorded(J, F):
+            calls.append((J, F))
+            return lstsq_rows(J, F)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_lstsq_rows", recorded)
+            for n, s, t, starts in self.BENCH_SHAPES:
+                before = len(calls)
+                multistart(WeightTable.symmetric(n, s, t),
+                           SolverConfig(starts=starts, seed=1))
+                assert len(calls) > before
+        for J, F in calls:
+            stacked, per_row = _lstsq_hex(J, F)
+            assert stacked == per_row
+
+    def test_rank_deficient_row_near_the_flat_family(self):
+        # at rho = 1 and b near 0 the Jacobian has rank 2n - 2, so gelsd
+        # cuts singular values at rcond; the other rows are regular
+        a = np.array([[0.3, 0.1, -0.1, -0.3], [0.4, -0.1, 0.2, -0.5]])
+        b = np.array([1e-9 * np.array([1.0, -1.0, -1.0, 1.0]), [0.2, 0.3, -0.1, -0.4]])
+        J, F = solvers._jacobian(a, b, 1.0), -solvers._system(a, b, 1.0)
+        assert [np.linalg.matrix_rank(Jk) for Jk in J] == [6, 8]
+        stacked, per_row = _lstsq_hex(J, F)
+        assert stacked == per_row
+
+    def test_one_row_stack(self):
+        a, b = CANDS[SignPattern.PPNN].point().arrays()
+        a, b = a[None] + 1e-3, b[None]
+        a -= a.mean()
+        J, F = solvers._jacobian(a, b, 2.0), -solvers._system(a, b, 2.0)
+        stacked, per_row = _lstsq_hex(J, F)
+        assert len(stacked) == 1 and stacked == per_row
+
+    def test_nan_raises_as_lstsq_does(self):
+        J = np.random.default_rng(0).normal(size=(3, 11, 8))
+        F = np.ones((3, 11))
+        J[1, 2, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.lstsq(J[1], F[1], rcond=None)
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers._lstsq_rows(J, F)
 
 
 class TestClassify:
@@ -539,12 +607,33 @@ class TestHandoff:
         assert 0 < handed < checked
 
 
+class TestAscentWriteBack:
+    def test_rows_stopping_for_each_reason_match_the_reference(self):
+        # at n = 3 and 1000:1 with a cap of 150 steps, the first eight
+        # starts stop for all four reasons, each after moving: a line
+        # search that exhausts its 40 halvings, the cap, a hand-off at
+        # step 100 and the gradient tolerance; stopped rows sit between
+        # live ones, so each write-back must reach the right row
+        rho, cap = 1000.0, 150
+        ab = _random_starts(3, [np.random.default_rng(k) for k in range(8)])
+        a, b = solvers._projected_ascent(ab[:, 0], ab[:, 1], rho, max_iter=cap)
+        reference = [_reference_ascent(RankTwoPoint.of(*row), rho, max_iter=cap)
+                     for row in ab]
+        assert [why for _, why in reference] == [
+            "line_search", "line_search", "max_iter", "line_search", "max_iter",
+            "line_search", "handoff", "grad_tol"]
+        assert not any(np.array_equal(pt.a, start)
+                       for (pt, _), start in zip(reference, ab[:, 0]))
+        assert [[x.hex() for x in (*ra, *rb)] for ra, rb in zip(a, b)] == \
+            [[x.hex() for x in (*pt.a, *pt.b)] for pt, _ in reference]
+
+
 class TestRandomStart:
     @settings(deadline=None)
     @given(st.integers(2, 16), st.integers(0, 2 ** 63 - 1))
     def test_one_draw_is_interior(self, n, seed):
         rng = np.random.default_rng(seed)
-        start = _random_start(n, rng)
+        start = _random_starts(n, [rng])[0]
         assert start.shape == (2, n)
         a, b = start
         assert abs(a.sum()) < 1e-12 and abs(b.sum()) < 1e-12

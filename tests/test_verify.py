@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swissfrancs.candidates import (SignPattern, block_matrix, corner_matrix,
@@ -448,6 +448,22 @@ class TestCertify:
             or any(c.passed is False for c in cert.checks)
         json.dumps(cert.to_json_dict())
         cert.to_text()
+
+    # a derandomized sweep: n from 2 to 8 and s/t from 1 + 1e-3 to 100 at
+    # 3 starts, plus (4, 100, 1) at 10 starts and s = t; 1000:1 stays
+    # out, where Newton at n = 2 and 3 runs to its iteration cap for
+    # seconds
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(2, 8),
+           st.fractions(Fraction(1001, 1000), 100, max_denominator=1000),
+           st.just(3))
+    @example(4, Fraction(100), 10)
+    @example(4, Fraction(1), 3)
+    def test_sweep_answers_or_names_its_reason(self, n, ratio, starts):
+        cert = certify(n, ratio.numerator, ratio.denominator,
+                       SolverConfig(starts=starts, seed=1))
+        if cert.verdict == VERDICT_INCONCLUSIVE:
+            assert any(c.passed is False and c.detail for c in cert.checks)
 
     def test_hundred_to_one_finds_both_maxima(self):
         cert = certify(4, 100, 1, SolverConfig(starts=10, seed=1))
