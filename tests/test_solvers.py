@@ -98,15 +98,25 @@ def _reference_label(pt, rho):
     return "saddle" if top > HESSIAN_EIG_TOL else "unclassified"
 
 
+def _reference_step(a, b, grad, rho):
+    """The projected Newton step -B H^+ B^T g at one point, H^+ from eigh
+    without the eigenvalues of modulus at most eps (2n - 3) times the
+    largest, and the eigenvalues of H."""
+    basis, H = _reference_tangent_hessian(a, b, rho)
+    w, V = np.linalg.eigh(H)
+    cut = np.finfo(float).eps * len(w) * np.abs(w).max()
+    coef = V.T @ (basis.T @ grad)
+    coef = np.array([c / x if abs(x) > cut else 0.0 for c, x in zip(coef, w)])
+    return -(basis @ (V @ coef)), w
+
+
 def _reference_handoff(a, b, grad, rho):
     """The hand-off rule at one point: not flat, projected Hessian
     negative definite, projected Newton step below HANDOFF_STEP."""
     if _reference_flat(a, b):
         return False
-    basis, H = _reference_tangent_hessian(a, b, rho)
-    if not np.linalg.eigvalsh(H).max() < -HESSIAN_EIG_TOL:
-        return False
-    return bool(np.linalg.norm(np.linalg.solve(H, basis.T @ grad)) < HANDOFF_STEP)
+    step, w = _reference_step(a, b, grad, rho)
+    return bool(w.max() < -HESSIAN_EIG_TOL and np.linalg.norm(step) < HANDOFF_STEP)
 
 
 def _reference_loglik(a, b, s, t):
@@ -117,46 +127,43 @@ def _reference_loglik(a, b, s, t):
     return (s - t) * np.trace(logs) + t * logs.sum()
 
 
-def _reference_system(a, b, rho):
-    return np.concatenate([gradient(a, b, rho),
-                           [a.sum(), b.sum(), 0.5 * (a @ a - b @ b)]])
-
-
 def _reference_feasible(a, b):
     return (1.0 + np.outer(b, a)).min() > FEASIBILITY_MARGIN
 
 
+def _reference_balanced(a, b):
+    if np.linalg.norm(a) > 0 and np.linalg.norm(b) > 0:
+        c = math.sqrt(np.linalg.norm(b) / np.linalg.norm(a))
+        return a * c, b / c
+    return a, b
+
+
 def _reference_newton(pt0, rho, cfg, seed):
-    """Damped least-squares Newton on one start, one trial scale at a time."""
-    a, b = pt0.arrays()
+    """Damped Newton on the tangent space on one start, one trial scale at
+    a time, balanced to |a| = |b| before and after."""
+    a, b = _reference_balanced(*pt0.arrays())
     n = len(a)
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        F = _reference_system(a, b, rho)
-        if np.abs(F[:-1]).max() < cfg.tol:
+        grad = gradient(a, b, rho)
+        if np.abs(grad).max() < cfg.tol:
             break
-        rows = np.zeros((3, 2 * n))
-        rows[0, :n] = 1.0
-        rows[1, n:] = 1.0
-        rows[2, :n] = a
-        rows[2, n:] = -b
-        J = np.vstack([hessian(a, b, rho), rows])
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        norm0 = np.linalg.norm(F)
+        step = _reference_step(a, b, grad, rho)[0]
+        norm0 = np.linalg.norm(grad)
         scale = 1.0
         improved = False
         for _ in range(40):
             na = a + scale * step[:n]
             nb = b + scale * step[n:]
-            if _reference_feasible(na, nb):
-                if np.linalg.norm(_reference_system(na, nb, rho)) \
-                        < norm0 * (1.0 - 1e-4 * scale):
-                    a, b = na, nb
-                    improved = True
-                    break
+            if _reference_feasible(na, nb) and np.linalg.norm(gradient(na, nb, rho)) \
+                    < norm0 * (1.0 - 1e-4 * scale):
+                a, b = na, nb
+                improved = True
+                break
             scale *= 0.5
         if not improved:
             break
+    a, b = _reference_balanced(a, b)
     a = a - a.mean()
     b = b - b.mean()
     pt = RankTwoPoint.of(a, b)
@@ -350,67 +357,59 @@ class TestNewton:
             newton_stationary(bad, 2.0, CFG)
 
 
-def _lstsq_hex(J, F):
-    """Each row's np.linalg.lstsq(J[k], F[k], rcond=None)[0], and the
-    stacked _lstsq_rows answer, as hex."""
-    stacked = solvers._lstsq_rows(J, F)
-    assert stacked.shape == F.shape[:-1] + (J.shape[-1],)
-    return ([[x.hex() for x in row] for row in stacked],
-            [[x.hex() for x in np.linalg.lstsq(Jk, Fk, rcond=None)[0]]
-             for Jk, Fk in zip(J, F)])
+def _hex_rows(a, b):
+    return [[x.hex() for x in (*ra, *rb)] for ra, rb in zip(a, b)]
 
 
-class TestLstsqRows:
-    BENCH_SHAPES = [(4, 2, 1, 10), (4, 3, 2, 10), (6, 1, 2, 5), (3, 2, 1, 5),
-                    (5, 2, 1, 5), (16, 2, 1, 3), (4, 1, 1, 5), (4, 100, 1, 3),
-                    (4, 1000, 1, 1)]
-
-    def test_newton_systems_of_the_bench_shapes(self, monkeypatch):
-        # every stack Newton solves on the bench shapes, row by row
-        calls = []
-        lstsq_rows = solvers._lstsq_rows
-
-        def recorded(J, F):
-            calls.append((J, F))
-            return lstsq_rows(J, F)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_lstsq_rows", recorded)
-            for n, s, t, starts in self.BENCH_SHAPES:
-                before = len(calls)
-                multistart(WeightTable.symmetric(n, s, t),
-                           SolverConfig(starts=starts, seed=1))
-                assert len(calls) > before
-        for J, F in calls:
-            stacked, per_row = _lstsq_hex(J, F)
-            assert stacked == per_row
-
+class TestTangentStep:
     def test_rank_deficient_row_near_the_flat_family(self):
-        # at rho = 1 and b near 0 the Jacobian has rank 2n - 2, so gelsd
-        # cuts singular values at rcond; the other rows are regular
+        # at rho = 1 and b near 0 two eigenvalues of the first row's
+        # projected Hessian vanish up to rounding, along the flat family;
+        # the pseudo-inverse drops them, and both rows converge with the
+        # bits of the one-row reference
         a = np.array([[0.3, 0.1, -0.1, -0.3], [0.4, -0.1, 0.2, -0.5]])
         b = np.array([1e-9 * np.array([1.0, -1.0, -1.0, 1.0]), [0.2, 0.3, -0.1, -0.4]])
-        J, F = solvers._jacobian(a, b, 1.0), -solvers._system(a, b, 1.0)
-        assert [np.linalg.matrix_rank(Jk) for Jk in J] == [6, 8]
-        stacked, per_row = _lstsq_hex(J, F)
-        assert stacked == per_row
+        eig = np.linalg.eigvalsh(solvers._tangent_hessian(a, b, 1.0)[1])
+        assert (np.abs(eig) <= HESSIAN_EIG_TOL).sum(axis=-1).tolist() == [2, 0]
+        ra, rb, iterations = solvers._newton(a, b, 1.0, CFG)
+        assert (np.abs(gradient(ra, rb, 1.0)).max(axis=-1) < CFG.tol).all()
+        reference = [_reference_newton(RankTwoPoint.of(*row), 1.0, CFG, None)
+                     for row in zip(a, b)]
+        assert iterations.tolist() == [r.iterations for r in reference]
+        assert _hex_rows(ra, rb) == _hex_rows(*zip(*(r.point.arrays() for r in reference)))
 
-    def test_one_row_stack(self):
-        a, b = CANDS[SignPattern.PPNN].point().arrays()
-        a, b = a[None] + 1e-3, b[None]
-        a -= a.mean()
-        J, F = solvers._jacobian(a, b, 2.0), -solvers._system(a, b, 2.0)
-        stacked, per_row = _lstsq_hex(J, F)
-        assert len(stacked) == 1 and stacked == per_row
+    def test_singular_row_leaves_the_other_rows_alone(self, monkeypatch):
+        # a zero first row and column make the projected Hessian of every
+        # row with a_1 < 0 exactly singular, where np.linalg.solve raises;
+        # the other rows keep their bits and nothing raises, in Newton or
+        # in a multistart that climbs, hands off and labels under the patch
+        rng = np.random.default_rng(5)
+        noise = rng.normal(scale=1e-3, size=(3, 4))
+        noise -= noise.mean(axis=-1, keepdims=True)
+        a0, b0 = CANDS[SignPattern.PPNN].point().arrays()
+        a = (a0 + noise) * np.array([[1.0], [-1.0], [1.0]])
+        b = (b0 + noise[::-1]) * np.array([[1.0], [-1.0], [1.0]])
+        plain = solvers._newton(a, b, 2.0, CFG)
+        singular = []
+        tangent_hessian = solvers._tangent_hessian
 
-    def test_nan_raises_as_lstsq_does(self):
-        J = np.random.default_rng(0).normal(size=(3, 11, 8))
-        F = np.ones((3, 11))
-        J[1, 2, 3] = np.nan
+        def patched(a, b, rho):
+            basis, H = tangent_hessian(a, b, rho)
+            rows = a[:, 0] < 0
+            H[rows, 0, :] = H[rows, :, 0] = 0.0
+            singular.extend(H[rows])
+            return basis, H
+
+        monkeypatch.setattr(solvers, "_tangent_hessian", patched)
+        ra, rb, iterations = solvers._newton(a, b, 2.0, CFG)
+        assert singular
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.lstsq(J[1], F[1], rcond=None)
-        with pytest.raises(np.linalg.LinAlgError):
-            solvers._lstsq_rows(J, F)
+            np.linalg.solve(singular[0], np.ones(len(singular[0])))
+        keep = [0, 2]
+        assert _hex_rows(ra[keep], rb[keep]) == _hex_rows(plain[0][keep], plain[1][keep])
+        assert iterations[keep].tolist() == plain[2][keep].tolist()
+        assert np.isfinite(ra[1]).all() and np.isfinite(rb[1]).all()
+        multistart(WeightTable.symmetric(4, 2, 1), SolverConfig(starts=20, seed=1))
 
 
 class TestClassify:
