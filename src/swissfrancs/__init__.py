@@ -1,14 +1,12 @@
 """swissfrancs: exact candidate enumeration, numerical solvers and a
 verification suite for the 100 Swiss Francs matrix-likelihood problem."""
 
-from .core import (BigRational, Convention, ConvergenceError,
-                   FeasibilityError, ProbMatrix, RankTwoError, WeightTable,
-                   convert_convention, exact_likelihood, log_likelihood,
-                   swiss_counts)
-from .ranktwo import (RankTwoPoint, canonicalize, from_matrix,
-                      normalize_margins, reciprocal_residual,
+from .core import (Convention, ConvergenceError, FeasibilityError,
+                   ProbMatrix, RankTwoError, WeightTable, convert_convention,
+                   exact_likelihood, log_likelihood, swiss_counts)
+from .ranktwo import (RankTwoPoint, canonicalize, normalize_margins,
                       reciprocal_residual_exact, stationarity_residual,
-                      swap_delta, to_matrix)
+                      to_matrix)
 from .solvers import (LatentClassModel, MultistartResult, SolveReport,
                       SolverConfig, classify_stationary, em_fit,
                       em_multistart, multistart, newton_stationary)

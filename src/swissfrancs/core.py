@@ -26,9 +26,6 @@ import numpy as np
 
 Number = Union[int, float, Fraction]
 
-# arbitrary-precision rationals in canonical reduced form, denominator > 0
-BigRational = Fraction
-
 SUM_ONE_TOL = 1e-12
 SUM_NSQ_TOL = 1e-9
 

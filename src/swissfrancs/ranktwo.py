@@ -10,7 +10,9 @@ The first-order conditions of the weighted log-likelihood, with weight
 ratio rho = s / t, come in two equivalent shapes: the plain gradient form
 and the reciprocal form in which every row sums to n + rho - 1. The
 reciprocal form is a polynomial identity in the pairwise products
-a_i * b_j, which is what enables exact rational verification elsewhere.
+a_i * b_j, so it is computed only exactly: reciprocal_residual_exact
+evaluates it from the rational product table, for certify's exact
+stationarity check.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Convention, ConvergenceError, FeasibilityError, Number,
-                   ProbMatrix, RankTwoError, WeightTable)
+                   ProbMatrix, RankTwoError)
 
 ZERO_SUM_TOL = 1e-12
 FEASIBILITY_MARGIN = 1e-14
-MARGIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,45 +97,6 @@ def to_matrix(pt: RankTwoPoint) -> ProbMatrix:
     return ProbMatrix.of(table.tolist(), Convention.SUM_NSQ)
 
 
-def from_matrix(P: ProbMatrix) -> RankTwoPoint:
-    """Recover (a, b) from a positive SUM_NSQ matrix with margins n and
-    rank(P - J) <= 1.
-
-    The result reproduces P entrywise through to_matrix, so the gauge is
-    fixed without reordering coordinates: the two vectors are balanced in
-    norm and the sign pair is chosen so the largest coordinate of a is
-    positive. Apply canonicalize on top for the sorted canonical form.
-    """
-    if P.convention is not Convention.SUM_NSQ:
-        raise ValueError("from_matrix expects the SUM_NSQ convention")
-    arr = P.as_array()
-    n = P.n
-    if arr.min() <= 0:
-        raise FeasibilityError("matrix must be strictly positive")
-    rows = arr.sum(axis=1)
-    cols = arr.sum(axis=0)
-    if max(np.abs(rows - n).max(), np.abs(cols - n).max()) > MARGIN_TOL:
-        raise RankTwoError("row and column sums must all equal n")
-    D = arr - 1.0
-    u, sing, vt = np.linalg.svd(D)
-    if sing[0] <= 1e-13 * n:
-        return RankTwoPoint.of([0.0] * n, [0.0] * n)
-    if sing[1] > 1e-8 * sing[0]:
-        raise RankTwoError(
-            f"not rank-two representable: second singular value {sing[1]:.3e} "
-            f"exceeds 1e-8 of the first ({sing[0]:.3e})")
-    b = u[:, 0] * sing[0]
-    a = vt[0, :]
-    a = a - a.mean()
-    b = b - b.mean()
-    scale = math.sqrt(np.linalg.norm(b) / np.linalg.norm(a))
-    a, b = a * scale, b / scale
-    head = int(np.argmax(np.abs(a)))
-    if a[head] < 0:
-        a, b = -a, -b
-    return RankTwoPoint.of(a, b)
-
-
 def entry_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The tables T[..., i, j] = 1 + b_i a_j of (..., n) arrays a and b,
     formed in place, so a batch holds one (..., n, n) array."""
@@ -194,26 +156,6 @@ def stationarity_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
     return gradient(*pt.arrays(), rho)
 
 
-def reciprocal_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
-    """Reciprocal form of the first-order conditions.
-
-    Component i is sum_j 1/(1 + a_i b_j) + (rho - 1)/(1 + a_i b_i) minus
-    the stationary value n + rho - 1; columns follow symmetrically. The
-    identity recip_i = -a_i * grad_i ties it to stationarity_residual.
-    """
-    if rho <= 0:
-        raise ValueError("weight ratio must be positive")
-    _require_feasible(pt)
-    a, b = pt.arrays()
-    n = pt.n
-    T = entry_tables(a, b)
-    diag = np.diag(T)
-    target = n + rho - 1.0
-    rows = (1.0 / T).sum(axis=0) + (rho - 1.0) / diag - target
-    cols = (1.0 / T).sum(axis=1) + (rho - 1.0) / diag - target
-    return np.concatenate([rows, cols])
-
-
 def reciprocal_residual_exact(products: Sequence[Sequence[Number]],
                               rho: Number) -> list:
     """Exact reciprocal residual from the rational product table.
@@ -262,39 +204,6 @@ def canonicalize(pt: RankTwoPoint) -> RankTwoPoint:
     a = a - a.sum() / pt.n
     b = b - b.sum() / pt.n
     return RankTwoPoint.of(a, b)
-
-
-def swap_delta(pt: RankTwoPoint, i: int, j: int, W: WeightTable) -> float:
-    """Likelihood change L(P) - L(P_swapped) when b_i and b_j trade places.
-
-    Only the four entries at rows/columns i and j change their exponent
-    role, so the difference factors through them; the sign matches
-    sign((a_i - a_j)(b_i - b_j)) whenever s > t.
-    """
-    pair = W.symmetric_pair()
-    if pair is None:
-        raise ValueError("swap_delta requires symmetric weights")
-    s, t = float(pair[0]), float(pair[1])
-    _require_feasible(pt)
-    if i == j:
-        return 0.0
-    a, b = pt.arrays()
-    T = entry_tables(a, b)
-    n = pt.n
-    # product over cells unaffected by the swap, at their weights
-    log_rest = 0.0
-    for r in range(n):
-        for c in range(n):
-            if r in (i, j) and c in (i, j):
-                continue
-            w = s if r == c else t
-            log_rest += w * math.log(T[r, c])
-    AB = T[i, i] * T[j, j]
-    CD = T[i, j] * T[j, i]
-    if min(T[i, i], T[j, j], T[i, j], T[j, i]) <= 0:
-        raise FeasibilityError("swap produced a nonpositive entry")
-    bracket = AB ** s * CD ** t - CD ** s * AB ** t
-    return math.exp(log_rest) * bracket
 
 
 def normalize_margins(P: ProbMatrix) -> ProbMatrix:

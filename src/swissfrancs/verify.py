@@ -401,9 +401,7 @@ class ScanResult:
                 "below_reference_bound": self.below_reference_bound}
 
 
-def worker_count(explicit: Optional[int] = None) -> int:
-    if explicit is not None and explicit > 0:
-        return explicit
+def worker_count() -> int:
     env = os.environ.get("RANKTWO_THREADS")
     if env:
         try:
@@ -415,11 +413,12 @@ def worker_count(explicit: Optional[int] = None) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult:
+def f3_region_scan(resolution: int) -> ScanResult:
     """Grid scan of the 17-term cofactor over the bounded feasible box
     {0 < a1 <= 1/sqrt(2), 0 <= a2, b2 <= min(a1, 1/(5 a1))}.
 
-    The a1 slices are partitioned across worker threads, and each slice
+    The a1 slices are partitioned across worker_count() threads (the
+    RANKTWO_THREADS environment variable, else up to 8), and each slice
     is evaluated SCAN_BLOCK rows at a time; the reduction is a
     deterministic maximum with ties resolved toward the lexicographically
     first grid index. The maximum must come out negative.
@@ -428,7 +427,7 @@ def f3_region_scan(resolution: int, threads: Optional[int] = None) -> ScanResult
         raise ValueError("resolution must be at least 10")
     a1_values = [float(a1) for a1 in
                  np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]]
-    workers = worker_count(threads)
+    workers = worker_count()
 
     def slice_max(a1: float):
         grid = np.linspace(0.0, min(a1, 1.0 / (5.0 * a1)), resolution)

@@ -1,0 +1,36 @@
+"""Every public function and class of the package has a caller."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "swissfrancs"
+
+# public names that only tests may use, each with the reason it stays
+TEST_FIXTURES = {
+    "block_point",   # float reference for the exact block candidate
+    "corner_point",  # float reference for the exact corner candidate
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a re-export from __init__ is not a use; tests count only through the
+    # acceptance suite, which stands for the library's users
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    users = modules + sorted((ROOT / "bench").glob("*.py")) \
+        + [ROOT / "tests" / "test_acceptance.py"]
+    texts = {path: path.read_text() for path in users}
+    unused = []
+    for path in modules:
+        lines = texts[path].splitlines()
+        elsewhere = [text for other, text in texts.items() if other != path]
+        for node in ast.parse(texts[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_") or node.name in TEST_FIXTURES:
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(text) for text in elsewhere + [rest]):
+                unused.append(f"{path.name}:{node.name}")
+    assert not unused, f"public names with no caller: {unused}"

@@ -131,9 +131,12 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             f3_region_scan(5)
 
-    def test_thread_override(self):
-        one = f3_region_scan(12, threads=1)
-        four = f3_region_scan(12, threads=4)
+    def test_thread_override(self, monkeypatch):
+        monkeypatch.setenv("RANKTWO_THREADS", "1")
+        one = f3_region_scan(12)
+        monkeypatch.setenv("RANKTWO_THREADS", "4")
+        four = f3_region_scan(12)
+        assert (one.threads, four.threads) == (1, 4)
         assert one.max_value == four.max_value
         assert one.argmax == four.argmax
 
