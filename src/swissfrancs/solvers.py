@@ -17,7 +17,10 @@ each row's LAPACK and BLAS calls as a 2-D call would. EM does the same
 with (K, r) mixture weights and (K, r, n) conditionals: the E step's
 table comes from one einsum over the batch, log L sums each row's n^2
 cells as one axis, and the M step reduces over the same axes as a
-single start does.
+single start does. EM is accelerated by SQUAREM (Varadhan and Roland,
+"Simple and globally convergent methods for accelerating the
+convergence of any EM algorithm", Scand. J. Stat. 35, 2008), each row
+with its own step length and backtracking.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ HESSIAN_EIG_TOL = 1e-7
 ZERO_POINT_TOL = 1e-8
 HANDOFF_EVERY = 100
 HANDOFF_STEP = 1e-2
+# SQUAREM step lengths a cycle tries before it falls back to two plain EM
+# steps. On the bench's 8x8 table (4 seeds) 2 to 10 trials took 32k-35k
+# EM-map evaluations, and 1 trial took 113k.
+SQUAREM_TRIALS = 4
 
 
 @dataclass(frozen=True)
@@ -584,13 +591,83 @@ def _em_step(counts: np.ndarray, counted: np.ndarray, lam, R, C):
     return (new_lam, new_R, new_C), loglik
 
 
+def _rows_like(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """alpha, one value per row, shaped to broadcast against x's rows."""
+    return alpha.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def _em_rows(parts) -> np.ndarray:
+    """The (K, r + 2 r n) rows of (lam, R, C)-shaped parts, each row's
+    entries as one flat vector."""
+    return np.concatenate([x.reshape(len(x), -1) for x in parts], axis=1)
+
+
+def _squarem_cycle(counts: np.ndarray, counted: np.ndarray, theta0: tuple,
+                   theta1: tuple, loglik0: np.ndarray):
+    """One SQUAREM cycle of every row, from theta0 = (lam, R, C) with
+    theta1 = F(theta0) and log L loglik0, F being _em_step. Returns the
+    stabilized point F(theta'), its own step F(F(theta')) and its log L.
+
+    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, where
+    theta2 = F(theta1), the trial is theta' = theta0 - 2 alpha r +
+    alpha^2 v, alpha = -|r|/|v| capped at -1. A trial with an entry below
+    zero, or whose log L falls below loglik0, moves alpha halfway to -1;
+    after SQUAREM_TRIALS trials, or once alpha is -1, the trial is theta2
+    itself, two plain EM steps from theta0. Each row has its own alpha
+    and its own trials."""
+    theta2, _ = _em_step(counts, counted, *theta1)
+    r = tuple(b - a for a, b in zip(theta0, theta1))
+    v = tuple(c - 2 * b + a for a, b, c in zip(theta0, theta1, theta2))
+    nr, nv = _norm(_em_rows(r)), _norm(_em_rows(v))
+    alpha = -np.maximum(np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0), 1.0)
+    nxt = tuple(np.empty_like(x) for x in theta0)
+    fallback = np.ones(len(alpha), dtype=bool)
+    todo = np.flatnonzero(alpha < -1)
+    for _ in range(SQUAREM_TRIALS):
+        if not len(todo):
+            break
+        a = alpha[todo]
+        # a huge alpha may overflow; such a trial is not finite and fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = tuple(x[todo] - 2 * _rows_like(a, x) * dr[todo]
+                          + _rows_like(a * a, x) * dv[todo]
+                          for x, dr, dv in zip(theta0, r, v))
+        entries = _em_rows(trial)
+        ok = ((entries >= 0) & (entries < np.inf)).all(axis=1)
+        if ok.any():
+            step, loglik = _em_step(counts, counted, *(x[ok] for x in trial))
+            good = loglik >= loglik0[todo[ok]]
+            rows = todo[ok][good]
+            for out, x in zip(nxt, step):
+                out[rows] = x[good]
+            fallback[rows] = False
+            ok[ok] = good  # ok now marks the accepted trials
+        todo = todo[~ok]
+        alpha[todo] = (alpha[todo] - 1) / 2
+        todo = todo[alpha[todo] < -1]
+    if fallback.any():
+        step, _ = _em_step(counts, counted, *(x[fallback] for x in theta2))
+        for out, x in zip(nxt, step):
+            out[fallback] = x
+    return (nxt, *_em_step(counts, counted, *nxt))
+
+
 def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
         init: Optional[LatentClassModel] = None) -> list:
-    """EM on one start per seed at once, each row of the (K, r) and
-    (K, r, n) arrays running as if alone: its own stop test, iteration
-    count, trace and residual, and it drops out of the live rows when it
-    stops. A seed of None draws from seed 0; init, if given, is the one
-    start instead of a draw. Returns one SolveReport per start."""
+    """SQUAREM-accelerated EM on one start per seed at once, each row of
+    the (K, r) and (K, r, n) arrays running as if alone: its own step
+    length, trials, stop test, iteration count, trace and residual, and
+    it drops out of the live rows when it stops. A seed of None draws
+    from seed 0; init, if given, is the one start instead of a draw.
+
+    One iteration is one _squarem_cycle, and the trace holds log L at the
+    start and after each cycle. A row stops when a cycle gains less than
+    cfg.tol, or after cfg.max_iter cycles. A cycle can end a rounding
+    error below where it began; then the row stops on its previous point
+    and the trace repeats the previous value, so the trace never falls
+    and its last value is the log L of the returned model. The residual
+    is max |F(theta) - theta| at the returned point. Returns one
+    SolveReport per start."""
     if r < 1:
         raise ValueError("class count must be at least 1")
     table = counts.as_array()
@@ -598,36 +675,41 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
     if init is not None:
         if init.r != r or init.n != n:
             raise ValueError("init model shape does not match")
-        lam, R, C = (x[None] for x in init.arrays())
+        theta = tuple(x[None] for x in init.arrays())
     else:
         draws = [_em_init(n, r, np.random.default_rng(0 if seed is None else seed))
                  for seed in seeds]
-        lam, R, C = (np.array(x) for x in zip(*draws))
+        theta = tuple(np.array(x) for x in zip(*draws))
     counted = table > 0
-    ends = [np.empty_like(x) for x in (lam, R, C)]
-    residual = np.empty(len(lam))
-    iterations = np.full(len(lam), cfg.max_iter)
-    converged = np.zeros(len(lam), dtype=bool)
-    step, loglik = _em_step(table, counted, lam, R, C)
+    ends = [np.empty_like(x) for x in theta]
+    residual = np.empty(len(seeds))
+    iterations = np.full(len(seeds), cfg.max_iter)
+    converged = np.zeros(len(seeds), dtype=bool)
+    step, loglik = _em_step(table, counted, *theta)
     traces = [[x] for x in loglik.tolist()]
-    live = np.arange(len(lam))
+    live = np.arange(len(seeds))
 
     def settle(rows):
         """Keep the model of the live rows that rows picks, its residual
         (the largest change the next step would make) and its trace, as a
         tuple."""
         k = live[rows]
-        for end, now in zip(ends, (lam, R, C)):
+        for end, now in zip(ends, theta):
             end[k] = now[rows]
         residual[k] = np.max([np.abs(nxt[rows] - now[rows]).reshape(len(k), -1).max(axis=-1)
-                              for now, nxt in zip((lam, R, C), step)], axis=0)
+                              for now, nxt in zip(theta, step)], axis=0)
         for kk in k.tolist():
             traces[kk] = tuple(traces[kk])
 
     for it in range(1, cfg.max_iter + 1):
-        lam, R, C = step
         last = loglik
-        step, loglik = _em_step(table, counted, lam, R, C)
+        new, new_step, loglik = _squarem_cycle(table, counted, theta, step, last)
+        fell = loglik < last
+        if fell.any():
+            for now, old in zip(new + new_step, theta + step):
+                now[fell] = old[fell]
+            loglik[fell] = last[fell]
+        theta, step = new, new_step
         for k, x in zip(live.tolist(), loglik.tolist()):
             traces[k].append(x)
         done = loglik - last < cfg.tol
@@ -637,7 +719,7 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
             settle(done)
             going = ~done
             live, loglik = live[going], loglik[going]
-            lam, R, C = lam[going], R[going], C[going]
+            theta = tuple(x[going] for x in theta)
             step = tuple(x[going] for x in step)
             if not len(live):
                 break
@@ -654,14 +736,19 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
 def em_fit(counts: WeightTable, r: int, cfg: SolverConfig,
            init: Optional[LatentClassModel] = None,
            seed: Optional[int] = None) -> SolveReport:
-    """EM for the r-class latent model on a two-way count table.
+    """EM for the r-class latent model on a two-way count table,
+    accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 35, 2008).
 
     The E step forms class posteriors per cell, the M step re-estimates
-    the mixture weights and conditionals from posterior-weighted counts;
-    the count-weighted log-likelihood never decreases along the way. The
-    trace of log-likelihood values is attached to the report. This is the
-    one-row call of the kernel em_multistart runs on all its starts at
-    once.
+    the mixture weights and conditionals from posterior-weighted counts.
+    Each iteration is one SQUAREM cycle: two EM steps, an extrapolated
+    trial backtracked until it stays nonnegative and does not lower log L
+    (else two plain EM steps), and one stabilizing EM step; max_iter caps
+    cycles. The count-weighted log-likelihood never decreases along the
+    way: a cycle that ends a rounding error lower stops the fit on the
+    point before it. The trace of log-likelihood values is attached to
+    the report. This is the one-row call of the kernel em_multistart
+    runs on all its starts at once.
     """
     return _em(counts, r, cfg, [seed], init)[0]
 
@@ -677,11 +764,13 @@ class EMMultistartResult:
 
 
 def em_multistart(counts: WeightTable, r: int, cfg: SolverConfig) -> EMMultistartResult:
-    """Best-of-N EM runs, run k drawing its start from seed XOR k. All
-    runs iterate together as (starts, r, n) arrays, each report
-    bit-identical to running its start alone through em_fit; the largest
-    temporary, the E step's (starts, r, n, n) table, is 25.6 KB for the
-    4/2 table at r = 2 and 100 starts."""
+    """Best-of-N SQUAREM EM runs, run k drawing its start from seed XOR
+    k. All runs iterate together as (starts, r, n) arrays, each with its
+    own step length, backtracking and stop test, and each report
+    bit-identical to running its start alone through em_fit. The largest
+    temporary is still the E step's (starts, r, n, n) table, 25.6 KB for
+    the 4/2 table at r = 2 and 100 starts; SQUAREM's differences and
+    trials are (starts, r + 2 r n) rows, 14.4 KB there."""
     reports = _em(counts, r, cfg, [cfg.seed ^ k for k in range(cfg.starts)])
     best = max(reports, key=lambda rep: rep.loglik)
     return EMMultistartResult(best=best, reports=tuple(reports))

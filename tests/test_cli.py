@@ -123,7 +123,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_em_golden_bytes(self, capsys, fmt):
-        # recorded from the per-start EM loop; the batched runs must match it
+        # recorded from the batched SQUAREM EM, which matches the per-start
+        # reference loop in test_solvers bit for bit
         code, out, err = run(capsys, "solve", "--method", "em", "--starts", "10",
                              "--seed", "1", "--format", fmt)
         assert code == 0
