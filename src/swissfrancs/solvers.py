@@ -1,26 +1,26 @@
-"""Numerical maximizers: damped Newton on the stationarity system, a
-deterministic multistart driver with clustering, and EM for the two-way
-latent class model.
+"""Numerical maximizers: saddle-free Newton on the stationarity system,
+a deterministic seeded multistart with clustering, and EM for the
+two-way latent class model.
 
 A stationary point is a zero of the gradient on zero-sum pairs (a, b).
-The likelihood is constant on each gauge orbit (c a, b / c), so Newton,
-the labels and the ascent's hand-off share one tangent space: zero-sum
-directions orthogonal to the gauge line (a, -b). The reported residual
-is always recomputed at the final point.
+The likelihood is constant on each gauge orbit (c a, b / c), so Newton
+and the labels share one tangent space: zero-sum directions orthogonal
+to the gauge line (a, -b). The reported residual is always recomputed
+at the final point.
 
-The likelihood, its gradient and Hessian, the ascent, Newton and the
-second-order labels all take (K, n) arrays, so multistart runs its K
-starts in one pass. Each row gets the bits it would get alone: per-row
-dot products use np.vecdot, every expression keeps its order of
-operations, and the stacked QR, eigh, eigvalsh and matrix products run
-each row's LAPACK and BLAS calls as a 2-D call would. EM does the same
-with (K, r) mixture weights and (K, r, n) conditionals: the E step's
-table comes from one einsum over the batch, log L sums each row's n^2
-cells as one axis, and the M step reduces over the same axes as a
-single start does. EM is accelerated by SQUAREM (Varadhan and Roland,
-"Simple and globally convergent methods for accelerating the
-convergence of any EM algorithm", Scand. J. Stat. 35, 2008), each row
-with its own step length and backtracking.
+The likelihood, its gradient and Hessian, Newton and the second-order
+labels all take (K, n) arrays, so multistart runs its K starts in one
+pass. Each row gets the bits it would get alone: per-row dot products
+use np.vecdot, every expression keeps its order of operations, and the
+stacked QR, eigh, eigvalsh and matrix products run each row's LAPACK
+and BLAS calls as a 2-D call would. EM does the same with (K, r)
+mixture weights and (K, r, n) conditionals: the E step's table comes
+from one einsum over the batch, log L sums each row's n^2 cells as one
+axis, and the M step reduces over the same axes as a single start does.
+EM is accelerated by SQUAREM (Varadhan and Roland, "Simple and globally
+convergent methods for accelerating the convergence of any EM
+algorithm", Scand. J. Stat. 35, 2008), each row with its own step
+length and backtracking.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ _LINE_SEARCH_BLOCK = 8
 CLASSIFY_RESIDUAL_TOL = 1e-8
 HESSIAN_EIG_TOL = 1e-7
 ZERO_POINT_TOL = 1e-8
-HANDOFF_EVERY = 100
-HANDOFF_STEP = 1e-2
 # SQUAREM step lengths a cycle tries before it falls back to two plain EM
 # steps. On the bench's 8x8 table (4 seeds) 2 to 10 trials took 32k-35k
 # EM-map evaluations, and 1 trial took 113k.
@@ -166,9 +164,9 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 def _line_search(trial, m: int):
     """The first of the trial scales _SCALES each of m rows accepts, as an
-    index (-1 when none does), and the value trial gave there.
+    index (-1 when none does).
 
-    trial(rows, scales) returns (accepted, value), each of shape
+    trial(rows, scales) returns which scales each row accepts, of shape
     (len(rows), len(scales)). Every row tries the full step; the rows that
     reject it try the remaining halvings _LINE_SEARCH_BLOCK at a time, which
     keeps the long searches near the boundary to a few calls and bounds
@@ -176,18 +174,15 @@ def _line_search(trial, m: int):
     time gives.
     """
     first = np.full(m, -1)
-    value = np.empty(m)
     rows = np.arange(m)
     lo, hi = 0, 1
     while len(rows) and lo < MAX_HALVINGS:
-        accepted, trial_value = trial(rows, _SCALES[lo:hi])
+        accepted = trial(rows, _SCALES[lo:hi])
         hit = accepted.any(axis=1)
-        k = accepted[hit].argmax(axis=1)
-        first[rows[hit]] = lo + k
-        value[rows[hit]] = trial_value[hit][np.arange(len(k)), k]
+        first[rows[hit]] = lo + accepted[hit].argmax(axis=1)
         rows = rows[~hit]
         lo, hi = hi, hi + _LINE_SEARCH_BLOCK
-    return first, value
+    return first
 
 
 def _balanced(a: np.ndarray, b: np.ndarray):
@@ -201,23 +196,31 @@ def _balanced(a: np.ndarray, b: np.ndarray):
 
 
 def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
-    """Damped Newton on the tangent space, on every row of the (K, n)
+    """Saddle-free Newton on the tangent space, on every row of the (K, n)
     arrays a and b at once. Each row runs as if alone, with its own step,
-    line search on the gradient norm, stop test and iteration count, and
-    drops out when its gradient's max norm falls below cfg.tol or its line
-    search fails. Returns the end points, _balanced and centered, and the
-    iteration counts.
+    line search, stop test and iteration count, and drops out when its
+    gradient's max norm falls below cfg.tol or its line search fails.
+    Returns the end points, _balanced and centered, and the iteration
+    counts.
 
-    The start is _balanced too. The ascent keeps |a|^2 - |b|^2 nearly
-    fixed, so a start that climbs toward a nearly flat matrix arrives with
-    |a| / |b| up to 100, where the projected Hessian's smallest
-    eigenvalues fall by orders of magnitude and the line search accepts
-    only short steps: at (4, 1001, 1000) with 3 starts on seeds 1-3,
-    unbalanced starts took a median of 718 iterations, balanced ones 125.
+    The step is _tangent_step's, an ascent direction everywhere that is
+    the plain Newton step near a maximum. A trial scale is accepted when
+    the trial point is interior and either the gradient norm falls by the
+    factor 1 - 1e-4 scale or scaled_loglik rises strictly above the
+    Armijo line f + 1e-4 scale g^T d. The first test finishes a row at a
+    maximum, where f's gain falls below one ulp; the second climbs away
+    from saddles and the flat matrix, where |g| may have to grow. The
+    rise is strict: at 1000:1 the gradient's rounding floor, about 3e-11,
+    lies above cfg.tol, and steps that leave f unchanged would pass a
+    non-strict test forever.
+
+    Rows are balanced only at the end, for the reported gauge: at n = 2
+    a and b are parallel, and rebalancing an anti-aligned pair makes it
+    exactly b = -a, from where the Newton line runs into the origin.
     """
     if not _feasible(a, b).all():
         raise ConvergenceError("infeasible start for Newton iteration")
-    a, b = _balanced(a, b)
+    a, b = a.copy(), b.copy()
     n = a.shape[-1]
     iterations = np.full(len(a), cfg.max_iter)
     live = np.arange(len(a))
@@ -231,18 +234,23 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
         if not len(live):
             break
         la, lb = a[live], b[live]
-        step = _tangent_step(la, lb, grad, rho)[0]
+        step = _tangent_step(la, lb, grad, rho)
         norm0 = _norm(grad)
+        value0 = scaled_loglik(la, lb, rho, 1.0)
+        slope = np.vecdot(grad, step)
 
         def trial(rows, scales):
             ta = la[rows, None] + scales[:, None] * step[rows, None, :n]
             tb = lb[rows, None] + scales[:, None] * step[rows, None, n:]
-            feasible = _feasible(ta, tb)
+            # an infeasible trial has value -inf and norm inf: it fails both
+            value = scaled_loglik(ta, tb, rho, 1.0)
+            feasible = value > -np.inf
             norm = np.full(feasible.shape, np.inf)
             norm[feasible] = _norm(gradient(ta[feasible], tb[feasible], rho))
-            return feasible & (norm < norm0[rows, None] * (1.0 - 1e-4 * scales)), norm
+            return (norm < norm0[rows, None] * (1.0 - 1e-4 * scales)) \
+                | (value > value0[rows, None] + 1e-4 * scales * slope[rows, None])
 
-        first, _ = _line_search(trial, len(live))
+        first = _line_search(trial, len(live))
         moved = first >= 0
         scales = _SCALES[first[moved], None]
         a[live[moved]] = la[moved] + scales * step[moved, :n]
@@ -278,11 +286,12 @@ def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
 
 def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
                       seed: Optional[int] = None) -> SolveReport:
-    """Damped Newton on the stationarity system, on the tangent space.
+    """Saddle-free Newton on the stationarity system, on the tangent space.
 
-    Each step is the projected Newton step of _tangent_step, halved (up to
-    40 times) until it stays interior and reduces the gradient norm.
-    Convergence means the recomputed gradient residual drops below
+    Each step is _tangent_step's, halved (up to 40 times) until it stays
+    interior and either reduces the gradient norm or raises the
+    likelihood strictly above its Armijo line (see _newton). Convergence
+    means the recomputed gradient residual drops below
     cfg.tol * (n + rho - 1) in the max norm, n + rho - 1 being what every
     row of the reciprocal form of the system sums to. Only a point with
     residual below CLASSIFY_RESIDUAL_TOL is classified; others are
@@ -290,77 +299,17 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     rescales it to (s, t). This is the one-row call of the kernel
     multistart runs on all its starts at once.
 
-    At s = t a start ends near the flat family b a^T = 0, whose
-    stationary points are not isolated. Balanced to |a| = |b|, it sits
-    near the origin, where the families a = 0 and b = 0 cross and the
-    gradient, of order |a|^2 |b|, has no linear part: each step shrinks
-    (a, b) by a third and the residual about threefold, a median of 9
-    iterations at (4, 1, 1) over 400 starts where a regular optimum, at
-    s > t, takes 3.
+    At s = t every maximum lies on the flat family b a^T = 0, whose
+    stationary points are not isolated, and the starts shrink toward the
+    origin, where the families a = 0 and b = 0 cross. A start whose a and
+    b both end below ZERO_POINT_TOL is labelled degenerate; one that
+    stops just above it, where the projected Hessian is singular up to
+    rounding, is unclassified. At (4, 1, 1) with 50 starts on seed 1, 22
+    end degenerate and 28 unclassified, each within 13 iterations.
     """
     a, b = pt0.arrays()
     a, b, iterations = _newton(a[None], b[None], rho, cfg)
     return _reports(a, b, iterations, rho, cfg, rho, 1.0, [seed])[0]
-
-
-def _projected_ascent(a: np.ndarray, b: np.ndarray, rho: float,
-                      max_iter: int = 500, grad_tol: float = 1e-6):
-    """Backtracking gradient ascent on the scaled log-likelihood over the
-    zero-sum manifold, on every row of the feasible (K, n) arrays a and b
-    at once; each row runs as if alone and drops out when it stops.
-    Returns the end points, centered.
-
-    Newton's basins from small random starts favor the flat saddle, so
-    multistart climbs first and lets Newton finish; the ascent cannot
-    settle on the flat matrix because the likelihood increases along the
-    aligned direction there.
-
-    A row stops when its projected gradient falls below grad_tol, when
-    its line search fails, after max_iter steps, or at a hand-off: every
-    HANDOFF_EVERY steps, a row that _handoff finds in a maximum's concave
-    basin goes to Newton as it stands. The slow rows converge linearly,
-    their projected gradient shrinking by 2% per step or less, so they
-    would otherwise run all max_iter steps where Newton takes three or
-    four. HANDOFF_EVERY = 100 checks four times within the 500-step cap,
-    each check a stacked QR and eigh of the live rows; checking
-    every 50 steps gained no more time over the timed bench shapes. The
-    live rows stay in compact arrays, written back only when they stop.
-    """
-    a, b = a.copy(), b.copy()
-    n = a.shape[-1]
-    live, la, lb = np.arange(len(a)), a, b
-    lv = scaled_loglik(a, b, rho, 1.0)
-    for it in range(max_iter):
-        grad = gradient(la, lb, rho)
-        da = grad[:, :n] - grad[:, :n].mean(axis=-1, keepdims=True)
-        db = grad[:, n:] - grad[:, n:].mean(axis=-1, keepdims=True)
-        norm2 = np.vecdot(da, da) + np.vecdot(db, db)
-        going = ~(np.sqrt(norm2) < grad_tol)
-        if it and it % HANDOFF_EVERY == 0:
-            going[going] = ~_handoff(la[going], lb[going], grad[going], rho)
-        if not going.all():
-            a[live[~going]], b[live[~going]] = la[~going], lb[~going]
-            live, la, lb, lv, da, db, norm2 = (
-                x[going] for x in (live, la, lb, lv, da, db, norm2))
-        if not len(live):
-            break
-
-        def trial(rows, scales):
-            values = scaled_loglik(la[rows, None] + scales[:, None] * da[rows, None],
-                                   lb[rows, None] + scales[:, None] * db[rows, None],
-                                   rho, 1.0)
-            return values >= lv[rows, None] + 1e-4 * scales * norm2[rows, None], values
-
-        first, lv = _line_search(trial, len(live))
-        moved = first >= 0
-        if not moved.all():
-            a[live[~moved]], b[live[~moved]] = la[~moved], lb[~moved]
-            live, la, lb, lv, da, db, first = (
-                x[moved] for x in (live, la, lb, lv, da, db, first))
-        scales = _SCALES[first, None]
-        la, lb = la + scales * da, lb + scales * db
-    a[live], b[live] = la, lb
-    return a - a.mean(axis=-1, keepdims=True), b - b.mean(axis=-1, keepdims=True)
 
 
 def _flat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -372,56 +321,40 @@ def _tangent_hessian(a: np.ndarray, b: np.ndarray, rho: float):
     """For each row of the (K, n) arrays a and b, none of them zero: an
     orthonormal basis of the zero-sum tangent space {sum a = 0} x
     {sum b = 0} without the gauge line (a, -b), as (K, 2n, 2n - 3)
-    columns, and the analytic Hessian projected onto it. A stacked QR
-    factors each row's columns as a 2-D call would."""
+    columns, and the analytic Hessian projected onto it. The basis is the
+    last 2n - 3 columns of the complete QR of the three constraint
+    columns; a stacked QR factors each row's columns as a 2-D call
+    would."""
     n = a.shape[-1]
     gauge = np.concatenate([a, -b], axis=-1)
     gauge /= _norm(gauge)[:, None]
-    columns = np.zeros((len(a), 2 * n, 2 * n + 3))
+    columns = np.zeros((len(a), 2 * n, 3))
     columns[:, :n, 0] = columns[:, n:, 1] = 1.0 / math.sqrt(n)
     columns[:, :, 2] = gauge
-    columns[:, :, 3:] = np.eye(2 * n)
-    basis = np.linalg.qr(columns)[0][..., 3:2 * n]
+    basis = np.linalg.qr(columns, mode="complete")[0][..., 3:]
     return basis, np.swapaxes(basis, -2, -1) @ hessian(a, b, rho) @ basis
 
 
 def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float):
-    """The projected Newton step -B H^+ B^T g of each row of the (K, n)
-    arrays a and b, none of them zero, with gradients g = grad, B and H
-    from _tangent_hessian: the Newton step on the zero-sum, gauge-free
-    tangent space, as (K, 2n), and each H's eigenvalues in ascending
-    order. H^+ comes from eigh and drops the eigenvalues whose modulus is
-    at most eps (2n - 3) times the largest, the rcond of np.linalg.lstsq,
-    so a singular H never raises."""
+    """The saddle-free Newton step B V |w|^-1 V^T B^T g of each row of the
+    (K, n) arrays a and b, none of them zero, with gradients g = grad, B
+    and H = V diag(w) V^T from _tangent_hessian and one stacked eigh, as
+    (K, 2n) (Dauphin et al., "Identifying and attacking the saddle point
+    problem in high-dimensional non-convex optimization", NeurIPS 2014;
+    Nocedal and Wright, Numerical Optimization, 2nd ed., section 3.4).
+
+    Taking |w| for each eigenvalue makes every step an ascent direction,
+    and near a maximum, where H is negative definite, it is the plain
+    Newton step -B H^-1 B^T g. |w| is floored at 1e-8 times the largest,
+    so a singular H never raises, and a step longer than 1 is scaled to
+    length 1."""
     basis, H = _tangent_hessian(a, b, rho)
     w, V = np.linalg.eigh(H)
-    cut = np.finfo(float).eps * w.shape[-1] * np.abs(w).max(axis=-1, keepdims=True)
+    w = np.abs(w)
+    w = np.maximum(w, 1e-8 * w.max(axis=-1, keepdims=True))
     coef = np.swapaxes(V, -2, -1) @ (np.swapaxes(basis, -2, -1) @ grad[:, :, None])
-    coef = np.divide(coef, w[:, :, None], out=np.zeros_like(coef),
-                     where=(np.abs(w) > cut)[:, :, None])
-    return -(basis @ (V @ coef))[:, :, 0], w
-
-
-def _handoff(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float) -> np.ndarray:
-    """Which rows of the (K, n) arrays a and b, with gradients grad, sit in
-    a maximum's concave basin: not flat, with a projected Hessian whose
-    eigenvalues all lie below -HESSIAN_EIG_TOL (the local_max test of
-    _labels), and a projected Newton step, the one _newton takes, shorter
-    than HANDOFF_STEP. Damped Newton converges quadratically from such a
-    point, in three or four steps.
-
-    The step test is needed: concavity alone sends rows to Newton from
-    the far side of a shallow basin, and changed the cluster sizes of
-    multistart at weight ratio 1.05 in 30 of 30 seeds and at 1.1 in 13
-    of 30 (50 starts each). With HANDOFF_STEP = 1e-2, and also at 1e-1,
-    verdicts, cluster sizes and failures were those of the ascent without
-    hand-off on every seed; 1e-2 keeps a tenfold margin.
-    """
-    ready = np.flatnonzero(~_flat(a, b))
-    step, w = _tangent_step(a[ready], b[ready], grad[ready], rho)
-    out = np.zeros(len(a), dtype=bool)
-    out[ready[(w[:, -1] < -HESSIAN_EIG_TOL) & (_norm(step) < HANDOFF_STEP)]] = True
-    return out
+    step = (basis @ (V @ (coef / w[:, :, None])))[:, :, 0]
+    return step / np.maximum(_norm(step), 1.0)[:, None]
 
 
 def _labels(a: np.ndarray, b: np.ndarray, rho: float) -> list:
@@ -502,19 +435,18 @@ class MultistartResult:
 def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     """Deterministic seeded multistart for the rank-two problem.
 
-    Start k draws its point from a generator seeded with seed XOR k,
-    climbs briefly by projected gradient ascent and finishes with one
-    Newton run, converged below cfg.tol * (n + rho - 1). The ascent hands
-    a start to Newton once it sits in a maximum's concave basin: every
-    HANDOFF_EVERY = 100 steps, a projected Hessian that is negative
-    definite and a projected Newton step shorter than HANDOFF_STEP = 1e-2
-    (see _projected_ascent and _handoff for why). All starts climb,
-    finish, are labelled and get cluster keys together as (starts, n)
-    arrays, each report bit-identical to running its start alone; the
-    largest temporary, the line search's (starts, 8, n, n) table, is
-    3.3 MB at n = 16 and 200 starts. Converged points whose _cluster_keys
-    lie within cfg.cluster_eps form a cluster: one matrix b a^T up to
-    simultaneous permutation and transpose.
+    Start k draws its point from a generator seeded with seed XOR k and
+    climbs by saddle-free Newton (_newton) until it converges below
+    cfg.tol * (n + rho - 1); its iterations count the whole climb. The
+    step is an ascent direction everywhere, so a start does not settle
+    on a saddle or on the flat matrix b a^T = 0, where plain Newton's
+    basins from small random starts lead. All starts climb, are labelled
+    and get cluster keys together as (starts, n) arrays, each report
+    bit-identical to running its start alone; the largest temporary, the
+    line search's (starts, 8, n, n) table, is 3.3 MB at n = 16 and 200
+    starts. Converged points whose _cluster_keys lie within
+    cfg.cluster_eps form a cluster: one matrix b a^T up to simultaneous
+    permutation and transpose.
     """
     pair = weights.symmetric_pair()
     if pair is None:
@@ -523,8 +455,7 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     rho = s / t
     seeds = [cfg.seed ^ k for k in range(cfg.starts)]
     ab = _random_starts(weights.n, [np.random.default_rng(seed) for seed in seeds])
-    a, b = _projected_ascent(ab[:, 0], ab[:, 1], rho)
-    a, b, iterations = _newton(a, b, rho, cfg)
+    a, b, iterations = _newton(ab[:, 0], ab[:, 1], rho, cfg)
     # report likelihood at the actual weights, not the t-scaled form
     reports = _reports(a, b, iterations, rho, cfg, s, t, seeds)
     mask = [r.converged for r in reports]
@@ -667,20 +598,24 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
     and the trace repeats the previous value, so the trace never falls
     and its last value is the log L of the returned model. The residual
     is max |F(theta) - theta| at the returned point. Returns one
-    SolveReport per start."""
+    SolveReport per start. Raises ValueError for an init that gives a
+    counted cell zero probability."""
     if r < 1:
         raise ValueError("class count must be at least 1")
     table = counts.as_array()
+    counted = table > 0
     n = counts.n
     if init is not None:
         if init.r != r or init.n != n:
             raise ValueError("init model shape does not match")
         theta = tuple(x[None] for x in init.arrays())
+        # the E step would divide 0 by 0 there, and log L stays -inf
+        if not (np.einsum("kh,khi,khj->kij", *theta)[0][counted] > 0).all():
+            raise ValueError("init model gives a counted cell zero probability")
     else:
         draws = [_em_init(n, r, np.random.default_rng(0 if seed is None else seed))
                  for seed in seeds]
         theta = tuple(np.array(x) for x in zip(*draws))
-    counted = table > 0
     ends = [np.empty_like(x) for x in theta]
     residual = np.empty(len(seeds))
     iterations = np.full(len(seeds), cfg.max_iter)

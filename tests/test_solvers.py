@@ -15,11 +15,10 @@ from swissfrancs.candidates import (SignPattern, block_point, corner_point,
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
 from swissfrancs.ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, gradient,
                                  hessian, stationarity_residual)
-from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HANDOFF_EVERY,
-                                 HANDOFF_STEP, HESSIAN_EIG_TOL, START_BOX,
-                                 ZERO_POINT_TOL, LatentClassModel, SolveReport,
-                                 SolverConfig, _cluster_keys, _labels,
-                                 _random_starts, classify_stationary,
+from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HESSIAN_EIG_TOL,
+                                 START_BOX, ZERO_POINT_TOL, LatentClassModel,
+                                 SolveReport, SolverConfig, _cluster_keys,
+                                 _labels, _random_starts, classify_stationary,
                                  em_fit, em_multistart, multistart,
                                  newton_stationary, scaled_loglik)
 from swissfrancs.verify import certify
@@ -70,15 +69,16 @@ def _bits(report):
 
 
 def _reference_tangent_hessian(a, b, rho):
-    """Basis of the zero-sum, gauge-free tangent space at one point, by its
-    own QR, and the Hessian projected onto it."""
+    """Basis of the zero-sum, gauge-free tangent space at one point, the
+    last 2n - 3 columns of its own complete QR of the three constraint
+    columns, and the Hessian projected onto it."""
     n = len(a)
     gauge = np.concatenate([a, -b])
     gauge /= np.linalg.norm(gauge)
     ones_a = np.concatenate([np.ones(n), np.zeros(n)]) / math.sqrt(n)
     ones_b = np.concatenate([np.zeros(n), np.ones(n)]) / math.sqrt(n)
-    full, _ = np.linalg.qr(np.column_stack([ones_a, ones_b, gauge, np.eye(2 * n)]))
-    basis = full[:, 3:2 * n]
+    full, _ = np.linalg.qr(np.column_stack([ones_a, ones_b, gauge]), mode="complete")
+    basis = full[:, 3:]
     return basis, basis.T @ hessian(a, b, rho) @ basis
 
 
@@ -99,24 +99,15 @@ def _reference_label(pt, rho):
 
 
 def _reference_step(a, b, grad, rho):
-    """The projected Newton step -B H^+ B^T g at one point, H^+ from eigh
-    without the eigenvalues of modulus at most eps (2n - 3) times the
-    largest, and the eigenvalues of H."""
+    """The saddle-free Newton step B V |w|^-1 V^T B^T g at one point, each
+    |w| floored at 1e-8 times the largest, scaled to length 1 when
+    longer."""
     basis, H = _reference_tangent_hessian(a, b, rho)
     w, V = np.linalg.eigh(H)
-    cut = np.finfo(float).eps * len(w) * np.abs(w).max()
-    coef = V.T @ (basis.T @ grad)
-    coef = np.array([c / x if abs(x) > cut else 0.0 for c, x in zip(coef, w)])
-    return -(basis @ (V @ coef)), w
-
-
-def _reference_handoff(a, b, grad, rho):
-    """The hand-off rule at one point: not flat, projected Hessian
-    negative definite, projected Newton step below HANDOFF_STEP."""
-    if _reference_flat(a, b):
-        return False
-    step, w = _reference_step(a, b, grad, rho)
-    return bool(w.max() < -HESSIAN_EIG_TOL and np.linalg.norm(step) < HANDOFF_STEP)
+    w = np.abs(w)
+    w = np.maximum(w, 1e-8 * w.max())
+    step = basis @ (V @ ((V.T @ (basis.T @ grad)) / w))
+    return step / max(np.linalg.norm(step), 1.0)
 
 
 def _reference_loglik(a, b, s, t):
@@ -139,24 +130,30 @@ def _reference_balanced(a, b):
 
 
 def _reference_newton(pt0, rho, cfg, seed):
-    """Damped Newton on the tangent space on one start, one trial scale at
-    a time, balanced to |a| = |b| before and after."""
-    a, b = _reference_balanced(*pt0.arrays())
+    """Saddle-free Newton on the tangent space on one start, one trial
+    scale at a time; a scale is accepted when the trial point is interior
+    and the gradient norm falls or the likelihood rises strictly above
+    its Armijo line. Balanced to |a| = |b| after."""
+    a, b = pt0.arrays()
     n = len(a)
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         grad = gradient(a, b, rho)
         if np.abs(grad).max() < cfg.tol:
             break
-        step = _reference_step(a, b, grad, rho)[0]
+        step = _reference_step(a, b, grad, rho)
         norm0 = np.linalg.norm(grad)
+        value0 = _reference_loglik(a, b, rho, 1.0)
+        slope = grad @ step
         scale = 1.0
         improved = False
         for _ in range(40):
             na = a + scale * step[:n]
             nb = b + scale * step[n:]
-            if _reference_feasible(na, nb) and np.linalg.norm(gradient(na, nb, rho)) \
-                    < norm0 * (1.0 - 1e-4 * scale):
+            if _reference_feasible(na, nb) and (
+                    np.linalg.norm(gradient(na, nb, rho)) < norm0 * (1.0 - 1e-4 * scale)
+                    or _reference_loglik(na, nb, rho, 1.0)
+                    > value0 + 1e-4 * scale * slope):
                 a, b = na, nb
                 improved = True
                 break
@@ -177,41 +174,6 @@ def _reference_newton(pt0, rho, cfg, seed):
         converged=resid < cfg.tol * (n + rho - 1), method="newton", seed=seed)
 
 
-def _reference_ascent(pt0, rho, max_iter=500, grad_tol=1e-6):
-    """Backtracking projected gradient ascent on one start, handed to
-    Newton every HANDOFF_EVERY steps once _reference_handoff holds. Returns
-    the end point and why the climb stopped."""
-    a, b = pt0.arrays()
-    n = len(a)
-    value = _reference_loglik(a, b, rho, 1.0)
-    why = "max_iter"
-    for it in range(max_iter):
-        grad = gradient(a, b, rho)
-        da = grad[:n] - grad[:n].mean()
-        db = grad[n:] - grad[n:].mean()
-        norm2 = da @ da + db @ db
-        if math.sqrt(norm2) < grad_tol:
-            why = "grad_tol"
-            break
-        if it and it % HANDOFF_EVERY == 0 and _reference_handoff(a, b, grad, rho):
-            why = "handoff"
-            break
-        scale = 1.0
-        moved = False
-        for _ in range(40):
-            na, nb = a + scale * da, b + scale * db
-            new_value = _reference_loglik(na, nb, rho, 1.0)
-            if new_value >= value + 1e-4 * scale * norm2:
-                a, b, value = na, nb, new_value
-                moved = True
-                break
-            scale *= 0.5
-        if not moved:
-            why = "line_search"
-            break
-    return RankTwoPoint.of(a - a.mean(), b - b.mean()), why
-
-
 def _reference_multistart(weights, cfg):
     """The reports of multistart as a loop over the starts, one at a time."""
     s, t = (float(x) for x in weights.symmetric_pair())
@@ -224,7 +186,7 @@ def _reference_multistart(weights, cfg):
         a = rng.uniform(-width, width, size=weights.n)
         b = rng.uniform(-width, width, size=weights.n)
         pt0 = RankTwoPoint.of(a - a.mean(), b - b.mean())
-        report = _reference_newton(_reference_ascent(pt0, rho)[0], rho, cfg, run_seed)
+        report = _reference_newton(pt0, rho, cfg, run_seed)
         a, b = report.point.arrays()
         reports.append(replace(report, loglik=_reference_loglik(a, b, s, t)))
     return reports
@@ -389,14 +351,56 @@ def _hex_rows(a, b):
     return [[x.hex() for x in (*ra, *rb)] for ra, rb in zip(a, b)]
 
 
+# two rows at rho = 1: the first with b near 0, where two eigenvalues of the
+# projected Hessian vanish up to rounding along the flat family
+NEAR_FLAT_A = np.array([[0.3, 0.1, -0.1, -0.3], [0.4, -0.1, 0.2, -0.5]])
+NEAR_FLAT_B = np.array([1e-9 * np.array([1.0, -1.0, -1.0, 1.0]), [0.2, 0.3, -0.1, -0.4]])
+
+
 class TestTangentStep:
+    def test_step_climbs_away_from_a_saddle(self):
+        # moved off the 2:1 ++0- saddle along the projected Hessian's
+        # eigenvector of positive eigenvalue, the plain Newton step
+        # -B H^-1 B^T g leads back to the saddle, downhill; the saddle-free
+        # step leads away from it, uphill
+        a, b = CANDS[SignPattern.PPZN].point().arrays()
+        basis, H = solvers._tangent_hessian(a[None], b[None], 2.0)
+        w, V = np.linalg.eigh(H[0])
+        assert w[-1] > HESSIAN_EIG_TOL
+        u = 1e-4 * basis[0] @ V[:, -1]
+        pa, pb = a + u[:4], b + u[4:]
+        grad = gradient(pa[None], pb[None], 2.0)
+        step = solvers._tangent_step(pa[None], pb[None], grad, 2.0)[0]
+        basis, H = solvers._tangent_hessian(pa[None], pb[None], 2.0)
+        plain = -basis[0] @ np.linalg.solve(H[0], basis[0].T @ grad[0])
+        assert grad[0] @ step > 0 > grad[0] @ plain
+        assert np.allclose(step, -plain, rtol=1e-3, atol=0)
+
+    def test_rows_get_the_floored_capped_step_of_the_reference(self):
+        # random draws at 2:1, several with a step longer than 1, and the
+        # rank-deficient near-flat rows: each row's step has the bits of the
+        # one-row reference, is an ascent direction and is at most 1 long
+        ab = _random_starts(4, [np.random.default_rng(k) for k in range(20)])
+        grad = gradient(ab[:, 0], ab[:, 1], 2.0)
+        step = solvers._tangent_step(ab[:, 0], ab[:, 1], grad, 2.0)
+        flat_grad = gradient(NEAR_FLAT_A, NEAR_FLAT_B, 1.0)
+        flat_step = solvers._tangent_step(NEAR_FLAT_A, NEAR_FLAT_B, flat_grad, 1.0)
+        for rows, grads, steps, rho in [
+                (ab, grad, step, 2.0),
+                (zip(NEAR_FLAT_A, NEAR_FLAT_B), flat_grad, flat_step, 1.0)]:
+            reference = [_reference_step(ra, rb, g, rho)
+                         for (ra, rb), g in zip(rows, grads)]
+            assert [[x.hex() for x in row] for row in steps] == \
+                [[x.hex() for x in row] for row in reference]
+            assert (np.vecdot(grads, steps) > 0).all()
+        norms = solvers._norm(step)
+        assert (norms <= 1 + 1e-15).all() and (norms > 1 - 1e-15).sum() >= 5
+
     def test_rank_deficient_row_near_the_flat_family(self):
-        # at rho = 1 and b near 0 two eigenvalues of the first row's
-        # projected Hessian vanish up to rounding, along the flat family;
-        # the pseudo-inverse drops them, and both rows converge with the
-        # bits of the one-row reference
-        a = np.array([[0.3, 0.1, -0.1, -0.3], [0.4, -0.1, 0.2, -0.5]])
-        b = np.array([1e-9 * np.array([1.0, -1.0, -1.0, 1.0]), [0.2, 0.3, -0.1, -0.4]])
+        # the floor lifts the first row's two vanishing eigenvalues to 1e-8
+        # times the largest, and both rows converge with the bits of the
+        # one-row reference
+        a, b = NEAR_FLAT_A, NEAR_FLAT_B
         eig = np.linalg.eigvalsh(solvers._tangent_hessian(a, b, 1.0)[1])
         assert (np.abs(eig) <= HESSIAN_EIG_TOL).sum(axis=-1).tolist() == [2, 0]
         ra, rb, iterations = solvers._newton(a, b, 1.0, CFG)
@@ -410,7 +414,7 @@ class TestTangentStep:
         # a zero first row and column make the projected Hessian of every
         # row with a_1 < 0 exactly singular, where np.linalg.solve raises;
         # the other rows keep their bits and nothing raises, in Newton or
-        # in a multistart that climbs, hands off and labels under the patch
+        # in a multistart that climbs and labels under the patch
         rng = np.random.default_rng(5)
         noise = rng.normal(scale=1e-3, size=(3, 4))
         noise -= noise.mean(axis=-1, keepdims=True)
@@ -471,13 +475,18 @@ class TestClassify:
 
     def test_batch_labels_each_row_as_the_reference_does(self):
         # the 2:1 candidates (local maxima and saddles) and the flat origin
-        # in one batch at ratio 2; a converged start on the s = t flat
-        # family is stationary only at ratio 1, so it has a batch of its own
-        flat = multistart(WeightTable.symmetric(4, 1, 1),
-                          SolverConfig(starts=1, seed=1)).best.point
+        # in one batch at ratio 2; converged starts on the s = t flat
+        # family are stationary only at ratio 1, so they have a batch of
+        # their own: on seed 1 the first ends with a and b below
+        # ZERO_POINT_TOL, the second just above it, where the projected
+        # Hessian is singular up to rounding
+        ends = multistart(WeightTable.symmetric(4, 1, 1),
+                          SolverConfig(starts=2, seed=1)).reports
         rows = [(c.point(), 2.0) for c in CANDS.values()]
-        rows += [(RankTwoPoint.symmetric([0.0] * 4), 2.0), (flat, 1.0)]
+        rows += [(RankTwoPoint.symmetric([0.0] * 4), 2.0)]
+        rows += [(r.point, 1.0) for r in ends]
         expected = [_reference_label(pt, rho) for pt, rho in rows]
+        assert expected[-2:] == ["degenerate", "unclassified"]
         assert set(expected) == {"local_max", "saddle", "degenerate", "unclassified"}
         for rho in (2.0, 1.0):
             batch = [pt for pt, r in rows if r == rho]
@@ -551,6 +560,15 @@ class TestMultistart:
                    for c in result.clusters)
         assert [c.size for c in result.clusters] == [50]
 
+    def test_no_start_ends_on_a_saddle_near_equal_weights(self):
+        # at 21:20 the search used to leave 30 of these 50 starts on
+        # saddles; the saddle-free step climbs away from them
+        result = multistart(WeightTable.symmetric(4, 21, 20),
+                            SolverConfig(starts=50, seed=1))
+        assert result.n_failed == 0
+        assert "saddle" not in {c.representative.classification
+                                for c in result.clusters}
+
     def test_top_optimum_is_one_cluster(self):
         # the 3+2 block optimum at n = 5 is reached both as (a, b) and as
         # its reversed negation, which encode the same matrix
@@ -574,85 +592,6 @@ class TestMultistart:
         assert len(result.reports) == starts
         assert [_bits(r) for r in result.reports] == [_bits(r) for r in reference]
         assert result.n_failed == sum(not r.converged for r in reference) == 0
-
-
-class TestHandoff:
-    @pytest.mark.parametrize("n, s, t, starts", [
-        (4, 21, 20, 20), (4, 11, 10, 20), (4, 3, 2, 20), (3, 2, 1, 20),
-        (16, 2, 1, 20), (4, 100, 1, 10)])
-    def test_answers_match_the_climb_to_grad_tol(self, monkeypatch, n, s, t,
-                                                 starts):
-        # with HANDOFF_EVERY past the 500-step cap, every row climbs until
-        # its projected gradient falls below 1e-6, as before the hand-off
-        def answers(cfg):
-            cert = certify(n, s, t, cfg)
-            ms = cert.multistart_result
-            return (cert.verdict, [c.size for c in ms.clusters], ms.n_failed,
-                    ms.best.loglik)
-
-        for seed in range(1, 6):
-            cfg = SolverConfig(starts=starts, seed=seed)
-            handed = answers(cfg)
-            with monkeypatch.context() as patch:
-                patch.setattr(solvers, "HANDOFF_EVERY", 10 ** 9)
-                climbed = answers(cfg)
-            assert handed[:3] == climbed[:3], seed
-            assert abs(handed[3] - climbed[3]) < 1e-9, seed
-
-    def test_flat_rows_are_never_handed_off(self):
-        # the 2:1 optimum is handed off; the origin, and a row within
-        # ZERO_POINT_TOL of it, are flat, where the gauge line is undefined
-        a, b = CANDS[SignPattern.PPNN].point().arrays()
-        tiny = 1e-9 * np.array([1.0, 1.0, -1.0, -1.0])
-        rows_a = np.array([a, np.zeros(4), tiny])
-        rows_b = np.array([b, np.zeros(4), tiny])
-        out = solvers._handoff(rows_a, rows_b, gradient(rows_a, rows_b, 2.0), 2.0)
-        assert out.tolist() == [True, False, False]
-
-    def test_every_handed_off_row_meets_the_rule(self, monkeypatch):
-        calls = []
-        handoff = solvers._handoff
-
-        def recorded(a, b, grad, rho):
-            out = handoff(a, b, grad, rho)
-            calls.append((a, b, grad, rho, out))
-            return out
-
-        monkeypatch.setattr(solvers, "_handoff", recorded)
-        for n, s, t, starts in [(3, 2, 1, 20), (16, 2, 1, 10), (4, 3, 2, 40),
-                                (4, 1, 1, 20), (4, 100, 1, 10)]:
-            multistart(WeightTable.symmetric(n, s, t),
-                       SolverConfig(starts=starts, seed=1))
-        # _reference_handoff holds exactly when both conditions do
-        handed = checked = 0
-        for a, b, grad, rho, out in calls:
-            assert out.dtype == bool and out.shape == (len(a),)
-            assert out.tolist() == [_reference_handoff(*row, rho)
-                                    for row in zip(a, b, grad)]
-            handed += out.sum()
-            checked += len(out)
-        assert 0 < handed < checked
-
-
-class TestAscentWriteBack:
-    def test_rows_stopping_for_each_reason_match_the_reference(self):
-        # at n = 3 and 1000:1 with a cap of 150 steps, the first eight
-        # starts stop for all four reasons, each after moving: a line
-        # search that exhausts its 40 halvings, the cap, a hand-off at
-        # step 100 and the gradient tolerance; stopped rows sit between
-        # live ones, so each write-back must reach the right row
-        rho, cap = 1000.0, 150
-        ab = _random_starts(3, [np.random.default_rng(k) for k in range(8)])
-        a, b = solvers._projected_ascent(ab[:, 0], ab[:, 1], rho, max_iter=cap)
-        reference = [_reference_ascent(RankTwoPoint.of(*row), rho, max_iter=cap)
-                     for row in ab]
-        assert [why for _, why in reference] == [
-            "line_search", "line_search", "max_iter", "line_search", "max_iter",
-            "line_search", "handoff", "grad_tol"]
-        assert not any(np.array_equal(pt.a, start)
-                       for (pt, _), start in zip(reference, ab[:, 0]))
-        assert [[x.hex() for x in (*ra, *rb)] for ra, rb in zip(a, b)] == \
-            [[x.hex() for x in (*pt.a, *pt.b)] for pt, _ in reference]
 
 
 class TestRandomStart:
@@ -771,6 +710,19 @@ class TestEM:
     def test_rejects_bad_class_count(self):
         with pytest.raises(ValueError):
             em_fit(swiss_counts(), 0, CFG)
+
+    def test_rejects_init_with_a_counted_cell_at_zero(self):
+        # rows 3 and 4 get zero probability but hold counts; EM would run
+        # every cycle on NaN with log L -inf
+        init = LatentClassModel.of([0.5, 0.5], [[0.5, 0.5, 0, 0]] * 2,
+                                   [[0.25] * 4] * 2)
+        with pytest.raises(ValueError, match="counted cell"):
+            em_fit(swiss_counts(), 2, SolverConfig(max_iter=50), init=init)
+        # a zero on an uncounted cell is fine
+        table = WeightTable.full([[5, 1, 0, 0], [1, 4, 0, 0], [2, 2, 0, 0], [1, 1, 0, 0]])
+        report = em_fit(table, 2, CFG, init=LatentClassModel.of(
+            [0.5, 0.5], [[0.25] * 4] * 2, [[0.5, 0.5, 0, 0], [0.3, 0.7, 0, 0]]))
+        assert math.isfinite(report.loglik) and report.converged
 
     def test_report_shape(self):
         report = em_fit(swiss_counts(), 2, SolverConfig(), seed=4)

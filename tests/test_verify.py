@@ -444,11 +444,12 @@ class TestCertify:
 
     def test_thousand_to_one_start_that_stalled_certifies(self):
         # this seed's start ran Newton to its 10,000-iteration cap with the
-        # least-squares step; the tangent-space step converges in a few
-        # iterations
+        # least-squares step; saddle-free Newton climbs from the random
+        # draw and converges in 20 iterations, the whole climb counted, far
+        # below that cap
         cert = certify(4, 1000, 1, SolverConfig(starts=1, seed=3331072))
         assert cert.verdict == VERDICT_CERTIFIED
-        assert cert.multistart_result.reports[0].iterations <= 10
+        assert cert.multistart_result.reports[0].iterations <= 50
 
     # the weight range s/t from 1 + 1e-3 to 1e3 and its inverse
     @pytest.mark.parametrize("n, s, t", [
@@ -480,10 +481,20 @@ class TestCertify:
         if cert.verdict == VERDICT_INCONCLUSIVE:
             assert any(c.passed is False and c.detail for c in cert.checks)
 
+    def test_near_equal_weights_at_n16_converge_quickly(self):
+        # near s = t the maximum is nearly degenerate; Newton after the
+        # ascent took 294-995 iterations a start here, saddle-free Newton
+        # from the random draw takes 28-46
+        cert = certify(16, 1001, 1000, SolverConfig(starts=3, seed=1))
+        reports = cert.multistart_result.reports
+        assert all(r.converged and r.iterations <= 100 for r in reports)
+
     def test_hundred_to_one_finds_both_maxima(self):
         cert = certify(4, 100, 1, SolverConfig(starts=10, seed=1))
         assert cert.verdict == VERDICT_CERTIFIED
-        assert [c.size for c in cert.multistart_result.clusters] == [6, 4]
+        assert [c.size for c in cert.multistart_result.clusters] == [7, 3]
+        assert {c.representative.classification
+                for c in cert.multistart_result.clusters} == {"local_max"}
 
     def test_search_failure_off_n_four(self, monkeypatch):
         def fail(weights, cfg):
