@@ -19,6 +19,9 @@ import numpy as np
 
 Exponent = Tuple[int, int, int]
 Number = Union[int, float, Fraction]
+TRIM_REL_TOL = 1e-12
+MATCH_TOL = 1e-8
+VARIABLE_NAMES = ("a1", "a2", "b2")
 
 
 class Poly1:
@@ -47,11 +50,11 @@ class Poly1:
             return Poly1([0])
         return Poly1([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def trimmed(self, rel_tol: float = 1e-12) -> "Poly1":
-        """Drop float leading coefficients below rel_tol of the largest."""
+    def trimmed(self) -> "Poly1":
+        """Drop float leading coefficients up to TRIM_REL_TOL of the largest."""
         scale = max(abs(float(c)) for c in self.coeffs) or 1.0
         coeffs = list(self.coeffs)
-        while len(coeffs) > 1 and abs(float(coeffs[-1])) <= rel_tol * scale:
+        while len(coeffs) > 1 and abs(float(coeffs[-1])) <= TRIM_REL_TOL * scale:
             coeffs.pop()
         return Poly1(coeffs)
 
@@ -249,7 +252,7 @@ class Poly3:
             out = -out
         return out
 
-    def to_string(self, names: Tuple[str, str, str] = ("a1", "a2", "b2")) -> str:
+    def to_string(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -257,7 +260,7 @@ class Poly3:
             factors = []
             if coeff != 1 or not any(exp):
                 factors.append(str(coeff))
-            for name, e in zip(names, exp):
+            for name, e in zip(VARIABLE_NAMES, exp):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -275,10 +278,9 @@ B2 = Poly3.variable(2)
 
 
 def greedy_multiset_match(computed: Iterable[complex],
-                          reference: Iterable[float],
-                          tol: float = 1e-8) -> bool:
-    """Greedy nearest pairing of two multisets, within tol and with equal
-    cardinality."""
+                          reference: Iterable[float]) -> bool:
+    """Greedy nearest pairing of two multisets, within MATCH_TOL and with
+    equal cardinality."""
     pool = list(computed)
     targets = list(reference)
     if len(pool) != len(targets):
@@ -286,7 +288,7 @@ def greedy_multiset_match(computed: Iterable[complex],
     for target in targets:
         best = min(range(len(pool)), key=lambda i: abs(pool[i] - target),
                    default=None)
-        if best is None or abs(pool[best] - target) > tol:
+        if best is None or abs(pool[best] - target) > MATCH_TOL:
             return False
         pool.pop(best)
     return True

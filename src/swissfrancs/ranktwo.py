@@ -29,6 +29,7 @@ from .core import (Convention, ConvergenceError, FeasibilityError, Number,
 
 ZERO_SUM_TOL = 1e-12
 FEASIBILITY_MARGIN = 1e-14
+ZERO_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,9 @@ class RankTwoPoint:
     def min_entry(self) -> float:
         return float(self.entry_table().min())
 
-    def is_zero(self, tol: float = 1e-14) -> bool:
-        return max(abs(x) for x in self.a) < tol and max(abs(x) for x in self.b) < tol
+    def is_zero(self) -> bool:
+        """Every coordinate of a and b below ZERO_TOL in size."""
+        return max(abs(x) for x in self.a) < ZERO_TOL and max(abs(x) for x in self.b) < ZERO_TOL
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "a": list(self.a), "b": list(self.b)}

@@ -17,8 +17,6 @@ matrix it names for stationarity, margins and rank in rational arithmetic.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -36,9 +34,10 @@ from .solvers import MultistartResult, SolverConfig, multistart
 
 BOUND_TOL = 1e-12
 DOMINANCE_TOL = 1e-8
+SIGN_ORDER_TOL = 1e-9
 # rows of an a1 slice that f3_region_scan evaluates at once: at resolution
-# 400 with two workers the scan's temporaries peak at 2.8 MB in 80-row
-# blocks, against 6.1 MB for whole slices, at about the same speed
+# 400 each 80-row block's temporaries peak at 0.6 MB, against 2.6 MB for a
+# whole slice, at about the same speed
 SCAN_BLOCK = 80
 
 VERDICT_CERTIFIED = "CERTIFIED_CANDIDATE_MAX"
@@ -75,13 +74,17 @@ def f3_eval(a1: Number, a2: Number, b2: Number) -> Number:
     """The 17-term cofactor polynomial whose negativity on the feasible
     box forces the second coordinates of the two vectors to agree.
 
-    Works for exact rationals, floats, and polynomial-valued arguments.
+    Evaluated as a quadratic in a2 in Horner form, (c2 a2 + c1) a2 + c0
+    with c2, c1 and c0 polynomials in (a1, b2), so an array a2 costs four
+    full-size array operations. Works for exact rationals, floats, arrays
+    and polynomial-valued arguments.
     """
-    return ((20 * a1 ** 4 * b2 ** 2 + 15 * a1 ** 3 * b2 + 3 * a1 ** 2 * b2 ** 2
-             + 2 * a1 * b2 - 4 * b2 ** 2) * a2 ** 2
-            + (3 * a1 ** 4 * b2 + 15 * a1 ** 3 * b2 ** 2 + 2 * a1 ** 3
-               + 10 * a1 ** 2 * b2 + 2 * a1 * b2 ** 2 - 3 * a1 - b2) * a2
-            - 4 * a1 ** 4 + 2 * a1 ** 3 * b2 - a1 ** 2 - 3 * a1 * b2 - 2)
+    c2 = (20 * a1 ** 4 * b2 ** 2 + 15 * a1 ** 3 * b2 + 3 * a1 ** 2 * b2 ** 2
+          + 2 * a1 * b2 - 4 * b2 ** 2)
+    c1 = (3 * a1 ** 4 * b2 + 15 * a1 ** 3 * b2 ** 2 + 2 * a1 ** 3
+          + 10 * a1 ** 2 * b2 + 2 * a1 * b2 ** 2 - 3 * a1 - b2)
+    c0 = -4 * a1 ** 4 + 2 * a1 ** 3 * b2 - a1 ** 2 - 3 * a1 * b2 - 2
+    return (c2 * a2 + c1) * a2 + c0
 
 
 def reference_f3_poly() -> Poly3:
@@ -188,19 +191,20 @@ class SignOrderReport:
                 "witness": list(self.witness) if self.witness else None}
 
 
-def sign_order_check(pt: RankTwoPoint, tol: float = 1e-9) -> SignOrderReport:
-    """Check a_i b_i >= 0 and (a_i - a_j)(b_i - b_j) >= 0 up to tol.
+def sign_order_check(pt: RankTwoPoint) -> SignOrderReport:
+    """Check a_i b_i >= 0 and (a_i - a_j)(b_i - b_j) >= 0 up to
+    SIGN_ORDER_TOL.
 
     These hold at every stationary point when the diagonal weight
     dominates; a failure returns the violating index or pair.
     """
     a, b = pt.arrays()
     for i in range(pt.n):
-        if a[i] * b[i] < -tol:
+        if a[i] * b[i] < -SIGN_ORDER_TOL:
             return SignOrderReport(passed=False, witness=("sign", i))
     for i in range(pt.n):
         for j in range(i + 1, pt.n):
-            if (a[i] - a[j]) * (b[i] - b[j]) < -tol:
+            if (a[i] - a[j]) * (b[i] - b[j]) < -SIGN_ORDER_TOL:
                 return SignOrderReport(passed=False, witness=("order", i, j))
     return SignOrderReport(passed=True, witness=None)
 
@@ -384,7 +388,11 @@ class ScanResult:
     argmax: tuple
     resolution: int
     n_points: int
-    threads: int
+
+    @property
+    def threads(self) -> int:
+        """Threads the scan ran on: always 1, the calling thread."""
+        return worker_count()
 
     @property
     def negative(self) -> bool:
@@ -402,36 +410,24 @@ class ScanResult:
 
 
 def worker_count() -> int:
-    env = os.environ.get("RANKTWO_THREADS")
-    if env:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
+    """Threads f3_region_scan runs on: 1. The benchmark harness records it."""
+    return 1
 
 
 def f3_region_scan(resolution: int) -> ScanResult:
     """Grid scan of the 17-term cofactor over the bounded feasible box
     {0 < a1 <= 1/sqrt(2), 0 <= a2, b2 <= min(a1, 1/(5 a1))}.
 
-    The a1 slices are partitioned across worker_count() threads (the
-    RANKTWO_THREADS environment variable, else up to 8), and each slice
-    is evaluated SCAN_BLOCK rows at a time; the reduction is a
-    deterministic maximum with ties resolved toward the lexicographically
-    first grid index. The maximum must come out negative.
+    One loop on the calling thread walks the a1 slices in order and each
+    slice SCAN_BLOCK rows at a time. The maximum is deterministic, with
+    ties resolved toward the lexicographically first grid index. The
+    maximum must come out negative.
     """
     if resolution < 10:
         raise ValueError("resolution must be at least 10")
-    a1_values = [float(a1) for a1 in
-                 np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:]]
-    workers = worker_count()
-
-    def slice_max(a1: float):
+    best = None
+    for a1 in np.linspace(0.0, 1.0 / math.sqrt(2), resolution + 1)[1:].tolist():
         grid = np.linspace(0.0, min(a1, 1.0 / (5.0 * a1)), resolution)
-        best = None
         # a later block wins only when strictly larger, as np.argmax keeps
         # the first maximum within one block
         for lo in range(0, resolution, SCAN_BLOCK):
@@ -439,23 +435,12 @@ def f3_region_scan(resolution: int) -> ScanResult:
             i, j = divmod(int(np.argmax(values)), resolution)
             if best is None or values[i, j] > best[0]:
                 best = float(values[i, j]), (a1, float(grid[lo + i]), float(grid[j]))
-        return best
-
-    if workers == 1:
-        results = [slice_max(a1) for a1 in a1_values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(slice_max, a1_values))
-    best_value, best_arg = results[0]
-    for value, arg in results[1:]:
-        if value > best_value:
-            best_value, best_arg = value, arg
+    best_value, best_arg = best
     if best_value >= 0:
         raise RuntimeError(f"scan found a nonnegative value {best_value!r} "
                            f"at {best_arg}")
     return ScanResult(max_value=best_value, argmax=best_arg,
-                      resolution=resolution, n_points=resolution ** 3,
-                      threads=workers)
+                      resolution=resolution, n_points=resolution ** 3)
 
 
 # ---------------------------------------------------------------------------

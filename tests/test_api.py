@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a caller."""
+"""Every public function and class of the package has a caller, and no
+module starts threads or processes or reads the environment."""
 
 import ast
 import re
@@ -34,3 +35,27 @@ def test_every_public_name_has_a_caller():
             if not any(word.search(text) for text in elsewhere + [rest]):
                 unused.append(f"{path.name}:{node.name}")
     assert not unused, f"public names with no caller: {unused}"
+
+
+def test_no_threads_processes_or_environment_reads():
+    # the package runs on the calling thread, and no environment variable
+    # changes what it computes
+    banned = {"threading", "concurrent", "multiprocessing"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if node.module == "os":
+                    modules += [f"os.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "os":
+                modules = [f"os.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in modules
+                      if name.partition(".")[0] in banned
+                      or name in ("os.environ", "os.getenv")]
+    assert not found, f"threads, processes or environment reads: {found}"

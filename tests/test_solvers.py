@@ -83,7 +83,7 @@ def _reference_tangent_hessian(a, b, rho):
 
 
 def _reference_flat(a, b):
-    return max(np.abs(a).max(), np.abs(b).max()) < ZERO_POINT_TOL
+    return np.abs(np.outer(b, a)).max() < ZERO_POINT_TOL
 
 
 def _reference_label(pt, rho):
@@ -414,14 +414,17 @@ class TestTangentStep:
         # a zero first row and column make the projected Hessian of every
         # row with a_1 < 0 exactly singular, where np.linalg.solve raises;
         # the other rows keep their bits and nothing raises, in Newton or
-        # in a multistart that climbs and labels under the patch
+        # in a multistart that climbs and labels under the patch. The
+        # singular row runs to max_iter either way, and a cap of 100 only
+        # cuts the time it and the 4 starts that fail under the patch take
+        cfg = SolverConfig(max_iter=100)
         rng = np.random.default_rng(5)
         noise = rng.normal(scale=1e-3, size=(3, 4))
         noise -= noise.mean(axis=-1, keepdims=True)
         a0, b0 = CANDS[SignPattern.PPNN].point().arrays()
         a = (a0 + noise) * np.array([[1.0], [-1.0], [1.0]])
         b = (b0 + noise[::-1]) * np.array([[1.0], [-1.0], [1.0]])
-        plain = solvers._newton(a, b, 2.0, CFG)
+        plain = solvers._newton(a, b, 2.0, cfg)
         singular = []
         tangent_hessian = solvers._tangent_hessian
 
@@ -433,7 +436,7 @@ class TestTangentStep:
             return basis, H
 
         monkeypatch.setattr(solvers, "_tangent_hessian", patched)
-        ra, rb, iterations = solvers._newton(a, b, 2.0, CFG)
+        ra, rb, iterations = solvers._newton(a, b, 2.0, cfg)
         assert singular
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(singular[0], np.ones(len(singular[0])))
@@ -441,7 +444,8 @@ class TestTangentStep:
         assert _hex_rows(ra[keep], rb[keep]) == _hex_rows(plain[0][keep], plain[1][keep])
         assert iterations[keep].tolist() == plain[2][keep].tolist()
         assert np.isfinite(ra[1]).all() and np.isfinite(rb[1]).all()
-        multistart(WeightTable.symmetric(4, 2, 1), SolverConfig(starts=20, seed=1))
+        multistart(WeightTable.symmetric(4, 2, 1),
+                   SolverConfig(starts=20, seed=1, max_iter=cfg.max_iter))
 
 
 class TestClassify:
@@ -478,17 +482,22 @@ class TestClassify:
         # in one batch at ratio 2; converged starts on the s = t flat
         # family are stationary only at ratio 1, so they have a batch of
         # their own: on seed 1 the first ends with a and b below
-        # ZERO_POINT_TOL, the second just above it, where the projected
-        # Hessian is singular up to rounding
+        # ZERO_POINT_TOL and the second with a and b just above it, but
+        # both with b a^T below it. The second start at (16, 1001, 1000)
+        # on seed 1 converges to a point off the flat family whose top
+        # projected eigenvalue, -0.99989e-7, lies inside HESSIAN_EIG_TOL
         ends = multistart(WeightTable.symmetric(4, 1, 1),
                           SolverConfig(starts=2, seed=1)).reports
+        near_equal = multistart(WeightTable.symmetric(16, 1001, 1000),
+                                SolverConfig(starts=2, seed=1)).reports[1]
         rows = [(c.point(), 2.0) for c in CANDS.values()]
         rows += [(RankTwoPoint.symmetric([0.0] * 4), 2.0)]
         rows += [(r.point, 1.0) for r in ends]
+        rows += [(near_equal.point, 1.001)]
         expected = [_reference_label(pt, rho) for pt, rho in rows]
-        assert expected[-2:] == ["degenerate", "unclassified"]
+        assert expected[-3:] == ["degenerate", "degenerate", "unclassified"]
         assert set(expected) == {"local_max", "saddle", "degenerate", "unclassified"}
-        for rho in (2.0, 1.0):
+        for rho in (2.0, 1.0, 1.001):
             batch = [pt for pt, r in rows if r == rho]
             a = np.array([pt.a for pt in batch])
             b = np.array([pt.b for pt in batch])
@@ -559,6 +568,13 @@ class TestMultistart:
         assert all(c.representative.classification != "saddle"
                    for c in result.clusters)
         assert [c.size for c in result.clusters] == [50]
+
+    def test_every_start_at_equal_weights_is_degenerate(self):
+        # every start ends with max |b_i a_j| below ZERO_POINT_TOL, though
+        # 28 of them keep a and b just above it
+        result = multistart(WeightTable.symmetric(4, 1, 1),
+                            SolverConfig(starts=50, seed=1))
+        assert [r.classification for r in result.reports] == ["degenerate"] * 50
 
     def test_no_start_ends_on_a_saddle_near_equal_weights(self):
         # at 21:20 the search used to leave 30 of these 50 starts on

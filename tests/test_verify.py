@@ -6,6 +6,7 @@ the independent-oracle role for the exact polynomial algebra.
 
 import json
 import math
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,20 +132,18 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             f3_region_scan(5)
 
-    def test_thread_override(self, monkeypatch):
-        monkeypatch.setenv("RANKTWO_THREADS", "1")
-        one = f3_region_scan(12)
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        # no thread is started, whatever RANKTWO_THREADS says
+        expected = f3_region_scan(12)
         monkeypatch.setenv("RANKTWO_THREADS", "4")
-        four = f3_region_scan(12)
-        assert (one.threads, four.threads) == (1, 4)
-        assert one.max_value == four.max_value
-        assert one.argmax == four.argmax
 
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("RANKTWO_THREADS", "3")
-        assert f3_region_scan(12).threads == 3
-        monkeypatch.setenv("RANKTWO_THREADS", "not-a-number")
-        assert f3_region_scan(12).threads >= 1
+        def refuse(self):
+            raise RuntimeError("f3_region_scan started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        scan = f3_region_scan(12)
+        assert (scan.max_value, scan.argmax) == (expected.max_value, expected.argmax)
+        assert scan.threads == 1
 
 
 class TestFactorization:
