@@ -13,9 +13,9 @@ from .solvers import (LatentClassModel, MultistartResult, SolveReport,
 from .candidates import (Candidate, SignPattern, block_matrix, block_point,
                          corner_matrix, corner_point, enumerate_n4,
                          global_candidate)
-from .verify import (Certificate, certify, check_bounds, f1_eval, f3_eval,
-                     f3_region_scan, f_polynomial, lemma_a2_factorization,
-                     sign_order_check, tail_pair_solve)
+from .verify import (Certificate, certify, f1_eval, f3_eval, f3_region_scan,
+                     f_polynomial, lemma_a2_factorization, sign_order_check,
+                     tail_pair_solve)
 
 __version__ = "0.1.0"
 

@@ -83,7 +83,7 @@ class RankTwoPoint:
         return cls.of(data["a"], data["b"])
 
 
-def _require_feasible(pt: RankTwoPoint) -> None:
+def _require_interior(pt: RankTwoPoint) -> None:
     m = pt.min_entry()
     if m <= FEASIBILITY_MARGIN:
         raise FeasibilityError(f"point is not interior: min entry {m!r}")
@@ -94,7 +94,7 @@ def to_matrix(pt: RankTwoPoint) -> ProbMatrix:
 
     Row and column sums equal n identically because a and b sum to zero.
     """
-    _require_feasible(pt)
+    _require_interior(pt)
     table = pt.entry_table()
     return ProbMatrix.of(table.tolist(), Convention.SUM_NSQ)
 
@@ -154,7 +154,7 @@ def stationarity_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
     """
     if rho <= 0:
         raise ValueError("weight ratio must be positive")
-    _require_feasible(pt)
+    _require_interior(pt)
     return gradient(*pt.arrays(), rho)
 
 

@@ -37,9 +37,6 @@ from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, entry_tables, gradient,
 
 START_BOX = 0.6
 MAX_HALVINGS = 40
-# Line-search trial scales 2^-k: exactly the values repeated halving gives.
-_SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))
-_LINE_SEARCH_BLOCK = 8
 CLASSIFY_RESIDUAL_TOL = 1e-8
 HESSIAN_EIG_TOL = 1e-7
 ZERO_POINT_TOL = 1e-8
@@ -152,37 +149,10 @@ def scaled_loglik(a: np.ndarray, b: np.ndarray, s: float, t: float):
     return out[()]
 
 
-def _feasible(a: np.ndarray, b: np.ndarray):
-    return entry_tables(a, b).min(axis=(-2, -1)) > FEASIBILITY_MARGIN
-
-
 def _norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row; np.vecdot gives the bits of a 1-D x @ x,
     which np.linalg.norm takes, where (x * x).sum(-1) and einsum do not."""
     return np.sqrt(np.vecdot(x, x))
-
-
-def _line_search(trial, m: int):
-    """The first of the trial scales _SCALES each of m rows accepts, as an
-    index (-1 when none does).
-
-    trial(rows, scales) returns which scales each row accepts, of shape
-    (len(rows), len(scales)). Every row tries the full step; the rows that
-    reject it try the remaining halvings _LINE_SEARCH_BLOCK at a time, which
-    keeps the long searches near the boundary to a few calls and bounds
-    the temporaries. A row's answer is the one a loop trying one scale at a
-    time gives.
-    """
-    first = np.full(m, -1)
-    rows = np.arange(m)
-    lo, hi = 0, 1
-    while len(rows) and lo < MAX_HALVINGS:
-        accepted = trial(rows, _SCALES[lo:hi])
-        hit = accepted.any(axis=1)
-        first[rows[hit]] = lo + accepted[hit].argmax(axis=1)
-        rows = rows[~hit]
-        lo, hi = hi, hi + _LINE_SEARCH_BLOCK
-    return first
 
 
 def _balanced(a: np.ndarray, b: np.ndarray):
@@ -204,57 +174,70 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
     counts.
 
     The step is _tangent_step's, an ascent direction everywhere that is
-    the plain Newton step near a maximum. A trial scale is accepted when
-    the trial point is interior and either the gradient norm falls by the
-    factor 1 - 1e-4 scale or scaled_loglik rises strictly above the
-    Armijo line f + 1e-4 scale g^T d. The first test finishes a row at a
-    maximum, where f's gain falls below one ulp; the second climbs away
-    from saddles and the flat matrix, where |g| may have to grow. The
-    rise is strict: at 1000:1 the gradient's rounding floor, about 3e-11,
-    lies above cfg.tol, and steps that leave f unchanged would pass a
-    non-strict test forever.
+    the plain Newton step near a maximum. The line search halves the
+    scale up to MAX_HALVINGS times, one scale per pass over the rows
+    still searching (Nocedal and Wright, Numerical Optimization, Alg.
+    3.1). A scale is accepted when the trial point is interior and either
+    the gradient norm falls by the factor 1 - 1e-4 scale or scaled_loglik
+    rises strictly above the Armijo line f + 1e-4 scale g^T d. The first
+    test finishes a row at a maximum, where f's gain falls below one ulp;
+    the second climbs away from saddles and the flat matrix, where |g|
+    may have to grow. The rise is strict: at 1000:1 the gradient's
+    rounding floor, about 3e-11, lies above cfg.tol, and steps that leave
+    f unchanged would pass a non-strict test forever. A rejected trial
+    that rounds back to the current point ends its row's search: every
+    shorter trial is the same point, and is rejected too.
 
-    Rows are balanced only at the end, for the reported gauge: at n = 2
-    a and b are parallel, and rebalancing an anti-aligned pair makes it
-    exactly b = -a, from where the Newton line runs into the origin.
+    Each point's value and gradient are computed once, as a trial, and
+    the accepted ones carry over to the next step. Rows are balanced only
+    at the end, for the reported gauge: at n = 2 a and b are parallel,
+    and rebalancing an anti-aligned pair makes it exactly b = -a, from
+    where the Newton line runs into the origin.
     """
-    if not _feasible(a, b).all():
+    value = scaled_loglik(a, b, rho, 1.0)
+    if not (value > -np.inf).all():
         raise ConvergenceError("infeasible start for Newton iteration")
     a, b = a.copy(), b.copy()
+    grad = gradient(a, b, rho)
     n = a.shape[-1]
     iterations = np.full(len(a), cfg.max_iter)
     live = np.arange(len(a))
     for it in range(1, cfg.max_iter + 1):
-        grad = gradient(a[live], b[live], rho)
         # iterate down to the unscaled tol: stopping at the scaled one
         # leaves some starts a step short of the scaled rule in _reports
-        done = np.abs(grad).max(axis=-1) < cfg.tol
+        done = np.abs(grad[live]).max(axis=-1) < cfg.tol
         iterations[live[done]] = it
-        live, grad = live[~done], grad[~done]
+        live = live[~done]
         if not len(live):
             break
-        la, lb = a[live], b[live]
-        step = _tangent_step(la, lb, grad, rho)
-        norm0 = _norm(grad)
-        value0 = scaled_loglik(la, lb, rho, 1.0)
-        slope = np.vecdot(grad, step)
-
-        def trial(rows, scales):
-            ta = la[rows, None] + scales[:, None] * step[rows, None, :n]
-            tb = lb[rows, None] + scales[:, None] * step[rows, None, n:]
+        g = grad[live]
+        step = _tangent_step(a[live], b[live], g, rho)
+        norm0 = _norm(g)
+        slope = np.vecdot(g, step)
+        moved = np.zeros(len(live), dtype=bool)
+        rows = np.arange(len(live))
+        scale = 1.0
+        for _ in range(MAX_HALVINGS):
+            k = live[rows]
+            ak, bk = a[k], b[k]
+            ta = ak + scale * step[rows, :n]
+            tb = bk + scale * step[rows, n:]
             # an infeasible trial has value -inf and norm inf: it fails both
-            value = scaled_loglik(ta, tb, rho, 1.0)
-            feasible = value > -np.inf
-            norm = np.full(feasible.shape, np.inf)
-            norm[feasible] = _norm(gradient(ta[feasible], tb[feasible], rho))
-            return (norm < norm0[rows, None] * (1.0 - 1e-4 * scales)) \
-                | (value > value0[rows, None] + 1e-4 * scales * slope[rows, None])
-
-        first = _line_search(trial, len(live))
-        moved = first >= 0
-        scales = _SCALES[first[moved], None]
-        a[live[moved]] = la[moved] + scales * step[moved, :n]
-        b[live[moved]] = lb[moved] + scales * step[moved, n:]
+            tvalue = scaled_loglik(ta, tb, rho, 1.0)
+            feasible = tvalue > -np.inf
+            tgrad = np.full((len(rows), 2 * n), np.inf)
+            tgrad[feasible] = gradient(ta[feasible], tb[feasible], rho)
+            accept = (_norm(tgrad) < norm0[rows] * (1.0 - 1e-4 * scale)) \
+                | (tvalue > value[k] + 1e-4 * scale * slope[rows])
+            back = (ta == ak).all(axis=-1) & (tb == bk).all(axis=-1)
+            hit = k[accept]
+            a[hit], b[hit], value[hit], grad[hit] = \
+                ta[accept], tb[accept], tvalue[accept], tgrad[accept]
+            moved[rows[accept]] = True
+            rows = rows[~accept & ~back]
+            if not len(rows):
+                break
+            scale *= 0.5
         iterations[live[~moved]] = it
         live = live[moved]
     a, b = _balanced(a, b)
@@ -264,18 +247,18 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
 
 def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
              cfg: SolverConfig, s: float, t: float, seeds) -> list:
-    """One SolveReport per row of Newton's end points, with the gradient
-    residual, the label of every row below CLASSIFY_RESIDUAL_TOL (the
-    others are unclassified) and log L at weights (s, t), each from one
-    batched call."""
+    """One SolveReport per row of Newton's end points, with log L at
+    weights (s, t), the gradient residual (inf where log L is -inf, at an
+    infeasible point), the label of every row below CLASSIFY_RESIDUAL_TOL
+    (the others are unclassified), each from one batched call."""
     n = a.shape[-1]
-    feasible = _feasible(a, b)
+    loglik = scaled_loglik(a, b, s, t)
+    feasible = loglik > -np.inf
     resid = np.full(len(a), np.inf)
     resid[feasible] = np.abs(gradient(a[feasible], b[feasible], rho)).max(axis=-1)
     stationary = resid < CLASSIFY_RESIDUAL_TOL
     labels = iter(_labels(a[stationary], b[stationary], rho))
     converged = resid < cfg.tol * (n + rho - 1)
-    loglik = scaled_loglik(a, b, s, t)
     return [SolveReport(
         point=RankTwoPoint.of(ra, rb), loglik=loglik[k], residual=float(resid[k]),
         iterations=int(iterations[k]),
@@ -443,9 +426,10 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     on a saddle or on the flat matrix b a^T = 0, where plain Newton's
     basins from small random starts lead. All starts climb, are labelled
     and get cluster keys together as (starts, n) arrays, each report
-    bit-identical to running its start alone; the largest temporary, the
-    line search's (starts, 8, n, n) table, is 3.3 MB at n = 16 and 200
-    starts. Converged points whose _cluster_keys lie within
+    bit-identical to running its start alone. The largest temporaries
+    are the stacked Hessian and its QR factor, (starts, 2n, 2n), 1.6 MB
+    at n = 16 and 200 starts; a line-search pass forms one (starts, n, n)
+    table, 0.4 MB there. Converged points whose _cluster_keys lie within
     cfg.cluster_eps form a cluster: one matrix b a^T up to simultaneous
     permutation and transpose.
     """

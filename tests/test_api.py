@@ -1,5 +1,6 @@
-"""Every public function and class of the package has a caller, and no
-module starts threads or processes or reads the environment."""
+"""Every public function and class of the package has a caller, every
+module-level constant and private function is read, and no module
+starts threads or processes or reads the environment."""
 
 import ast
 import re
@@ -15,26 +16,49 @@ TEST_FIXTURES = {
 }
 
 
-def test_every_public_name_has_a_caller():
-    # a re-export from __init__ is not a use; tests count only through the
-    # acceptance suite, which stands for the library's users
+def _unread(wanted) -> list:
+    """The top-level names, as module:name, that wanted(node) selects in
+    the package modules and that nothing reads: not the rest of their
+    module, another module, bench/ or the acceptance suite. A re-export
+    from __init__ is not a read; tests count only through the acceptance
+    suite, which stands for the library's users."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     users = modules + sorted((ROOT / "bench").glob("*.py")) \
         + [ROOT / "tests" / "test_acceptance.py"]
     texts = {path: path.read_text() for path in users}
-    unused = []
+    unread = []
     for path in modules:
         lines = texts[path].splitlines()
         elsewhere = [text for other, text in texts.items() if other != path]
         for node in ast.parse(texts[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_") or node.name in TEST_FIXTURES:
+            if not wanted(node):
                 continue
             rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(text) for text in elsewhere + [rest]):
-                unused.append(f"{path.name}:{node.name}")
+            for name in _names(node):
+                word = re.compile(rf"\b{name}\b")
+                if not any(word.search(text) for text in elsewhere + [rest]):
+                    unread.append(f"{path.name}:{name}")
+    return unread
+
+
+def _names(node) -> list:
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return [node.name]
+
+
+def test_every_public_name_has_a_caller():
+    unused = _unread(lambda node: isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_")
+                     and node.name not in TEST_FIXTURES)
     assert not unused, f"public names with no caller: {unused}"
+
+
+def test_every_constant_and_private_function_is_read():
+    # a constant or helper left behind when its last reader goes fails here
+    unread = _unread(lambda node: isinstance(node, ast.Assign)
+                     or isinstance(node, ast.FunctionDef) and node.name.startswith("_"))
+    assert not unread, f"constants or private functions nothing reads: {unread}"
 
 
 def test_no_threads_processes_or_environment_reads():

@@ -596,11 +596,12 @@ class TestMultistart:
 
     @pytest.mark.parametrize("n, s, t, starts", [
         (4, 2, 1, 40), (4, 3, 2, 40), (3, 2, 1, 20), (16, 2, 1, 20),
-        (4, 1, 1, 20), (4, 100, 1, 10), (4, 1000, 1, 1)])
+        (4, 1, 1, 20), (4, 100, 1, 10), (4, 1000, 1, 1), (2, 1000, 1, 10)])
     def test_batched_starts_match_the_per_start_loop(self, n, s, t, starts):
         # the batched kernels take logs and quotients only of feasible
         # trial points, so no warning escapes even at 1000:1 (warnings
-        # are errors in the test suite)
+        # are errors in the test suite); every start at (2, 1000, 1) ends
+        # on a line search that accepts no scale
         weights = WeightTable.symmetric(n, s, t)
         cfg = SolverConfig(starts=starts, seed=1)
         result = multistart(weights, cfg)
@@ -686,6 +687,17 @@ class TestEM:
         assert report.iterations == 1
         assert report.trace[0] == report.trace[1]
         assert report.point == UNIFORM_2
+        assert report.loglik == pytest.approx(40 * math.log(1 / 16), abs=1e-10)
+
+    def test_empty_class_keeps_its_conditionals(self):
+        # class 2 has weight 0, so the M step gives it no mass and keeps
+        # its conditionals; class 1, uniform, is the independence fit
+        init = LatentClassModel.of([1, 0], [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]],
+                                   [[0.25] * 4, [0.4, 0.3, 0.2, 0.1]])
+        report = em_fit(swiss_counts(), 2, SolverConfig(), init=init)
+        assert report.converged
+        assert report.iterations == 1
+        assert report.point == init
         assert report.loglik == pytest.approx(40 * math.log(1 / 16), abs=1e-10)
 
     def test_traces_monotone(self):

@@ -25,12 +25,11 @@ from swissfrancs.solvers import SolverConfig, multistart
 from swissfrancs import verify
 from swissfrancs.verify import (LEMMAS, VERDICT_CERTIFIED,
                                 VERDICT_INCONCLUSIVE, VERDICT_SUPPORTED,
-                                CheckResult, certify, check_bounds,
-                                cross_equation_poly, f1_eval, f3_eval,
-                                f3_region_scan, f_polynomial,
-                                lemma_a2_factorization, matrix_checks,
-                                reference_f3_poly, sign_order_check,
-                                tail_pair_solve)
+                                CheckResult, certify, cross_equation_poly,
+                                f1_eval, f3_eval, f3_region_scan,
+                                f_polynomial, lemma_a2_factorization,
+                                matrix_checks, reference_f3_poly,
+                                sign_order_check, tail_pair_solve)
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -226,23 +225,32 @@ class TestTailPair:
 
 
 class TestBounds:
+    @staticmethod
+    def _checks(s, t, pattern):
+        """The bound checks of one candidate's case, by name."""
+        case = next(c for c in verify._bounds_lemma(s, t).data["cases"]
+                    if c["pattern"] == pattern.signs)
+        return case, {c["name"]: c for c in case["checks"]}
+
     def test_block_point_sits_on_boundary(self):
-        checks = check_bounds(CANDS[SignPattern.PPNN].point())
-        assert all(c.passed for c in checks)
+        # a1 a2 = a1 b2 = 1/5 exactly: the closed bound holds with no slack
+        case, checks = self._checks(2, 1, SignPattern.PPNN)
+        assert case["passed"]
+        assert checks["a1_a2"]["detail"] == checks["a1_b2"]["detail"] == "value 1/5"
 
     def test_three_one_point(self):
-        checks = check_bounds(CANDS[SignPattern.PPPN].point())
-        assert all(c.passed for c in checks)
+        case, checks = self._checks(2, 1, SignPattern.PPPN)
+        assert case["passed"]
+        assert checks["a1_sq"]["detail"] == "value 1/15"
 
     def test_constructed_violation(self):
-        pt = RankTwoPoint.symmetric([1.0, -1 / 3, -1 / 3, -1 / 3])
-        checks = {c.name: c for c in check_bounds(pt)}
-        assert not checks["a1_sq"].passed
-
-    def test_non_canonical_rejected(self):
-        pt = RankTwoPoint.of([-0.3, 0.1, 0.1, 0.1], [-0.3, 0.1, 0.1, 0.1])
-        with pytest.raises(ValueError, match="canonical"):
-            check_bounds(pt)
+        # at 100:1 the block candidate has a1^2 = a1 a2 = 99/103
+        case, checks = self._checks(100, 1, SignPattern.PPNN)
+        assert not case["passed"]
+        assert checks["a1_sq"] == {"name": "a1_sq", "passed": False,
+                                   "detail": "value 99/103"}
+        assert not checks["a1_a2"]["passed"] and not checks["a1_b2"]["passed"]
+        assert not verify._bounds_lemma(100, 1).passed
 
 
 class TestSignOrder:
@@ -250,10 +258,13 @@ class TestSignOrder:
         assert sign_order_check(CANDS[SignPattern.PPNN].point()).passed
 
     def test_constructed_violation(self):
-        pt = RankTwoPoint.of([1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0])
-        report = sign_order_check(pt)
-        assert not report.passed
-        assert report.witness[1] == 0
+        for a, b, witness in [
+                ([1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], ("sign", 0)),
+                # every a_i b_i >= 0, but a falls from 1 to 0 while b rises
+                ([1.0, 0.0, 0.0, -1.0], [0.1, 0.5, -0.3, -0.3], ("order", 0, 1))]:
+            report = sign_order_check(RankTwoPoint.of(a, b))
+            assert not report.passed
+            assert report.witness == witness
 
 
 class TestFPolynomial:
