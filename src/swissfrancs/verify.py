@@ -166,6 +166,19 @@ class SignOrderReport:
                 "witness": list(self.witness) if self.witness else None}
 
 
+def _sign_order(n: int, sign, order, tol=0) -> SignOrderReport:
+    """The first i with sign(i) < -tol, else the first pair i < j with
+    order(i, j) < -tol, as the witness of a failed report."""
+    for i in range(n):
+        if sign(i) < -tol:
+            return SignOrderReport(passed=False, witness=("sign", i))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if order(i, j) < -tol:
+                return SignOrderReport(passed=False, witness=("order", i, j))
+    return SignOrderReport(passed=True, witness=None)
+
+
 def sign_order_check(pt: RankTwoPoint) -> SignOrderReport:
     """Check a_i b_i >= 0 and (a_i - a_j)(b_i - b_j) >= 0 up to
     SIGN_ORDER_TOL.
@@ -174,14 +187,16 @@ def sign_order_check(pt: RankTwoPoint) -> SignOrderReport:
     dominates; a failure returns the violating index or pair.
     """
     a, b = pt.arrays()
-    for i in range(pt.n):
-        if a[i] * b[i] < -SIGN_ORDER_TOL:
-            return SignOrderReport(passed=False, witness=("sign", i))
-    for i in range(pt.n):
-        for j in range(i + 1, pt.n):
-            if (a[i] - a[j]) * (b[i] - b[j]) < -SIGN_ORDER_TOL:
-                return SignOrderReport(passed=False, witness=("order", i, j))
-    return SignOrderReport(passed=True, witness=None)
+    return _sign_order(pt.n, lambda i: a[i] * b[i],
+                       lambda i, j: (a[i] - a[j]) * (b[i] - b[j]), SIGN_ORDER_TOL)
+
+
+def sign_order_exact(P) -> SignOrderReport:
+    """sign_order_check read exactly off the product table
+    P[i][j] = a_i b_j, with no tolerance: a_i b_i = P_ii and
+    (a_i - a_j)(b_i - b_j) = P_ii - P_ij - P_ji + P_jj."""
+    return _sign_order(len(P), lambda i: P[i][i],
+                       lambda i, j: P[i][i] - P[i][j] - P[j][i] + P[j][j])
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +634,9 @@ def _bounds_lemma(s: Number, t: Number, cands=None) -> CheckResult:
 
 
 def _order_lemma(s: Number, t: Number, cands=None) -> CheckResult:
+    """sign_order_exact on each candidate's exact products (b = a)."""
     return _candidate_report("order", s, t, cands,
-                             lambda cand: sign_order_check(cand.point()).to_json_dict())
+                             lambda cand: sign_order_exact(cand.products()).to_json_dict())
 
 
 def _fpoly_lemma(s: Number, t: Number, cands=None) -> CheckResult:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from swissfrancs.cli import build_parser, main
+from swissfrancs.cli import EXIT_INCONCLUSIVE, build_parser, main
 from swissfrancs.core import swiss_counts
 from swissfrancs.verify import LEMMAS
 
@@ -436,6 +436,15 @@ def test_weights_outside_the_float_range_exit_two(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert err == f"error: {name} is outside the float range\n"
+
+
+def test_extreme_ratio_is_inconclusive_not_an_error(capsys):
+    # at 1e308:1 the search overflows; it answers INCONCLUSIVE with the
+    # reason instead of exiting on a linear-algebra error
+    code, out, err = run(capsys, *"verify --n 4 --s 1e308 --t 1 --starts 5 --seed 1".split())
+    assert code == EXIT_INCONCLUSIVE
+    assert err == ""
+    assert "search failed: no multistart run converged" in out
 
 
 class TestOutputs:

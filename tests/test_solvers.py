@@ -98,16 +98,31 @@ def _reference_label(pt, rho):
     return "saddle" if top > HESSIAN_EIG_TOL else "unclassified"
 
 
-def _reference_step(a, b, grad, rho):
-    """The saddle-free Newton step B V |w|^-1 V^T B^T g at one point, each
-    |w| floored at 1e-8 times the largest, scaled to length 1 when
-    longer."""
+def _reference_step(a, b, grad, rho, definite=False):
+    """The step at one point, and whether its projected Hessian is taken
+    as negative definite at the next. A point flagged definite whose
+    -H = L L^T has a Cholesky factor with every L_ii^2 at least 1e-8 times
+    the largest diagonal entry of -H takes the Newton step
+    B (-H)^-1 B^T g and stays flagged; any other takes the saddle-free
+    step B V |w|^-1 V^T B^T g, each |w| floored at 1e-8 times the
+    largest, and is flagged when every w is negative and none is floored.
+    Scaled to length 1 when longer."""
     basis, H = _reference_tangent_hessian(a, b, rho)
-    w, V = np.linalg.eigh(H)
-    w = np.abs(w)
-    w = np.maximum(w, 1e-8 * w.max())
-    step = basis @ (V @ ((V.T @ (basis.T @ grad)) / w))
-    return step / max(np.linalg.norm(step), 1.0)
+    if definite:
+        try:
+            pivots = np.diag(np.linalg.cholesky(-H)) ** 2
+        except np.linalg.LinAlgError:
+            definite = False
+        else:
+            definite = bool(pivots.min() >= 1e-8 * np.diag(-H).max())
+        if definite:
+            step = basis @ np.linalg.solve(-H, basis.T @ grad)
+    if not definite:
+        w, V = np.linalg.eigh(H)
+        floor = 1e-8 * np.abs(w).max()
+        definite = bool(((w < 0) & (-w >= floor)).all())
+        step = basis @ (V @ ((V.T @ (basis.T @ grad)) / np.maximum(np.abs(w), floor)))
+    return step / max(np.linalg.norm(step), 1.0), definite
 
 
 def _reference_loglik(a, b, s, t):
@@ -130,18 +145,20 @@ def _reference_balanced(a, b):
 
 
 def _reference_newton(pt0, rho, cfg, seed):
-    """Saddle-free Newton on the tangent space on one start, one trial
+    """Saddle-free Newton on the tangent space on one start, each step on
+    the route _reference_step takes from the last step's flag, one trial
     scale at a time; a scale is accepted when the trial point is interior
     and the gradient norm falls or the likelihood rises strictly above
     its Armijo line. Balanced to |a| = |b| after."""
     a, b = pt0.arrays()
     n = len(a)
     iterations = 0
+    definite = False
     for iterations in range(1, cfg.max_iter + 1):
         grad = gradient(a, b, rho)
         if np.abs(grad).max() < cfg.tol:
             break
-        step = _reference_step(a, b, grad, rho)
+        step, definite = _reference_step(a, b, grad, rho, definite)
         norm0 = np.linalg.norm(grad)
         value0 = _reference_loglik(a, b, rho, 1.0)
         slope = grad @ step
@@ -351,6 +368,15 @@ def _hex_rows(a, b):
     return [[x.hex() for x in (*ra, *rb)] for ra, rb in zip(a, b)]
 
 
+def _near_maximum(rows):
+    """rows points within about 1e-3 of the 2:1 maximum ++--, moved by
+    zero-sum noise."""
+    noise = np.random.default_rng(5).normal(scale=1e-3, size=(2, rows, 4))
+    noise -= noise.mean(axis=-1, keepdims=True)
+    a, b = CANDS[SignPattern.PPNN].point().arrays()
+    return a + noise[0], b + noise[1]
+
+
 # two rows at rho = 1: the first with b near 0, where two eigenvalues of the
 # projected Hessian vanish up to rounding along the flat family
 NEAR_FLAT_A = np.array([[0.3, 0.1, -0.1, -0.3], [0.4, -0.1, 0.2, -0.5]])
@@ -370,7 +396,12 @@ class TestTangentStep:
         u = 1e-4 * basis[0] @ V[:, -1]
         pa, pb = a + u[:4], b + u[4:]
         grad = gradient(pa[None], pb[None], 2.0)
-        step = solvers._tangent_step(pa[None], pb[None], grad, 2.0)[0]
+        # flagged definite or not, the row fails Cholesky and takes eigh
+        for definite in (False, True):
+            steps, flags = solvers._tangent_step(pa[None], pb[None], grad, 2.0,
+                                                 np.array([definite]))
+            assert flags.tolist() == [False]
+        step = steps[0]
         basis, H = solvers._tangent_hessian(pa[None], pb[None], 2.0)
         plain = -basis[0] @ np.linalg.solve(H[0], basis[0].T @ grad[0])
         assert grad[0] @ step > 0 > grad[0] @ plain
@@ -378,20 +409,26 @@ class TestTangentStep:
 
     def test_rows_get_the_floored_capped_step_of_the_reference(self):
         # random draws at 2:1, several with a step longer than 1, and the
-        # rank-deficient near-flat rows: each row's step has the bits of the
-        # one-row reference, is an ascent direction and is at most 1 long
+        # rank-deficient near-flat rows, none flagged definite: each row's
+        # step and flag are the one-row reference's, the step is an ascent
+        # direction and is at most 1 long
         ab = _random_starts(4, [np.random.default_rng(k) for k in range(20)])
         grad = gradient(ab[:, 0], ab[:, 1], 2.0)
-        step = solvers._tangent_step(ab[:, 0], ab[:, 1], grad, 2.0)
+        step, flags = solvers._tangent_step(ab[:, 0], ab[:, 1], grad, 2.0,
+                                            np.zeros(20, dtype=bool))
         flat_grad = gradient(NEAR_FLAT_A, NEAR_FLAT_B, 1.0)
-        flat_step = solvers._tangent_step(NEAR_FLAT_A, NEAR_FLAT_B, flat_grad, 1.0)
-        for rows, grads, steps, rho in [
-                (ab, grad, step, 2.0),
-                (zip(NEAR_FLAT_A, NEAR_FLAT_B), flat_grad, flat_step, 1.0)]:
+        flat_step, flat_flags = solvers._tangent_step(
+            NEAR_FLAT_A, NEAR_FLAT_B, flat_grad, 1.0, np.zeros(2, dtype=bool))
+        # the floor applies to the first row, so only the second is flagged
+        assert flat_flags.tolist() == [False, True]
+        for rows, grads, steps, got, rho in [
+                (ab, grad, step, flags, 2.0),
+                (zip(NEAR_FLAT_A, NEAR_FLAT_B), flat_grad, flat_step, flat_flags, 1.0)]:
             reference = [_reference_step(ra, rb, g, rho)
                          for (ra, rb), g in zip(rows, grads)]
             assert [[x.hex() for x in row] for row in steps] == \
-                [[x.hex() for x in row] for row in reference]
+                [[x.hex() for x in row] for row, _ in reference]
+            assert got.tolist() == [flag for _, flag in reference]
             assert (np.vecdot(grads, steps) > 0).all()
         norms = solvers._norm(step)
         assert (norms <= 1 + 1e-15).all() and (norms > 1 - 1e-15).sum() >= 5
@@ -446,6 +483,112 @@ class TestTangentStep:
         assert np.isfinite(ra[1]).all() and np.isfinite(rb[1]).all()
         multistart(WeightTable.symmetric(4, 2, 1),
                    SolverConfig(starts=20, seed=1, max_iter=cfg.max_iter))
+
+    def test_cholesky_step_matches_the_saddle_free_step_on_definite_rows(self):
+        # where H is negative definite, B (-H)^-1 B^T g and B V |w|^-1 V^T B^T g
+        # are the same step; both routes flag every row
+        a, b = _near_maximum(8)
+        grad = gradient(a, b, 2.0)
+        solved, solved_flags = solvers._tangent_step(a, b, grad, 2.0, np.ones(8, dtype=bool))
+        eigen, eigen_flags = solvers._tangent_step(a, b, grad, 2.0, np.zeros(8, dtype=bool))
+        assert solved_flags.all() and eigen_flags.all()
+        # the routes differ in rounding only
+        assert (solved != eigen).any()
+        assert (np.abs(solved - eigen).max(axis=-1)
+                <= 1e-12 * np.abs(eigen).max(axis=-1)).all()
+
+    def test_mixed_routes_give_each_row_its_one_row_bits(self):
+        # definite rows flagged (Cholesky and solve) and not flagged (eigh),
+        # and indefinite random draws flagged (Cholesky fails, so the
+        # stacked call raises and each flagged row is tested alone) and not
+        # flagged: every row's step and flag are those of its one-row call
+        # and of the one-row reference
+        near_a, near_b = _near_maximum(6)
+        ab = _random_starts(4, [np.random.default_rng(k) for k in range(6)])
+        a = np.concatenate([near_a, ab[:, 0]])
+        b = np.concatenate([near_b, ab[:, 1]])
+        definite = np.array([True, False] * 6)
+        grad = gradient(a, b, 2.0)
+        step, flags = solvers._tangent_step(a, b, grad, 2.0, definite)
+        alone = [solvers._tangent_step(a[k:k + 1], b[k:k + 1], grad[k:k + 1], 2.0,
+                                       definite[k:k + 1]) for k in range(12)]
+        reference = [_reference_step(a[k], b[k], grad[k], 2.0, definite[k])
+                     for k in range(12)]
+        assert [[x.hex() for x in row] for row in step] \
+            == [[x.hex() for x in row[0]] for row, _ in alone] \
+            == [[x.hex() for x in row] for row, _ in reference]
+        assert flags.tolist() == [bool(f[0]) for _, f in alone] \
+            == [f for _, f in reference]
+        # the draws are indefinite: flagged or not, they end unflagged
+        assert flags.tolist() == [True] * 6 + [False] * 6
+
+    def test_singular_definite_row_takes_eigh(self):
+        # a point that multistart(symmetric(4, 1, 1), 50 starts, seed
+        # 537874176) reaches flagged definite, near the flat family: -H
+        # has a Cholesky factor, but its least pivot is 4e-17 against a
+        # diagonal of 0.025 and solve raises on it. The row takes eigh, as
+        # if not flagged, and the whole multistart runs
+        a = np.array([[float.fromhex(x) for x in (
+            "0x1.8780ccb8eea9bp-6", "0x1.77d884718833bp-5",
+            "-0x1.3d52146928ff9p-3", "0x1.5cd7b36b523aep-4")]])
+        b = np.array([[float.fromhex(x) for x in (
+            "0x1.4c8f6a8810000p-28", "0x1.6404608f80000p-32",
+            "-0x1.436ab2e290000p-29", "-0x1.8234ae3da0000p-29")]])
+        H = solvers._tangent_hessian(a, b, 1.0)[1][0]
+        np.linalg.cholesky(-H)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+            np.linalg.solve(-H, np.ones(len(H)))
+        grad = gradient(a, b, 1.0)
+        flagged = solvers._tangent_step(a, b, grad, 1.0, np.array([True]))
+        plain = solvers._tangent_step(a, b, grad, 1.0, np.array([False]))
+        assert flagged[1].tolist() == plain[1].tolist() == [False]
+        assert [x.hex() for x in flagged[0][0]] == [x.hex() for x in plain[0][0]]
+        assert np.isfinite(flagged[0]).all()
+        result = multistart(WeightTable.symmetric(4, 1, 1),
+                            SolverConfig(starts=50, seed=537874176))
+        assert {r.classification for r in result.reports} == {"degenerate"}
+
+    def test_no_row_takes_eigh_after_its_first_definite_step(self, monkeypatch):
+        # near the 2:1 maximum H is negative definite at the first point,
+        # so each row takes eigh once and every later step by Cholesky
+        eigh_rows, cholesky_rows = [], []
+        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+
+        def counted_eigh(H):
+            eigh_rows.append(len(H))
+            return eigh(H)
+
+        def counted_cholesky(M):
+            cholesky_rows.append(len(M))
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        a, b = _near_maximum(8)
+        _, _, iterations = solvers._newton(a, b, 2.0, CFG)
+        assert (iterations >= 3).all()
+        assert sum(eigh_rows) == 8
+        assert sum(cholesky_rows) == (iterations - 2).sum()
+
+    def test_non_finite_rows_reach_no_lapack_call(self, monkeypatch):
+        # at 1.7e308:1 the likelihood, gradient and Hessian overflow: no
+        # warning, no raise, no non-finite matrix reaches Cholesky or eigh,
+        # and every row stops at its first step, unconverged
+        seen = []
+        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+
+        def checked(call):
+            def wrapped(M):
+                seen.append(bool(np.isfinite(M).all()))
+                return call(M)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", checked(eigh))
+        monkeypatch.setattr(np.linalg, "cholesky", checked(cholesky))
+        ab = _random_starts(4, [np.random.default_rng(k) for k in range(5)])
+        _, _, iterations = solvers._newton(ab[:, 0], ab[:, 1], 1.7e308, CFG)
+        assert seen and all(seen)
+        assert iterations.tolist() == [1] * 5
 
 
 class TestClassify:

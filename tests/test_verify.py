@@ -29,7 +29,8 @@ from swissfrancs.verify import (LEMMAS, VERDICT_CERTIFIED,
                                 f1_eval, f3_eval, f3_region_scan,
                                 f_polynomial, lemma_a2_factorization,
                                 matrix_checks, reference_f3_poly,
-                                sign_order_check, tail_pair_solve)
+                                sign_order_check, sign_order_exact,
+                                tail_pair_solve)
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -266,6 +267,24 @@ class TestSignOrder:
             assert not report.passed
             assert report.witness == witness
 
+    def test_exact_table_violation(self):
+        # hand-built tables P_ij = a_i b_j in Fractions: the second has
+        # every P_ii >= 0, but P_00 - P_01 - P_10 + P_11 = -1/2
+        for a, b, witness in [
+                ([1, -1, 0, 0], [-1, 1, 0, 0], ("sign", 0)),
+                ([1, 0, 0, -1], [F(1, 10), F(6, 10), F(-4, 10), F(-3, 10)],
+                 ("order", 0, 1))]:
+            report = sign_order_exact([[F(x) * y for y in b] for x in a])
+            assert not report.passed
+            assert report.witness == witness
+
+    @pytest.mark.parametrize("s, t", [(2, 1), (3, 2), (100, 1), (1001, 1000)])
+    def test_exact_agrees_with_the_float_check_on_the_candidates(self, s, t):
+        for cand in enumerate_n4(s, t):
+            exact = sign_order_exact(cand.products())
+            assert exact.passed
+            assert exact == sign_order_check(cand.point())
+
 
 class TestFPolynomial:
     def test_structure_at_candidates(self):
@@ -473,9 +492,10 @@ class TestCertify:
         cert.to_text()
 
     # a derandomized sweep: n from 2 to 16 and s/t from 1 + 1e-3 to 1000
-    # at 3 starts, plus (4, 100, 1) at 10 starts, s = t, and the 1000:1
+    # at 3 starts, plus (4, 100, 1) at 10 starts, s = t, the 1000:1
     # starts where Newton with the least-squares step ran to its
-    # iteration cap
+    # iteration cap, and ratios from 1e160 to 1.7e308 at 5 starts, where
+    # the search overflows
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(2, 16),
            st.fractions(Fraction(1001, 1000), 1000, max_denominator=1000),
@@ -485,11 +505,25 @@ class TestCertify:
     @example(4, Fraction(1000), 1, 3331072)
     @example(2, Fraction(1000), 3, 1)
     @example(3, Fraction(1000), 3, 1)
+    @example(4, Fraction(10 ** 160), 5, 1)
+    @example(4, Fraction(10 ** 308), 5, 1)
+    @example(8, Fraction(10 ** 308), 5, 1)
+    @example(4, Fraction(17 * 10 ** 307), 5, 1)
     def test_sweep_answers_or_names_its_reason(self, n, ratio, starts, seed):
         cert = certify(n, ratio.numerator, ratio.denominator,
                        SolverConfig(starts=starts, seed=seed))
         if cert.verdict == VERDICT_INCONCLUSIVE:
             assert any(c.passed is False and c.detail for c in cert.checks)
+
+    # log L, the gradient's norm and the Hessian overflow in the search;
+    # the rows stop and the verdict names why
+    @pytest.mark.parametrize("n, s", [(4, 10 ** 160), (4, 10 ** 308), (8, 10 ** 308),
+                                      (4, 17 * 10 ** 307)])
+    def test_extreme_ratios_stop_with_a_reason(self, n, s):
+        cert = certify(n, s, 1, SolverConfig(starts=5, seed=1))
+        assert cert.verdict == VERDICT_INCONCLUSIVE
+        assert [c.detail for c in cert.checks if c.passed is False] == \
+            ["search failed: no multistart run converged"]
 
     def test_near_equal_weights_at_n16_converge_quickly(self):
         # near s = t the maximum is nearly degenerate; Newton after the
