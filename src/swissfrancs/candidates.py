@@ -1,15 +1,22 @@
-"""Closed-form stationary candidates at n = 4 and the conjectured
-optimal matrices for general n.
+"""Closed-form stationary candidates: one two-level family, whose n = 4
+members are the paper's four candidates and whose block and corner
+members are the conjectured optimal matrices at every n.
 
-Under the canonical ordering, a nonzero symmetric stationary point at
-n = 4 has one of four sign patterns, each rigid up to the single scale
-alpha = a_1. Solving the reciprocal stationarity equations for the
-pattern vector c gives alpha^2 as a rational function of the weights:
+A member (p, z, q) splits n = p + z + q with p >= q >= 1. With
+g = gcd(p, q), its pattern vector c holds p entries x = q/g, z zeros and
+q entries -y = -p/g, so p x = q y and c sums to zero. The point
+a = b = alpha c, D = P - J = alpha^2 c c^T, is stationary at (s, t) for
 
-    (+,+,+,-)  alpha^2 = (s - t) / (3 s + 9 t)
-    (+,+,-,-)  alpha^2 = (s - t) / (s + 3 t)
-    (+,+,0,-)  alpha^2 = (s - t) / (2 s + 4 t)
-    (+,0,0,-)  alpha^2 = (s - t) / (s + t)
+    alpha^2 = g^2 (s - t) / (p q (s + (p + q - 1) t)).
+
+In the reciprocal form (see ranktwo), with rho = s / t, a row at level x
+reads (p + rho - 1)/(1 + x^2 alpha^2) + q/(1 - x y alpha^2) = p + q + rho - 1
+and a row at level -y swaps (p, x) with (q, y). Each is linear in
+alpha^2, and as p x = q y both are one equation. A row at level 0 holds
+at any alpha, so z never enters. At n = 4, under the canonical ordering,
+the nonzero symmetric stationary points are the members (3, 0, 1),
+(2, 0, 2), (2, 1, 1) and (1, 2, 1): the sign patterns +++-, ++--, ++0-
+and +00-.
 
 The pairwise products a_i a_j = c_i c_j alpha^2 are rational even though
 alpha is not, so candidate matrices, residuals and likelihoods all live
@@ -41,28 +48,41 @@ EXACT_EXPONENT_MAX = 20_000
 
 
 class SignPattern(Enum):
-    PPPN = (1, 1, 1, -3)
-    PPNN = (1, 1, -1, -1)
-    PPZN = (1, 1, 0, -2)
-    PZZN = (1, 0, 0, -1)
+    """The four n = 4 members of the two-level family, valued (p, z, q)."""
+
+    PPPN = (3, 0, 1)
+    PPNN = (2, 0, 2)
+    PPZN = (2, 1, 1)
+    PZZN = (1, 2, 1)
 
     @property
     def coeffs(self) -> tuple:
-        return self.value
+        return _levels(*self.value)
 
     @property
     def signs(self) -> str:
-        return "".join("+" if c > 0 else "0" if c == 0 else "-" for c in self.value)
+        p, z, q = self.value
+        return "+" * p + "0" * z + "-" * q
 
 
-def _alpha_sq(pattern: SignPattern, s: Fraction, t: Fraction) -> Fraction:
-    if pattern is SignPattern.PPPN:
-        return (s - t) / (3 * s + 9 * t)
-    if pattern is SignPattern.PPNN:
-        return (s - t) / (s + 3 * t)
-    if pattern is SignPattern.PPZN:
-        return (s - t) / (2 * s + 4 * t)
-    return (s - t) / (s + t)
+def _levels(p: int, z: int, q: int) -> tuple:
+    """The pattern vector c of the member (p, z, q)."""
+    g = math.gcd(p, q)
+    return (q // g,) * p + (0,) * z + (-(p // g),) * q
+
+
+def _alpha_sq(p: int, q: int, s: Fraction, t: Fraction) -> Fraction:
+    g = math.gcd(p, q)
+    return g * g * (s - t) / (p * q * (s + (p + q - 1) * t))
+
+
+def _member(p: int, z: int, q: int, s: Fraction, t: Fraction) -> tuple:
+    """alpha^2 and the SUM_NSQ matrix J + alpha^2 c c^T of the member
+    (p, z, q) at weights (s, t)."""
+    x = _alpha_sq(p, q, s, t)
+    c = _levels(p, z, q)
+    return x, ProbMatrix.of([[1 + ci * cj * x for cj in c] for ci in c],
+                            Convention.SUM_NSQ)
 
 
 @dataclass(frozen=True)
@@ -134,13 +154,10 @@ class Candidate:
 
 
 def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction) -> Candidate:
-    x = _alpha_sq(pattern, s, t)
-    c = pattern.coeffs
-    entries = [[1 + ci * cj * x for cj in c] for ci in c]
-    matrix = ProbMatrix.of(entries, Convention.SUM_NSQ)
-    if any(e <= 0 for row in entries for e in row):
+    x, matrix = _member(*pattern.value, s, t)
+    if any(e <= 0 for row in matrix.entries for e in row):
         raise FeasibilityError(f"pattern {pattern.signs} leaves the interior")
-    products = [[ci * cj * x for cj in c] for ci in c]
+    products = [[e - 1 for e in row] for row in matrix.entries]
     residual = reciprocal_residual_exact(products, s / t)
     if any(r != 0 for r in residual):
         raise RuntimeError(
@@ -215,35 +232,16 @@ def candidate_lines(cands: Sequence[Candidate], winner: Candidate,
 
 
 def block_matrix(n: int, s: Number, t: Number) -> ProbMatrix:
-    """Two-block matrix conjectured optimal for 0 < t < s, SUM_ONE form.
-
-    The diagonal blocks have sizes ceil(n/2) and floor(n/2) with entries
-    (s - t)/size + t, the off blocks hold t, and the whole table is
-    scaled by 1/(n s + (n-1) n t) so it sums to one.
-    """
+    """Two-block matrix conjectured optimal for 0 < t < s, SUM_ONE form:
+    the member (ceil(n/2), 0, floor(n/2)). A diagonal block of size k
+    holds (s - t)/k + t, the off blocks t, all over n s + (n-1) n t."""
     if n < 2:
         raise ValueError("block matrix needs n >= 2")
     s, t = Fraction(s), Fraction(t)
     if not 0 < t < s:
         raise ValueError("block matrix requires 0 < t < s")
-    p = (n + 1) // 2
-    q = n - p
-    scale = Fraction(1, n * s + (n - 1) * n * t)
-    top = (s - t) / p + t
-    bottom = (s - t) / q + t
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < p and j < p:
-                value = top
-            elif i >= p and j >= p:
-                value = bottom
-            else:
-                value = t
-            row.append(value * scale)
-        rows.append(row)
-    return ProbMatrix.of(rows, Convention.SUM_ONE)
+    return convert_convention(_member((n + 1) // 2, 0, n // 2, s, t)[1],
+                              Convention.SUM_ONE)
 
 
 def block_point(n: int, s: Number, t: Number) -> RankTwoPoint:
@@ -266,20 +264,14 @@ def block_point(n: int, s: Number, t: Number) -> RankTwoPoint:
 
 def corner_matrix(n: int, s: Number, t: Number) -> ProbMatrix:
     """Corner-perturbed flat matrix conjectured optimal for 0 < s <= t,
-    SUM_ONE form: entries 1/n^2 except the four corners, which hold
-    2s/(n^2 (s+t)) on the main diagonal and 2t/(n^2 (s+t)) off it."""
+    SUM_ONE form: the member (1, n - 2, 1). Its entries are 1/n^2 but at
+    the corners: 2s/(n^2 (s+t)) on the diagonal, 2t/(n^2 (s+t)) off it."""
     if n < 2:
         raise ValueError("corner matrix needs n >= 2")
     s, t = Fraction(s), Fraction(t)
     if not 0 < s <= t:
         raise ValueError("corner matrix requires 0 < s <= t")
-    base = Fraction(1, n * n)
-    near = 2 * s / (n * n * (s + t))
-    far = 2 * t / (n * n * (s + t))
-    rows = [[base] * n for _ in range(n)]
-    rows[0][0] = rows[n - 1][n - 1] = near
-    rows[0][n - 1] = rows[n - 1][0] = far
-    return ProbMatrix.of(rows, Convention.SUM_ONE)
+    return convert_convention(_member(1, n - 2, 1, s, t)[1], Convention.SUM_ONE)
 
 
 def corner_point(n: int, s: Number, t: Number) -> RankTwoPoint:

@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Convention, ConvergenceError, ProbMatrix, WeightTable
+from .core import ConvergenceError, WeightTable
 from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, entry_tables, gradient,
                       hessian, stationarity_residual)
 
@@ -86,15 +86,6 @@ class LatentClassModel:
         return cls(tuple(float(x) for x in weights),
                    tuple(tuple(float(x) for x in row) for row in row_cond),
                    tuple(tuple(float(x) for x in row) for row in col_cond))
-
-    def arrays(self):
-        return (np.array(self.weights), np.array(self.row_cond), np.array(self.col_cond))
-
-    def matrix(self) -> ProbMatrix:
-        lam, R, C = self.arrays()
-        P = np.einsum("h,hi,hj->ij", lam, R, C)
-        P = P / P.sum()
-        return ProbMatrix.of(P.tolist(), Convention.SUM_ONE)
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "n": self.n, "weights": list(self.weights),
@@ -338,22 +329,23 @@ def _tangent_hessian(a: np.ndarray, b: np.ndarray, rho: float):
     return basis, np.swapaxes(basis, -2, -1) @ hessian(a, b, rho) @ basis
 
 
-def _cholesky_pivots(M: np.ndarray) -> np.ndarray:
-    """The squared diagonal of np.linalg.cholesky(m) for each matrix m of
-    the stack M, NaN where m has no factor: one stacked call, and one call
-    per matrix only when the stack raises, since a stacked call raises
-    when any one matrix fails. Either way each matrix's answer is its
-    own."""
+def _per_matrix(f, M: np.ndarray) -> tuple:
+    """f(M) for a LAPACK call f that maps the stack M of matrices to a
+    tuple of arrays stacked over M's first axis, with NaN in place of each
+    matrix whose own call raises LinAlgError. A stacked call raises when
+    any one matrix fails, so only then is f called on each matrix alone;
+    either way each matrix's answer is its own."""
     try:
-        return np.linalg.cholesky(M).diagonal(0, -2, -1) ** 2
+        return tuple(f(M))
     except np.linalg.LinAlgError:
-        pivots = np.full(M.shape[:-1], np.nan)
-        for k, m in enumerate(M):
+        out = tuple(np.full(M.shape[:1] + x.shape[1:], np.nan) for x in f(M[:0]))
+        for k in range(len(M)):
             try:
-                pivots[k] = np.linalg.cholesky(m).diagonal() ** 2
+                for o, x in zip(out, f(M[k:k + 1])):
+                    o[k] = x[0]
             except np.linalg.LinAlgError:
                 pass
-        return pivots
+        return out
 
 
 def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float,
@@ -369,33 +361,36 @@ def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float,
     Taking |w| for each eigenvalue makes every step an ascent direction,
     and where H is negative definite it is the plain Newton step
     -B H^-1 B^T g, which needs no eigenvectors. So a row flagged in
-    definite is first tested by Cholesky of -H = L L^T
-    (_cholesky_pivots). -H's least eigenvalue is at most the least L_ii^2
-    and its largest at least the largest diagonal entry, so where that
-    ratio is below 1e-8 eigh would floor some |w|, and the row takes
-    eigh. (Near the flat family at s = t, -H can have a Cholesky factor
-    with a pivot of 4e-17 against a diagonal of 0.025, and its LU in
-    solve then meets an exact zero pivot.) A row that passes takes the
-    step B solve(-H, B^T g) and stays flagged.
+    definite is first tested by Cholesky of -H = L L^T. -H's least
+    eigenvalue is at most the least L_ii^2 and its largest at least the
+    largest diagonal entry, so where that ratio is below 1e-8 eigh would
+    floor some |w|, and the row takes eigh. (Near the flat family at
+    s = t, -H can have a Cholesky factor with a pivot of 4e-17 against a
+    diagonal of 0.025, and its LU in solve then meets an exact zero
+    pivot.) A row that passes takes the step B solve(-H, B^T g) and stays
+    flagged.
 
     Every other row takes one stacked eigh: |w| is floored at 1e-8 times
     the largest, so a singular H never raises, and the row is flagged
     when all its w are negative and none is floored. A step longer than
     1 is scaled to length 1. A row whose H is not finite reaches neither
-    LAPACK call; its step is NaN and it is not flagged."""
+    LAPACK call. Through _per_matrix, a row whose own Cholesky raises
+    takes eigh, and one whose own eigh raises gets a NaN step. A row with
+    a NaN step is not flagged, and _newton stops it there, unconverged."""
     basis, H = _tangent_hessian(a, b, rho)
     coef = np.swapaxes(basis, -2, -1) @ grad[:, :, None]
     finite = np.isfinite(H).all(axis=(-2, -1))
     solved = definite & finite
     negH = -H[solved]
+    L, = _per_matrix(lambda M: (np.linalg.cholesky(M),), negH)
     # NaN pivots, where -H has no factor, fail the comparison
-    ok = _cholesky_pivots(negH).min(axis=-1) \
+    ok = (L.diagonal(0, -2, -1) ** 2).min(axis=-1) \
         >= 1e-8 * negH.diagonal(0, -2, -1).max(axis=-1)
     solved[solved] = ok
     free = finite & ~solved
     x = np.full(coef.shape, np.nan)
     x[solved] = np.linalg.solve(negH[ok], coef[solved])
-    w, V = np.linalg.eigh(H[free])
+    w, V = _per_matrix(np.linalg.eigh, H[free])
     floor = 1e-8 * np.abs(w).max(axis=-1, keepdims=True)
     nxt = solved.copy()
     nxt[free] = ((w < 0) & (-w >= floor)).all(axis=-1)
@@ -636,13 +631,12 @@ def _squarem_cycle(counts: np.ndarray, counted: np.ndarray, theta0: tuple,
     return (nxt, *_em_step(counts, counted, *nxt))
 
 
-def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
-        init: Optional[LatentClassModel] = None) -> list:
+def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list) -> list:
     """SQUAREM-accelerated EM on one start per seed at once, each row of
     the (K, r) and (K, r, n) arrays running as if alone: its own step
     length, trials, stop test, iteration count, trace and residual, and
     it drops out of the live rows when it stops. A seed of None draws
-    from seed 0; init, if given, is the one start instead of a draw.
+    from seed 0.
 
     One iteration is one _squarem_cycle, and the trace holds log L at the
     start and after each cycle. A row stops when a cycle gains less than
@@ -651,24 +645,15 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
     and the trace repeats the previous value, so the trace never falls
     and its last value is the log L of the returned model. The residual
     is max |F(theta) - theta| at the returned point. Returns one
-    SolveReport per start. Raises ValueError for an init that gives a
-    counted cell zero probability."""
+    SolveReport per start."""
     if r < 1:
         raise ValueError("class count must be at least 1")
     table = counts.as_array()
     counted = table > 0
     n = counts.n
-    if init is not None:
-        if init.r != r or init.n != n:
-            raise ValueError("init model shape does not match")
-        theta = tuple(x[None] for x in init.arrays())
-        # the E step would divide 0 by 0 there, and log L stays -inf
-        if not (np.einsum("kh,khi,khj->kij", *theta)[0][counted] > 0).all():
-            raise ValueError("init model gives a counted cell zero probability")
-    else:
-        draws = [_em_init(n, r, np.random.default_rng(0 if seed is None else seed))
-                 for seed in seeds]
-        theta = tuple(np.array(x) for x in zip(*draws))
+    draws = [_em_init(n, r, np.random.default_rng(0 if seed is None else seed))
+             for seed in seeds]
+    theta = tuple(np.array(x) for x in zip(*draws))
     ends = [np.empty_like(x) for x in theta]
     residual = np.empty(len(seeds))
     iterations = np.full(len(seeds), cfg.max_iter)
@@ -722,7 +707,6 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list,
 
 
 def em_fit(counts: WeightTable, r: int, cfg: SolverConfig,
-           init: Optional[LatentClassModel] = None,
            seed: Optional[int] = None) -> SolveReport:
     """EM for the r-class latent model on a two-way count table,
     accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 35, 2008).
@@ -738,7 +722,7 @@ def em_fit(counts: WeightTable, r: int, cfg: SolverConfig,
     the report. This is the one-row call of the kernel em_multistart
     runs on all its starts at once.
     """
-    return _em(counts, r, cfg, [seed], init)[0]
+    return _em(counts, r, cfg, [seed])[0]
 
 
 @dataclass(frozen=True)

@@ -2,29 +2,46 @@
 
 bench/tracing.py wraps every function named in its TARGETS, and
 bench/run.py records verify.worker_count() and the threads field of the
-f3 scan. A refactor of the package that breaks one of them fails here,
-not first in a benchmark run. bench/tracing.py is read, compiled and run
-in memory, so no bytecode is written next to it.
+f3 scan. bench/workloads.py checks every output it times: it reads a
+candidate's pattern signs, alpha_sq and point(), the certificate's JSON
+fields, and the reports of the algebra checks. A refactor of the package
+that breaks one of them fails here, not first in a benchmark run. The
+bench modules are read, compiled and run in memory, so no bytecode is
+written next to them.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
+import pytest
+
 from swissfrancs import verify
+from swissfrancs.solvers import SolverConfig
 
-TRACING = Path(__file__).parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).parent.parent / "bench"
 
 
-def _tracing_module() -> types.ModuleType:
-    module = types.ModuleType("bench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def _bench_module(name: str) -> types.ModuleType:
+    """bench/<name>.py run as the module bench_<name>. It is registered in
+    sys.modules, where dataclasses look up the module of a class they
+    build."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
+@pytest.fixture(scope="module")
+def workloads() -> types.ModuleType:
+    return _bench_module("workloads")
+
+
 def test_every_trace_target_resolves():
-    targets = _tracing_module().TARGETS
+    targets = _bench_module("tracing").TARGETS
     assert targets
     for target in targets:
         # the lookup Tracer.install makes: <module>.<attribute path>, the
@@ -40,3 +57,16 @@ def test_every_trace_target_resolves():
 def test_scan_thread_count_is_reported():
     assert verify.worker_count() >= 1
     assert verify.f3_region_scan(10).to_json_dict()["threads"] >= 1
+
+
+def test_side_check_outputs_pass_their_checks(workloads):
+    workloads._check_global_candidates(workloads._global_candidates())
+    workloads._check_f_polynomials(workloads._f_polynomials())
+    workloads._check_factorization(verify.lemma_a2_factorization())
+
+
+@pytest.mark.parametrize("n, s, t", [(4, 2, 1), (4, 3, 2), (5, 2, 1), (6, 1, 2),
+                                     (4, 1, 1), (16, 2, 1)])
+def test_certificates_pass_the_bench_check(workloads, n, s, t):
+    cert = verify.certify(n, s, t, SolverConfig(starts=5, seed=1))
+    workloads.check_certificate(cert.to_json_dict(), n, s, t)

@@ -249,6 +249,18 @@ class TestCandidates:
         assert code == 2
         assert "4 s + 12 t <= 20000" in err
 
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt"),
+                                             ("csv", "csv")])
+    @pytest.mark.parametrize("s", [2, 1000])
+    def test_candidates_golden_bytes(self, capsys, s, fmt, suffix):
+        # 1000:1 prints the 30-digit log in place of the exact likelihood
+        code, out, err = run(capsys, "candidates", "--s", str(s), "--t", "1",
+                             "--format", fmt)
+        assert code == 0
+        assert err == ""
+        expected = (GOLDEN / f"candidates_{s}_1.{suffix}").read_bytes()
+        assert out.encode("utf-8") == expected
+
     def test_solver_options_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["candidates", "--s", "2", "--t", "1", "--seed", "3"])

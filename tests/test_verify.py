@@ -590,7 +590,9 @@ class TestCertify:
         assert cert.verdict == VERDICT_CERTIFIED
         assert calls == [(s, t)]
 
-    @pytest.mark.parametrize("n, s, t", [(4, 2, 1), (5, 2, 1), (4, 1, 2)])
+    @pytest.mark.parametrize("n, s, t", [(4, 2, 1), (5, 2, 1), (4, 1, 2),
+                                         (3, 2, 1), (7, 3, 2), (16, 2, 1),
+                                         (2, 1000, 1), (6, 1, 2), (4, 1, 1)])
     def test_pinned_checks_and_matrix(self, n, s, t):
         # every check but multistart_dominance, whose floats come from
         # lstsq and eigh and can differ in the last bits between BLAS builds
