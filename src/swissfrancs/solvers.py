@@ -12,9 +12,11 @@ The likelihood, its gradient and Hessian, Newton and the second-order
 labels all take (K, n) arrays, so multistart runs its K starts in one
 pass. Each row gets the bits it would get alone: per-row dot products
 use np.vecdot, every expression keeps its order of operations, the
-stacked QR, Cholesky, solve, eigh, eigvalsh and matrix products run
-each row's LAPACK and BLAS calls as a 2-D call would, and which of
-those calls a row takes depends on that row only. EM does the same
+stacked Cholesky, solve, eigh, eigvalsh and matrix products run each
+row's LAPACK and BLAS calls as a 2-D call would, and which of those
+calls a row takes depends on that row only. Cholesky, eigh and eigvalsh
+go through _lapack, where a matrix LAPACK fails on gives NaN instead of
+raising for the whole stack. EM does the same
 with (K, r) mixture weights and (K, r, n) conditionals: the E step's
 table comes from one einsum over the batch, log L sums each row's n^2
 cells as one axis, and the M step reduces over the same axes as a
@@ -168,10 +170,9 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
     counts.
 
     The step is _tangent_step's, an ascent direction everywhere that is
-    the plain Newton step near a maximum. Each row carries whether its
-    last projected Hessian was negative definite beyond the eigenvalue
-    floor; such a row's next step is tried by Cholesky and a solve first,
-    and every other row's step comes from eigh. The line search halves the
+    the plain Newton step near a maximum: each iteration makes one
+    stacked Cholesky test of every live row, solves on the rows that pass
+    and takes one stacked eigh on the others. The line search halves the
     scale up to MAX_HALVINGS times, one scale per pass over the rows
     still searching (Nocedal and Wright, Numerical Optimization, Alg.
     3.1). A scale is accepted when the trial point is interior and either
@@ -205,7 +206,6 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
     grad = gradient(a, b, rho)
     n = a.shape[-1]
     iterations = np.full(len(a), cfg.max_iter)
-    definite = np.zeros(len(a), dtype=bool)
     live = np.arange(len(a))
     for it in range(1, cfg.max_iter + 1):
         # iterate down to the unscaled tol: stopping at the scaled one
@@ -216,7 +216,7 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
         if not len(live):
             break
         g = grad[live]
-        step, definite[live] = _tangent_step(a[live], b[live], g, rho, definite[live])
+        step = _tangent_step(a[live], b[live], g, rho)
         norm0 = _norm(g)
         finite = np.isfinite(value[live]) & np.isfinite(norm0) \
             & np.isfinite(step).all(axis=-1)
@@ -315,100 +315,98 @@ def _tangent_hessian(a: np.ndarray, b: np.ndarray, rho: float):
     """For each row of the (K, n) arrays a and b, none of them zero: an
     orthonormal basis of the zero-sum tangent space {sum a = 0} x
     {sum b = 0} without the gauge line (a, -b), as (K, 2n, 2n - 3)
-    columns, and the analytic Hessian projected onto it. The basis is the
-    last 2n - 3 columns of the complete QR of the three constraint
-    columns; a stacked QR factors each row's columns as a 2-D call
-    would."""
+    columns, and the analytic Hessian projected onto it.
+
+    Z, the first n - 1 columns of the reflection I - w w^T / w_n with
+    w = 1/sqrt(n) + e_n, which sends the unit vector of ones to -e_n, is
+    an orthonormal basis of the zero-sum vectors, and Q = diag(Z, Z) one
+    of the tangent space. A second reflection, I - h h^T / (1 + |v_last|)
+    with h = v + sign(v_last) e_last, sends the unit vector v along
+    Q^T (a, -b) to the last axis, and dropping that axis leaves the
+    basis. The products are stacked matmuls, so each row gets the bits
+    of a 2-D call."""
     n = a.shape[-1]
-    gauge = np.concatenate([a, -b], axis=-1)
-    gauge /= _norm(gauge)[:, None]
-    columns = np.zeros((len(a), 2 * n, 3))
-    columns[:, :n, 0] = columns[:, n:, 1] = 1.0 / math.sqrt(n)
-    columns[:, :, 2] = gauge
-    basis = np.linalg.qr(columns, mode="complete")[0][..., 3:]
+    w = np.full(n, 1.0 / math.sqrt(n))
+    w[-1] += 1.0
+    Q = np.zeros((2 * n, 2 * n - 2))
+    Q[:n, :n - 1] = Q[n:, n - 1:] = (np.eye(n) - np.outer(w, w) / w[-1])[:, :-1]
+    h = (Q.T @ np.concatenate([a, -b], axis=-1)[:, :, None])[:, :, 0]
+    h /= _norm(h)[:, None]
+    top = np.abs(h[:, -1]) + 1.0
+    h[:, -1] = np.copysign(top, h[:, -1])
+    basis = Q[:, :-1] - (Q @ h[:, :, None]) * (h[:, None, :-1] / top[:, None, None])
     return basis, np.swapaxes(basis, -2, -1) @ hessian(a, b, rho) @ basis
 
 
-def _per_matrix(f, M: np.ndarray) -> tuple:
-    """f(M) for a LAPACK call f that maps the stack M of matrices to a
-    tuple of arrays stacked over M's first axis, with NaN in place of each
-    matrix whose own call raises LinAlgError. A stacked call raises when
-    any one matrix fails, so only then is f called on each matrix alone;
-    either way each matrix's answer is its own."""
-    try:
-        return tuple(f(M))
-    except np.linalg.LinAlgError:
-        out = tuple(np.full(M.shape[:1] + x.shape[1:], np.nan) for x in f(M[:0]))
-        for k in range(len(M)):
-            try:
-                for o, x in zip(out, f(M[k:k + 1])):
-                    o[k] = x[0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _lapack(name: str, M: np.ndarray):
+    """The LAPACK gufunc name of numpy.linalg (cholesky_lo, eigh_lo or
+    eigvalsh_lo, what np.linalg.cholesky, eigh and eigvalsh call) on the
+    stack M in one call, under the wrapper's errstate but with invalid
+    ignored where the wrapper raises on it. Each matrix gets the
+    wrapper's bits, and one that LAPACK fails on comes back all NaN,
+    where the wrapper raises LinAlgError for the whole stack. The
+    gufuncs live in a private module, named only here."""
+    with np.errstate(all="ignore"):
+        return getattr(np.linalg._umath_linalg, name)(M)
 
 
-def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float,
-                  definite: np.ndarray):
+def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float):
     """The saddle-free Newton step B V |w|^-1 V^T B^T g of each row of the
     (K, n) arrays a and b, none of them zero, with gradients g = grad, B
     and H = V diag(w) V^T from _tangent_hessian, as (K, 2n) (Dauphin et
     al., "Identifying and attacking the saddle point problem in
     high-dimensional non-convex optimization", NeurIPS 2014; Nocedal and
-    Wright, Numerical Optimization, 2nd ed., section 3.4), and whether
-    each row's H is predicted negative definite at its next point.
+    Wright, Numerical Optimization, 2nd ed., section 3.4).
 
     Taking |w| for each eigenvalue makes every step an ascent direction,
     and where H is negative definite it is the plain Newton step
-    -B H^-1 B^T g, which needs no eigenvectors. So a row flagged in
-    definite is first tested by Cholesky of -H = L L^T. -H's least
-    eigenvalue is at most the least L_ii^2 and its largest at least the
-    largest diagonal entry, so where that ratio is below 1e-8 eigh would
-    floor some |w|, and the row takes eigh. (Near the flat family at
-    s = t, -H can have a Cholesky factor with a pivot of 4e-17 against a
-    diagonal of 0.025, and its LU in solve then meets an exact zero
-    pivot.) A row that passes takes the step B solve(-H, B^T g) and stays
-    flagged.
+    -B H^-1 B^T g, which needs no eigenvectors. So every row is first
+    tested by one stacked Cholesky of -H = L L^T. -H's least eigenvalue
+    is at most the least L_ii^2 and its largest at least the largest
+    diagonal entry, so where that ratio is below 1e-8 eigh would floor
+    some |w|, and the row takes eigh. (Near the flat family at s = t, -H
+    can have a Cholesky factor with a pivot of 6e-16 against a diagonal
+    of 0.034; solve then gives a step of size 1e16 along a near-null
+    direction, or raises on a pivot that is exactly zero.) A row that
+    passes takes the step B solve(-H, B^T g).
 
-    Every other row takes one stacked eigh: |w| is floored at 1e-8 times
-    the largest, so a singular H never raises, and the row is flagged
-    when all its w are negative and none is floored. A step longer than
-    1 is scaled to length 1. A row whose H is not finite reaches neither
-    LAPACK call. Through _per_matrix, a row whose own Cholesky raises
-    takes eigh, and one whose own eigh raises gets a NaN step. A row with
-    a NaN step is not flagged, and _newton stops it there, unconverged."""
+    Every other row, -H without a factor (NaN from _lapack) included,
+    takes one stacked eigh: |w| is floored at 1e-8 times the largest, so
+    a singular H never raises. A step longer than 1 is scaled to length
+    1. A row whose H is not finite reaches neither LAPACK call, and one
+    whose eigh fails gets a NaN step; _newton stops either row there,
+    unconverged."""
     basis, H = _tangent_hessian(a, b, rho)
     coef = np.swapaxes(basis, -2, -1) @ grad[:, :, None]
     finite = np.isfinite(H).all(axis=(-2, -1))
-    solved = definite & finite
-    negH = -H[solved]
-    L, = _per_matrix(lambda M: (np.linalg.cholesky(M),), negH)
+    negH = -H[finite]
+    L = _lapack("cholesky_lo", negH)
     # NaN pivots, where -H has no factor, fail the comparison
     ok = (L.diagonal(0, -2, -1) ** 2).min(axis=-1) \
         >= 1e-8 * negH.diagonal(0, -2, -1).max(axis=-1)
-    solved[solved] = ok
+    solved = finite.copy()
+    solved[finite] = ok
     free = finite & ~solved
     x = np.full(coef.shape, np.nan)
     x[solved] = np.linalg.solve(negH[ok], coef[solved])
-    w, V = _per_matrix(np.linalg.eigh, H[free])
+    w, V = _lapack("eigh_lo", H[free])
     floor = 1e-8 * np.abs(w).max(axis=-1, keepdims=True)
-    nxt = solved.copy()
-    nxt[free] = ((w < 0) & (-w >= floor)).all(axis=-1)
     x[free] = V @ ((np.swapaxes(V, -2, -1) @ coef[free])
                    / np.maximum(np.abs(w), floor)[:, :, None])
     step = (basis @ x)[:, :, 0]
-    return step / np.maximum(_norm(step), 1.0)[:, None], nxt
+    return step / np.maximum(_norm(step), 1.0)[:, None]
 
 
 def _labels(a: np.ndarray, b: np.ndarray, rho: float) -> list:
     """The label of each stationary row of the (K, n) arrays a and b:
     degenerate when flat, else from the eigenvalues of _tangent_hessian:
     local_max when all sit below -HESSIAN_EIG_TOL, saddle when one exceeds
-    +HESSIAN_EIG_TOL, and unclassified otherwise."""
+    +HESSIAN_EIG_TOL, and unclassified otherwise, a row whose eigvalsh
+    fails (NaN from _lapack) included."""
     flat = _flat(a, b)
     top = np.zeros(len(flat))
-    top[~flat] = np.linalg.eigvalsh(
-        _tangent_hessian(a[~flat], b[~flat], rho)[1]).max(axis=-1)
+    top[~flat] = _lapack("eigvalsh_lo",
+                         _tangent_hessian(a[~flat], b[~flat], rho)[1]).max(axis=-1)
     return ["degenerate" if is_flat else "local_max" if e < -HESSIAN_EIG_TOL
             else "saddle" if e > HESSIAN_EIG_TOL else "unclassified"
             for is_flat, e in zip(flat, top)]
@@ -483,18 +481,20 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     cfg.tol * (n + rho - 1); its iterations count the whole climb. The
     step is an ascent direction everywhere, so a start does not settle
     on a saddle or on the flat matrix b a^T = 0, where plain Newton's
-    basins from small random starts lead. A start takes eigh until its
-    projected Hessian is negative definite beyond the eigenvalue floor,
-    and from there a Cholesky test and a solve while the test passes: at
-    (16, 2, 1) with 50 starts, 232 of a multistart's 537 steps take eigh
-    (mean over seeds 800-811). All starts climb, are labelled
-    and get cluster keys together as (starts, n) arrays, each report
-    bit-identical to running its start alone. The largest temporaries
-    are the stacked Hessian and its QR factor, (starts, 2n, 2n), 1.6 MB
-    at n = 16 and 200 starts; a line-search pass forms one (starts, n, n)
-    table, 0.4 MB there. Converged points whose _cluster_keys lie within
-    cfg.cluster_eps form a cluster: one matrix b a^T up to simultaneous
-    permutation and transpose.
+    basins from small random starts lead. Every step tries a Cholesky
+    test and a solve first, and only a start whose projected Hessian
+    fails it takes eigh: at (16, 2, 1) with 50 starts, 156.7 of a
+    multistart's 536.8 steps take eigh (mean over seeds 800-811). All
+    starts climb, are labelled and get cluster keys together as
+    (starts, n) arrays, each report bit-identical to running its start
+    alone. The largest temporaries are the stacked Hessian and its
+    products with the basis, (starts, 2n, 2n), 1.6 MB at n = 16 and 200
+    starts; a line-search pass forms one (starts, n, n) table, 0.4 MB
+    there. A cluster is one matrix b a^T up to simultaneous permutation
+    and transpose: the first converged start not yet in a cluster founds
+    one, and every such start whose _cluster_keys lie within
+    cfg.cluster_eps of the founder's joins it, one vectorised pass per
+    cluster, which gives the clusters a start-by-start loop gives.
     """
     pair = weights.symmetric_pair()
     if pair is None:
@@ -511,22 +511,16 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     if not converged:
         raise ConvergenceError("no multistart run converged")
 
-    clusters: list[list] = []
-    keys: list[np.ndarray] = []
-    for report, key in zip(converged, _cluster_keys(a[mask], b[mask])):
-        for idx, existing in enumerate(keys):
-            if np.abs(existing - key).max() < cfg.cluster_eps:
-                clusters[idx].append(report)
-                break
-        else:
-            keys.append(key)
-            clusters.append([report])
-
+    keys = _cluster_keys(a[mask], b[mask])
+    free = np.arange(len(keys))
     packed = []
-    for key, members in zip(keys, clusters):
-        rep = max(members, key=lambda r: r.loglik)
-        packed.append(Cluster(representative=rep, size=len(members),
-                              loglik=rep.loglik, key=tuple(key)))
+    while len(free):
+        near = np.abs(keys[free] - keys[free[0]]).max(axis=-1) < cfg.cluster_eps
+        near[0] = True  # the founder, whatever its key
+        rep = max((converged[k] for k in free[near]), key=lambda r: r.loglik)
+        packed.append(Cluster(representative=rep, size=int(near.sum()),
+                              loglik=rep.loglik, key=tuple(keys[free[0]])))
+        free = free[~near]
     packed.sort(key=lambda c: (-c.loglik, c.key))
     best = max(converged, key=lambda r: r.loglik)
     return MultistartResult(weights=weights, best=best, clusters=tuple(packed),

@@ -1,8 +1,10 @@
 """Newton iteration, multistart search, classification, and EM."""
 
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,12 @@ CFG = SolverConfig()
 UNIFORM_2 = LatentClassModel.of([0.5, 0.5], [[0.25] * 4] * 2, [[0.25] * 4] * 2)
 CANDS = {c.pattern: c for c in enumerate_n4(2, 1)}
 L_TARGETS = sorted([c.loglik for c in CANDS.values()] + [0.0])
+# (n, s, t, starts) of the certify calls whose structure is pinned
+STRUCTURE_SHAPES = [(4, 2, 1, 200), (4, 3, 2, 200), (6, 1, 2, 50), (3, 2, 1, 50),
+                    (5, 2, 1, 50), (16, 2, 1, 50), (4, 1, 1, 50), (4, 100, 1, 10),
+                    (4, 1000, 1, 1), (16, 1001, 1000, 3), (2, 1000, 1, 10),
+                    (4, 21, 20, 50)]
+STRUCTURE = Path(__file__).parent / "golden" / "multistart_structure.json"
 
 
 def _finite_difference_label(pt, rho, h=1e-5):
@@ -68,17 +76,38 @@ def _bits(report):
             report.classification, report.converged, report.method, report.seed)
 
 
+def _structure(n, s, t, starts, seed):
+    """What a certify call concludes, without the floats that rounding
+    moves: the verdict, each check's name and passed flag, and the
+    search's failed starts, clusters (size and label, in order) and best
+    log L, which is compared to a tolerance."""
+    cert = certify(n, s, t, SolverConfig(starts=starts, seed=seed))
+    ms = cert.multistart_result
+    return {"verdict": cert.verdict,
+            "checks": [[c.name, c.passed] for c in cert.checks],
+            "n_failed": ms.n_failed,
+            "clusters": [[c.size, c.representative.classification] for c in ms.clusters],
+            "best_loglik": ms.best.loglik}
+
+
 def _reference_tangent_hessian(a, b, rho):
-    """Basis of the zero-sum, gauge-free tangent space at one point, the
-    last 2n - 3 columns of its own complete QR of the three constraint
-    columns, and the Hessian projected onto it."""
+    """Basis of the zero-sum, gauge-free tangent space at one point, and
+    the Hessian projected onto it. Z, n - 1 columns of the reflection that
+    sends the unit vector of ones to -e_n, spans the zero-sum vectors;
+    Q = diag(Z, Z), and the reflection that sends the unit vector along
+    Q^T (a, -b) to -sign e_last, its last column dropped, turns Q into
+    the basis."""
     n = len(a)
-    gauge = np.concatenate([a, -b])
-    gauge /= np.linalg.norm(gauge)
-    ones_a = np.concatenate([np.ones(n), np.zeros(n)]) / math.sqrt(n)
-    ones_b = np.concatenate([np.zeros(n), np.ones(n)]) / math.sqrt(n)
-    full, _ = np.linalg.qr(np.column_stack([ones_a, ones_b, gauge]), mode="complete")
-    basis = full[:, 3:]
+    w = np.ones(n) / math.sqrt(n)
+    w[-1] += 1.0
+    Z = (np.eye(n) - np.outer(w, w) / w[-1])[:, :-1]
+    Q = np.block([[Z, np.zeros((n, n - 1))], [np.zeros((n, n - 1)), Z]])
+    v = Q.T @ np.concatenate([a, -b])
+    v /= np.linalg.norm(v)
+    # Q times the reflection I - h h^T / top, h = v + sign(v_last) e_last
+    top = abs(v[-1]) + 1.0
+    h = np.append(v[:-1], math.copysign(top, v[-1]))
+    basis = Q[:, :-1] - np.outer(Q @ h, h[:-1] / top)
     return basis, basis.T @ hessian(a, b, rho) @ basis
 
 
@@ -98,35 +127,29 @@ def _reference_label(pt, rho):
     return "saddle" if top > HESSIAN_EIG_TOL else "unclassified"
 
 
-def _reference_step(a, b, grad, rho, definite=False):
-    """The step at one point, and whether its projected Hessian is taken
-    as negative definite at the next. A point flagged definite whose
-    -H = L L^T has a Cholesky factor with every L_ii^2 at least 1e-8 times
-    the largest diagonal entry of -H takes the Newton step
-    B (-H)^-1 B^T g and stays flagged; any other takes the saddle-free
-    step B V |w|^-1 V^T B^T g, each |w| floored at 1e-8 times the
-    largest, and is flagged when every w is negative and none is floored;
-    where that eigh raises, the step is NaN and not flagged. Scaled to
-    length 1 when longer."""
+def _reference_step(a, b, grad, rho):
+    """The step at one point. Where -H = L L^T has a Cholesky factor with
+    every L_ii^2 at least 1e-8 times the largest diagonal entry of -H, the
+    Newton step B (-H)^-1 B^T g; anywhere else the saddle-free step
+    B V |w|^-1 V^T B^T g, each |w| floored at 1e-8 times the largest, NaN
+    where that eigh raises. Scaled to length 1 when longer."""
     basis, H = _reference_tangent_hessian(a, b, rho)
+    try:
+        pivots = np.diag(np.linalg.cholesky(-H)) ** 2
+    except np.linalg.LinAlgError:
+        definite = False
+    else:
+        definite = pivots.min() >= 1e-8 * np.diag(-H).max()
     if definite:
-        try:
-            pivots = np.diag(np.linalg.cholesky(-H)) ** 2
-        except np.linalg.LinAlgError:
-            definite = False
-        else:
-            definite = bool(pivots.min() >= 1e-8 * np.diag(-H).max())
-        if definite:
-            step = basis @ np.linalg.solve(-H, basis.T @ grad)
-    if not definite:
+        step = basis @ np.linalg.solve(-H, basis.T @ grad)
+    else:
         try:
             w, V = np.linalg.eigh(H)
         except np.linalg.LinAlgError:
             w, V = np.full(len(H), np.nan), np.full(H.shape, np.nan)
         floor = 1e-8 * np.abs(w).max()
-        definite = bool(((w < 0) & (-w >= floor)).all())
         step = basis @ (V @ ((V.T @ (basis.T @ grad)) / np.maximum(np.abs(w), floor)))
-    return step / max(np.linalg.norm(step), 1.0), definite
+    return step / max(np.linalg.norm(step), 1.0)
 
 
 def _reference_loglik(a, b, s, t):
@@ -149,20 +172,19 @@ def _reference_balanced(a, b):
 
 
 def _reference_newton(pt0, rho, cfg, seed):
-    """Saddle-free Newton on the tangent space on one start, each step on
-    the route _reference_step takes from the last step's flag, one trial
-    scale at a time; a scale is accepted when the trial point is interior
-    and the gradient norm falls or the likelihood rises strictly above
-    its Armijo line. Balanced to |a| = |b| after."""
+    """Saddle-free Newton on the tangent space on one start, each step
+    _reference_step's, one trial scale at a time; a scale is accepted
+    when the trial point is interior and the gradient norm falls or the
+    likelihood rises strictly above its Armijo line. Balanced to
+    |a| = |b| after."""
     a, b = pt0.arrays()
     n = len(a)
     iterations = 0
-    definite = False
     for iterations in range(1, cfg.max_iter + 1):
         grad = gradient(a, b, rho)
         if np.abs(grad).max() < cfg.tol:
             break
-        step, definite = _reference_step(a, b, grad, rho, definite)
+        step = _reference_step(a, b, grad, rho)
         norm0 = np.linalg.norm(grad)
         value0 = _reference_loglik(a, b, rho, 1.0)
         slope = grad @ step
@@ -407,8 +429,85 @@ CAPTURED_G = """
     -0x1.80c4d9p-31 0x1.e5535cp-32 0x1.29a316p-31 -0x1.ff6fe8p-33"""
 
 
+def _patch_gufuncs(monkeypatch, failing=None):
+    """Wrap numpy's LAPACK gufuncs cholesky_lo, eigh_lo and eigvalsh_lo,
+    which solvers._lapack and the np.linalg wrappers call. Each call is
+    recorded as (name, number of matrices), and each matrix equal to one
+    in failing[name] fails as LAPACK's failures do: it comes back all NaN
+    and the call sets the invalid flag. Returns the record."""
+    calls = []
+    failing = failing or {}
+    for name in ("cholesky_lo", "eigh_lo", "eigvalsh_lo"):
+        def patched(M, *args, _name=name, _gufunc=getattr(np.linalg._umath_linalg, name),
+                    **kwargs):
+            stack = M.reshape((-1,) + M.shape[-2:])
+            calls.append((_name, len(stack)))
+            out = _gufunc(M, *args, **kwargs)
+            bad = [k for k, m in enumerate(stack)
+                   if any(np.array_equal(m, f) for f in failing.get(_name, ()))]
+            if bad:
+                for x in _parts(out):
+                    x[bad if M.ndim > 2 else ...] = np.nan
+                # and the invalid flag, on which the public wrappers raise
+                np.subtract(np.inf, np.inf)
+            return out
+        monkeypatch.setattr(np.linalg._umath_linalg, name, patched)
+    return calls
+
+
+def _parts(out):
+    """A LAPACK call's result as a tuple of arrays."""
+    return tuple(out) if isinstance(out, tuple) else (out,)
+
+
+def _steps(calls):
+    """The (Cholesky rows, eigh rows) of each step in a record of
+    _patch_gufuncs that holds _tangent_step calls only."""
+    assert [name for name, _ in calls] == ["cholesky_lo", "eigh_lo"] * (len(calls) // 2)
+    return [(calls[k][1], calls[k + 1][1]) for k in range(0, len(calls), 2)]
+
+
 class TestTangentStep:
-    def test_step_climbs_away_from_a_saddle(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 16])
+    def test_basis_spans_what_the_complete_qr_basis_spans(self, n):
+        # the reflections give an orthonormal basis of the QR's span: the
+        # zero-sum pairs orthogonal to the gauge line (a, -b)
+        ab = _random_starts(n, [np.random.default_rng(k) for k in range(10)])
+        basis = solvers._tangent_hessian(ab[:, 0], ab[:, 1], 2.0)[0]
+        eye = np.eye(2 * n - 3)
+        eps = np.finfo(float).eps
+        assert np.abs(np.swapaxes(basis, -2, -1) @ basis - eye).max() < 8 * eps
+        for (a, b), B in zip(ab, basis):
+            columns = np.zeros((2 * n, 3))
+            columns[:n, 0] = columns[n:, 1] = 1.0
+            columns[:, 2] = np.concatenate([a, -b])
+            qr = np.linalg.qr(columns, mode="complete")[0][:, 3:]
+            assert np.abs(B @ B.T - qr @ qr.T).max() < 16 * eps
+
+    def test_gufuncs_give_nan_where_lapack_fails_and_the_wrapper_bits_elsewhere(self):
+        # what _lapack relies on in the installed numpy: where the public
+        # wrapper raises for the whole stack, the gufunc under it fills the
+        # failing matrix with NaN and gives every other matrix the bits the
+        # wrapper gives it, alone or stacked. Cholesky fails on a negative
+        # definite matrix, eigh and eigvalsh on one that is all NaN
+        x = np.random.default_rng(3).normal(size=(4, 5, 5))
+        spd = x @ np.swapaxes(x, -2, -1) + np.eye(5)
+        for name, public, bad in [("cholesky_lo", np.linalg.cholesky, -spd[0]),
+                                  ("eigh_lo", np.linalg.eigh, np.full((5, 5), np.nan)),
+                                  ("eigvalsh_lo", np.linalg.eigvalsh, np.full((5, 5), np.nan))]:
+            stack = np.concatenate([spd[:2], bad[None], spd[2:]])
+            with pytest.raises(np.linalg.LinAlgError):
+                public(stack)
+            got = _parts(solvers._lapack(name, stack))
+            good = np.delete(stack, 2, axis=0)
+            whole = _parts(public(good))
+            for k, m in enumerate(good):
+                for part, stacked, alone in zip(got, whole, _parts(public(m))):
+                    assert np.delete(part, 2, axis=0)[k].tobytes() \
+                        == stacked[k].tobytes() == alone.tobytes()
+            assert all(np.isnan(part[2]).all() for part in got)
+
+    def test_step_climbs_away_from_a_saddle(self, monkeypatch):
         # moved off the 2:1 ++0- saddle along the projected Hessian's
         # eigenvector of positive eigenvalue, the plain Newton step
         # -B H^-1 B^T g leads back to the saddle, downhill; the saddle-free
@@ -420,39 +519,35 @@ class TestTangentStep:
         u = 1e-4 * basis[0] @ V[:, -1]
         pa, pb = a + u[:4], b + u[4:]
         grad = gradient(pa[None], pb[None], 2.0)
-        # flagged definite or not, the row fails Cholesky and takes eigh
-        for definite in (False, True):
-            steps, flags = solvers._tangent_step(pa[None], pb[None], grad, 2.0,
-                                                 np.array([definite]))
-            assert flags.tolist() == [False]
-        step = steps[0]
+        calls = _patch_gufuncs(monkeypatch)
+        step = solvers._tangent_step(pa[None], pb[None], grad, 2.0)[0]
+        # -H has no Cholesky factor, so the row takes eigh
+        assert _steps(calls) == [(1, 1)]
         basis, H = solvers._tangent_hessian(pa[None], pb[None], 2.0)
         plain = -basis[0] @ np.linalg.solve(H[0], basis[0].T @ grad[0])
         assert grad[0] @ step > 0 > grad[0] @ plain
         assert np.allclose(step, -plain, rtol=1e-3, atol=0)
 
-    def test_rows_get_the_floored_capped_step_of_the_reference(self):
+    def test_rows_get_the_floored_capped_step_of_the_reference(self, monkeypatch):
         # random draws at 2:1, several with a step longer than 1, and the
-        # rank-deficient near-flat rows, none flagged definite: each row's
-        # step and flag are the one-row reference's, the step is an ascent
-        # direction and is at most 1 long
+        # rank-deficient near-flat rows: each row's step is the one-row
+        # reference's, an ascent direction and at most 1 long
         ab = _random_starts(4, [np.random.default_rng(k) for k in range(20)])
         grad = gradient(ab[:, 0], ab[:, 1], 2.0)
-        step, flags = solvers._tangent_step(ab[:, 0], ab[:, 1], grad, 2.0,
-                                            np.zeros(20, dtype=bool))
+        step = solvers._tangent_step(ab[:, 0], ab[:, 1], grad, 2.0)
         flat_grad = gradient(NEAR_FLAT_A, NEAR_FLAT_B, 1.0)
-        flat_step, flat_flags = solvers._tangent_step(
-            NEAR_FLAT_A, NEAR_FLAT_B, flat_grad, 1.0, np.zeros(2, dtype=bool))
-        # the floor applies to the first row, so only the second is flagged
-        assert flat_flags.tolist() == [False, True]
-        for rows, grads, steps, got, rho in [
-                (ab, grad, step, flags, 2.0),
-                (zip(NEAR_FLAT_A, NEAR_FLAT_B), flat_grad, flat_step, flat_flags, 1.0)]:
+        calls = _patch_gufuncs(monkeypatch)
+        flat_step = solvers._tangent_step(NEAR_FLAT_A, NEAR_FLAT_B, flat_grad, 1.0)
+        # the first row fails the pivot test, where eigh floors two |w|,
+        # and takes eigh; the second takes Cholesky and solve
+        assert _steps(calls) == [(2, 1)]
+        for rows, grads, steps, rho in [
+                (ab, grad, step, 2.0),
+                (zip(NEAR_FLAT_A, NEAR_FLAT_B), flat_grad, flat_step, 1.0)]:
             reference = [_reference_step(ra, rb, g, rho)
                          for (ra, rb), g in zip(rows, grads)]
             assert [[x.hex() for x in row] for row in steps] == \
-                [[x.hex() for x in row] for row, _ in reference]
-            assert got.tolist() == [flag for _, flag in reference]
+                [[x.hex() for x in row] for row in reference]
             assert (np.vecdot(grads, steps) > 0).all()
         norms = solvers._norm(step)
         assert (norms <= 1 + 1e-15).all() and (norms > 1 - 1e-15).sum() >= 5
@@ -508,50 +603,50 @@ class TestTangentStep:
         multistart(WeightTable.symmetric(4, 2, 1),
                    SolverConfig(starts=20, seed=1, max_iter=cfg.max_iter))
 
-    def test_cholesky_step_matches_the_saddle_free_step_on_definite_rows(self):
+    def test_cholesky_step_matches_the_saddle_free_step_on_definite_rows(self, monkeypatch):
         # where H is negative definite, B (-H)^-1 B^T g and B V |w|^-1 V^T B^T g
-        # are the same step; both routes flag every row
+        # are the same step: every row passes Cholesky, and with Cholesky
+        # failing on every matrix every row takes eigh
         a, b = _near_maximum(8)
         grad = gradient(a, b, 2.0)
-        solved, solved_flags = solvers._tangent_step(a, b, grad, 2.0, np.ones(8, dtype=bool))
-        eigen, eigen_flags = solvers._tangent_step(a, b, grad, 2.0, np.zeros(8, dtype=bool))
-        assert solved_flags.all() and eigen_flags.all()
+        calls = _patch_gufuncs(monkeypatch)
+        solved = solvers._tangent_step(a, b, grad, 2.0)
+        assert _steps(calls) == [(8, 0)]
+        negH = -solvers._tangent_hessian(a, b, 2.0)[1]
+        calls = _patch_gufuncs(monkeypatch, {"cholesky_lo": list(negH)})
+        eigen = solvers._tangent_step(a, b, grad, 2.0)
+        assert _steps(calls) == [(8, 8)]
         # the routes differ in rounding only
         assert (solved != eigen).any()
         assert (np.abs(solved - eigen).max(axis=-1)
                 <= 1e-12 * np.abs(eigen).max(axis=-1)).all()
 
-    def test_mixed_routes_give_each_row_its_one_row_bits(self):
-        # definite rows flagged (Cholesky and solve) and not flagged (eigh),
-        # and indefinite random draws flagged (Cholesky fails, so the
-        # stacked call raises and each flagged row is tested alone) and not
-        # flagged: every row's step and flag are those of its one-row call
-        # and of the one-row reference
+    def test_mixed_routes_give_each_row_its_one_row_bits(self, monkeypatch):
+        # rows near the maximum take Cholesky and solve, the indefinite
+        # random draws between them eigh: every row's step is that of its
+        # one-row call and of the one-row reference
         near_a, near_b = _near_maximum(6)
         ab = _random_starts(4, [np.random.default_rng(k) for k in range(6)])
-        a = np.concatenate([near_a, ab[:, 0]])
-        b = np.concatenate([near_b, ab[:, 1]])
-        definite = np.array([True, False] * 6)
+        a = np.stack([near_a, ab[:, 0]], axis=1).reshape(12, 4)
+        b = np.stack([near_b, ab[:, 1]], axis=1).reshape(12, 4)
         grad = gradient(a, b, 2.0)
-        step, flags = solvers._tangent_step(a, b, grad, 2.0, definite)
-        alone = [solvers._tangent_step(a[k:k + 1], b[k:k + 1], grad[k:k + 1], 2.0,
-                                       definite[k:k + 1]) for k in range(12)]
-        reference = [_reference_step(a[k], b[k], grad[k], 2.0, definite[k])
-                     for k in range(12)]
+        calls = _patch_gufuncs(monkeypatch)
+        step = solvers._tangent_step(a, b, grad, 2.0)
+        assert _steps(calls) == [(12, 6)]
+        alone = [solvers._tangent_step(a[k:k + 1], b[k:k + 1], grad[k:k + 1], 2.0)[0]
+                 for k in range(12)]
+        assert _steps(calls)[1:] == [(1, 0), (1, 1)] * 6
+        reference = [_reference_step(a[k], b[k], grad[k], 2.0) for k in range(12)]
         assert [[x.hex() for x in row] for row in step] \
-            == [[x.hex() for x in row[0]] for row, _ in alone] \
-            == [[x.hex() for x in row] for row, _ in reference]
-        assert flags.tolist() == [bool(f[0]) for _, f in alone] \
-            == [f for _, f in reference]
-        # the draws are indefinite: flagged or not, they end unflagged
-        assert flags.tolist() == [True] * 6 + [False] * 6
+            == [[x.hex() for x in row] for row in alone] \
+            == [[x.hex() for x in row] for row in reference]
 
-    def test_singular_definite_row_takes_eigh(self):
+    def test_singular_definite_row_takes_eigh(self, monkeypatch):
         # a point that multistart(symmetric(4, 1, 1), 50 starts, seed
-        # 537874176) reaches flagged definite, near the flat family: -H
-        # has a Cholesky factor, but its least pivot is 4e-17 against a
-        # diagonal of 0.025 and solve raises on it. The row takes eigh, as
-        # if not flagged, and the whole multistart runs
+        # 537874176) reached near the flat family: -H has a Cholesky
+        # factor, but its least pivot is 6e-16 against a diagonal of 0.034
+        # (on a QR basis it was 4e-17, and solve raised on it). The row
+        # fails the pivot test and takes eigh, and the whole multistart runs
         a = np.array([[float.fromhex(x) for x in (
             "0x1.8780ccb8eea9bp-6", "0x1.77d884718833bp-5",
             "-0x1.3d52146928ff9p-3", "0x1.5cd7b36b523aep-4")]])
@@ -559,73 +654,60 @@ class TestTangentStep:
             "0x1.4c8f6a8810000p-28", "0x1.6404608f80000p-32",
             "-0x1.436ab2e290000p-29", "-0x1.8234ae3da0000p-29")]])
         H = solvers._tangent_hessian(a, b, 1.0)[1][0]
-        np.linalg.cholesky(-H)
-        with pytest.raises(np.linalg.LinAlgError, match="Singular"):
-            np.linalg.solve(-H, np.ones(len(H)))
+        pivots = np.diag(np.linalg.cholesky(-H)) ** 2
+        assert pivots.min() < 1e-13 * np.diag(-H).max()
         grad = gradient(a, b, 1.0)
-        flagged = solvers._tangent_step(a, b, grad, 1.0, np.array([True]))
-        plain = solvers._tangent_step(a, b, grad, 1.0, np.array([False]))
-        assert flagged[1].tolist() == plain[1].tolist() == [False]
-        assert [x.hex() for x in flagged[0][0]] == [x.hex() for x in plain[0][0]]
-        assert np.isfinite(flagged[0]).all()
+        calls = _patch_gufuncs(monkeypatch)
+        step = solvers._tangent_step(a, b, grad, 1.0)
+        assert _steps(calls) == [(1, 1)]
+        assert np.isfinite(step).all()
+        assert [x.hex() for x in step[0]] == \
+            [x.hex() for x in _reference_step(a[0], b[0], grad[0], 1.0)]
         result = multistart(WeightTable.symmetric(4, 1, 1),
                             SolverConfig(starts=50, seed=537874176))
         assert {r.classification for r in result.reports} == {"degenerate"}
 
     def test_eigh_that_fails_on_one_row_leaves_the_others_alone(self, monkeypatch):
-        # an eigh that raises on one chosen matrix, as LAPACK's does when
-        # it does not converge: that row's step is NaN and unflagged, as
-        # in the one-row reference, and the stacked call's other rows keep
-        # their bits; in a multistart the start stops at its first step,
-        # unconverged, and every other report keeps its bits
+        # an eigh that fails on one chosen matrix, as LAPACK's does when
+        # it does not converge: that row's step is NaN, and the stacked
+        # call's other rows keep their bits; in a multistart the start
+        # stops at its first step, unconverged, and every other report
+        # keeps its bits
         weights, cfg = WeightTable.symmetric(4, 2, 1), SolverConfig(starts=12, seed=1)
         ab = _random_starts(4, [np.random.default_rng(1 ^ k) for k in range(12)])
         a, b = ab[:, 0], ab[:, 1]
         grad = gradient(a, b, 2.0)
-        definite = np.zeros(12, dtype=bool)
-        plain_step, plain_flags = solvers._tangent_step(a, b, grad, 2.0, definite)
+        plain_step = solvers._tangent_step(a, b, grad, 2.0)
         plain = multistart(weights, cfg)
         failing = solvers._tangent_hessian(a[3:4], b[3:4], 2.0)[1][0]
-        eigh = np.linalg.eigh
-
-        def patched(M):
-            # a stack from _tangent_step, one matrix from _reference_step
-            if any(np.array_equal(m, failing) for m in M.reshape((-1,) + M.shape[-2:])):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(M)
-
-        monkeypatch.setattr(np.linalg, "eigh", patched)
-        step, flags = solvers._tangent_step(a, b, grad, 2.0, definite)
-        reference = _reference_step(a[3], b[3], grad[3], 2.0)
-        assert np.isnan(step[3]).all() and np.isnan(reference[0]).all()
-        assert not flags[3] and not reference[1]
+        # the draw is indefinite, so its step comes from eigh
+        assert np.isnan(solvers._lapack("cholesky_lo", -failing[None])).all()
+        _patch_gufuncs(monkeypatch, {"eigh_lo": [failing]})
+        step = solvers._tangent_step(a, b, grad, 2.0)
+        assert np.isnan(step[3]).all()
+        assert np.isnan(_reference_step(a[3], b[3], grad[3], 2.0)).all()
         keep = [k for k in range(12) if k != 3]
         assert [[x.hex() for x in row] for row in step[keep]] == \
             [[x.hex() for x in row] for row in plain_step[keep]]
-        assert flags[keep].tolist() == plain_flags[keep].tolist()
         result = multistart(weights, cfg)
         assert not result.reports[3].converged and result.reports[3].iterations == 1
         assert [_bits(result.reports[k]) for k in keep] == \
             [_bits(plain.reports[k]) for k in keep]
 
-    def test_captured_row_whose_eigh_does_not_converge(self):
+    def test_captured_row_whose_eigh_does_not_converge(self, monkeypatch):
         # row 3 of 33 of a step in certify(16, 2, 1, starts=50,
-        # seed=538635776) before Cholesky took the rows predicted definite:
-        # its projected Hessian is negative definite (top eigenvalue
-        # -0.1004 by eigvalsh), but eigh raises on it with some LAPACK
-        # builds. Unflagged it no longer raises, flagged it takes Cholesky,
-        # and in a Newton batch the other rows keep their one-row bits
+        # seed=538635776) when every row took eigh: its projected Hessian
+        # is negative definite (top eigenvalue -0.1004 by eigvalsh), but
+        # eigh raises on it with some LAPACK builds. It passes Cholesky, so
+        # eigh never sees it, and in a Newton batch the other rows keep
+        # their one-row bits
         a, b, g = (np.array([[float.fromhex(x) for x in row.split()]])
                    for row in (CAPTURED_A, CAPTURED_B, CAPTURED_G))
         H = solvers._tangent_hessian(a, b, 2.0)[1]
         assert np.linalg.eigvalsh(H).max() < -0.1
-        unflagged = solvers._tangent_step(a, b, g, 2.0, np.array([False]))
-        flagged = solvers._tangent_step(a, b, g, 2.0, np.array([True]))
-        assert flagged[1].tolist() == [True] and np.isfinite(flagged[0]).all()
-        try:
-            np.linalg.eigh(H)
-        except np.linalg.LinAlgError:
-            assert np.isnan(unflagged[0]).all() and unflagged[1].tolist() == [False]
+        calls = _patch_gufuncs(monkeypatch)
+        step = solvers._tangent_step(a, b, g, 2.0)
+        assert _steps(calls) == [(1, 0)] and np.isfinite(step).all()
         ab = _random_starts(16, [np.random.default_rng(k) for k in range(3)])
         batch = np.concatenate([a, ab[:, 0]]), np.concatenate([b, ab[:, 1]])
         ra, rb, iterations = solvers._newton(*batch, 2.0, CFG)
@@ -635,42 +717,47 @@ class TestTangentStep:
             assert iterations[k] == alone[2][0]
 
     def test_no_row_takes_eigh_after_its_first_definite_step(self, monkeypatch):
-        # near the 2:1 maximum H is negative definite at the first point,
-        # so each row takes eigh once and every later step by Cholesky
-        eigh_rows, cholesky_rows = [], []
-        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
-
-        def counted_eigh(H):
-            eigh_rows.append(len(H))
-            return eigh(H)
-
-        def counted_cholesky(M):
-            cholesky_rows.append(len(M))
-            return cholesky(M)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        # near the 2:1 maximum H is negative definite from the first
+        # point, so no row takes eigh: every step is one stacked Cholesky
+        # call on the live rows and a solve
+        calls = _patch_gufuncs(monkeypatch)
         a, b = _near_maximum(8)
         _, _, iterations = solvers._newton(a, b, 2.0, CFG)
         assert (iterations >= 3).all()
-        assert sum(eigh_rows) == 8
-        assert sum(cholesky_rows) == (iterations - 2).sum()
+        steps = _steps(calls)
+        assert len(steps) == iterations.max() - 1
+        assert [eigh for _, eigh in steps] == [0] * len(steps)
+        assert sum(cholesky for cholesky, _ in steps) == (iterations - 1).sum()
+
+    def test_one_cholesky_and_one_eigh_call_per_step(self, monkeypatch):
+        # random draws, indefinite at first, and rows near the maximum in
+        # one batch: each step makes one Cholesky call on every live row
+        # and one eigh call on those without a factor, with no retry, and
+        # the eigh rows fall as the draws reach their maxima
+        ab = _random_starts(4, [np.random.default_rng(k) for k in range(12)])
+        near_a, near_b = _near_maximum(4)
+        calls = _patch_gufuncs(monkeypatch)
+        _, _, iterations = solvers._newton(np.concatenate([ab[:, 0], near_a]),
+                                           np.concatenate([ab[:, 1], near_b]), 2.0, CFG)
+        steps = _steps(calls)
+        assert len(steps) == iterations.max() - 1
+        assert [cholesky for cholesky, _ in steps] == \
+            [(iterations > k).sum() for k in range(1, len(steps) + 1)]
+        assert steps[0][1] >= 1 and steps[-1][1] == 0
+        assert all(eigh <= cholesky for cholesky, eigh in steps)
 
     def test_non_finite_rows_reach_no_lapack_call(self, monkeypatch):
         # at 1.7e308:1 the likelihood, gradient and Hessian overflow: no
         # warning, no raise, no non-finite matrix reaches Cholesky or eigh,
         # and every row stops at its first step, unconverged
         seen = []
-        eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
+        lapack = solvers._lapack
 
-        def checked(call):
-            def wrapped(M):
-                seen.append(bool(np.isfinite(M).all()))
-                return call(M)
-            return wrapped
+        def checked(name, M):
+            seen.append(bool(np.isfinite(M).all()))
+            return lapack(name, M)
 
-        monkeypatch.setattr(np.linalg, "eigh", checked(eigh))
-        monkeypatch.setattr(np.linalg, "cholesky", checked(cholesky))
+        monkeypatch.setattr(solvers, "_lapack", checked)
         ab = _random_starts(4, [np.random.default_rng(k) for k in range(5)])
         _, _, iterations = solvers._newton(ab[:, 0], ab[:, 1], 1.7e308, CFG)
         assert seen and all(seen)
@@ -700,6 +787,23 @@ class TestClassify:
     ])
     def test_agrees_with_finite_differences(self, point, rho):
         assert classify_stationary(point, rho) == _finite_difference_label(point, rho)
+
+    def test_eigvalsh_that_fails_on_one_row_leaves_it_unclassified(self, monkeypatch):
+        # an eigvalsh that fails on one chosen matrix, as LAPACK's does
+        # when it does not converge, raises nothing: that row is
+        # unclassified and every other row keeps its label
+        points = [c.point() for c in CANDS.values()]
+        a = np.array([pt.a for pt in points])
+        b = np.array([pt.b for pt in points])
+        plain = _labels(a, b, 2.0)
+        assert {"local_max", "saddle"} <= set(plain)
+        for k in range(len(points)):
+            failing = solvers._tangent_hessian(a[k:k + 1], b[k:k + 1], 2.0)[1][0]
+            with monkeypatch.context() as patch:
+                calls = _patch_gufuncs(patch, {"eigvalsh_lo": [failing]})
+                labels = _labels(a, b, 2.0)
+            assert calls == [("eigvalsh_lo", len(points))]
+            assert labels == plain[:k] + ["unclassified"] + plain[k + 1:]
 
     def test_requires_stationarity(self):
         with pytest.raises(ValueError, match="stationary"):
@@ -823,6 +927,34 @@ class TestMultistart:
                if c.loglik >= result.best.loglik - 1e-9]
         assert len(top) == 1
 
+    @pytest.mark.parametrize("n, s, t, eps", [
+        (4, 2, 1, 1e-6), (16, 1001, 1000, 1e-6), (16, 1001, 1000, 9.5e-5)])
+    def test_clusters_are_those_of_the_row_by_row_loop(self, n, s, t, eps):
+        # each converged start, in order, joins the first cluster whose
+        # founder's key lies within cluster_eps, or founds one. At 9.5e-5
+        # the 1001:1000 keys form 3 clusters, and some keys lie within
+        # cluster_eps of a member of a cluster other than their own
+        result = multistart(WeightTable.symmetric(n, s, t),
+                            SolverConfig(starts=30, seed=1, cluster_eps=eps))
+        converged = [r for r in result.reports if r.converged]
+        keys = _cluster_keys(np.array([r.point.a for r in converged]),
+                             np.array([r.point.b for r in converged]))
+        founders, members = [], []
+        for report, key in zip(converged, keys):
+            for k, founder in enumerate(founders):
+                if np.abs(founder - key).max() < eps:
+                    members[k].append(report)
+                    break
+            else:
+                founders.append(key)
+                members.append([report])
+        reps = [max(group, key=lambda r: r.loglik) for group in members]
+        expected = sorted(((-rep.loglik, tuple(key)), len(group), rep.seed)
+                          for key, group, rep in zip(founders, members, reps))
+        assert [((-c.loglik, c.key), c.size, c.representative.seed)
+                for c in result.clusters] == expected
+        assert len(result.clusters) >= 2
+
     @pytest.mark.parametrize("n, s, t, starts", [
         (4, 2, 1, 40), (4, 3, 2, 40), (3, 2, 1, 20), (16, 2, 1, 20),
         (4, 1, 1, 20), (4, 100, 1, 10), (4, 1000, 1, 1), (2, 1000, 1, 10)])
@@ -838,6 +970,22 @@ class TestMultistart:
         assert len(result.reports) == starts
         assert [_bits(r) for r in result.reports] == [_bits(r) for r in reference]
         assert result.n_failed == sum(not r.converged for r in reference) == 0
+
+
+class TestStructure:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n, s, t, starts", STRUCTURE_SHAPES)
+    def test_certify_structure_is_pinned(self, n, s, t, starts, seed):
+        # iteration counts and the last bits of each point are not pinned:
+        # a change of LAPACK route moves them. log L sums n^2 weighted logs
+        # of entries near 1, each rounded to about 1e-16, so where it
+        # cancels to near 0 (0 at s = t, 5e-4 at 1001:1000) the rounding
+        # floor, not the search, sets how far it may move
+        got = _structure(n, s, t, starts, seed)
+        pinned = json.loads(STRUCTURE.read_text())[f"{n},{s},{t},{starts},{seed}"]
+        best, want = got.pop("best_loglik"), pinned.pop("best_loglik")
+        assert got == pinned
+        assert best == pytest.approx(want, rel=1e-10, abs=1e-16 * (s * n + t * n * (n - 1)))
 
 
 class TestRandomStart:
