@@ -24,13 +24,15 @@ single start does.
 EM is accelerated by SQUAREM (Varadhan and Roland, "Simple and globally
 convergent methods for accelerating the convergence of any EM
 algorithm", Scand. J. Stat. 35, 2008), each row with its own step
-length and backtracking.
+length and backtracking. A run draws its starts in order from one
+np.random.default_rng(cfg.seed) (PCG64), so start k is the same at any
+start count above k, and a report's start k and the seed reproduce it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -104,7 +106,7 @@ class SolveReport:
     classification: str
     converged: bool
     method: str
-    seed: Optional[int] = None
+    start: Optional[int] = None
     trace: Optional[tuple] = None
 
     def to_json_dict(self) -> dict:
@@ -115,7 +117,7 @@ class SolveReport:
         out = {"point": point, "loglik": float(f"{self.loglik:.17g}"),
                "residual": self.residual, "iterations": self.iterations,
                "classification": self.classification, "converged": self.converged,
-               "method": self.method, "seed": self.seed}
+               "method": self.method, "start": self.start}
         if self.trace is not None:
             out["trace_length"] = len(self.trace)
         return out
@@ -256,11 +258,11 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
 
 
 def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
-             cfg: SolverConfig, s: float, t: float, seeds) -> list:
-    """One SolveReport per row of Newton's end points, with log L at
-    weights (s, t), the gradient residual (inf where log L is -inf, at an
-    infeasible point), the label of every row below CLASSIFY_RESIDUAL_TOL
-    (the others are unclassified), each from one batched call."""
+             cfg: SolverConfig, s: float, t: float) -> list:
+    """One SolveReport per row k (start k) of Newton's end points, with log
+    L at weights (s, t), the gradient residual (inf where log L is -inf,
+    at an infeasible point), the label of every row below
+    CLASSIFY_RESIDUAL_TOL (the others are unclassified), each batched."""
     n = a.shape[-1]
     loglik = scaled_loglik(a, b, s, t)
     feasible = loglik > -np.inf
@@ -273,12 +275,11 @@ def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
         point=RankTwoPoint.of(ra, rb), loglik=loglik[k], residual=float(resid[k]),
         iterations=int(iterations[k]),
         classification=next(labels) if stationary[k] else "unclassified",
-        converged=bool(converged[k]), method="newton", seed=seed)
-        for k, (seed, ra, rb) in enumerate(zip(seeds, a.tolist(), b.tolist()))]
+        converged=bool(converged[k]), method="newton", start=k)
+        for k, (ra, rb) in enumerate(zip(a.tolist(), b.tolist()))]
 
 
-def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
-                      seed: Optional[int] = None) -> SolveReport:
+def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig) -> SolveReport:
     """Saddle-free Newton on the stationarity system, on the tangent space.
 
     Each step is _tangent_step's, halved (up to 40 times) until it stays
@@ -290,19 +291,19 @@ def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig,
     residual below CLASSIFY_RESIDUAL_TOL is classified; others are
     unclassified. The log-likelihood uses weights (rho, 1); multistart
     rescales it to (s, t). This is the one-row call of the kernel
-    multistart runs on all its starts at once.
+    multistart runs on all its starts at once; start is None (not drawn).
 
     At s = t every maximum lies on the flat family b a^T = 0, whose
     stationary points are not isolated, and the starts shrink toward the
     origin, where the families a = 0 and b = 0 cross. A start whose
     matrix b a^T ends with every entry below ZERO_POINT_TOL in size is
     labelled degenerate. At (4, 1, 1) with 50 starts on seed 1 all 50 end
-    degenerate, each within 13 iterations, though 28 keep a and b just
+    degenerate, each within 11 iterations, though 30 keep a or b just
     above ZERO_POINT_TOL.
     """
     a, b = pt0.arrays()
     a, b, iterations = _newton(a[None], b[None], rho, cfg)
-    return _reports(a, b, iterations, rho, cfg, rho, 1.0, [seed])[0]
+    return replace(_reports(a, b, iterations, rho, cfg, rho, 1.0)[0], start=None)
 
 
 def _flat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -422,13 +423,14 @@ def classify_stationary(pt: RankTwoPoint, rho: float) -> str:
     return _labels(a[None], b[None], rho)[0]
 
 
-def _random_starts(n: int, rngs) -> np.ndarray:
-    """For each generator, one (2, n) draw of rows a and b from the box of
-    half-width START_BOX / sqrt(n), centered (sum / n, np.mean's bits), so
-    each entry moves at most 2 (n - 1) / n half-widths and 1 + b a^T >=
-    1 - 1.44 (n - 1)^2 / n^3 >= 0.78: always interior. Returns (K, 2, n)."""
+def _random_starts(n: int, starts: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows a and b of each start, one uniform (starts, 2, n) block of rng
+    on the box of half-width START_BOX / sqrt(n), each row centered (sum /
+    n, np.mean's bits), so each entry moves at most 2 (n - 1) / n
+    half-widths and 1 + b a^T >= 1 - 1.44 (n - 1)^2 / n^3 >= 0.78: always
+    interior."""
     width = START_BOX / math.sqrt(n)
-    ab = np.array([rng.uniform(-width, width, size=(2, n)) for rng in rngs])
+    ab = rng.uniform(-width, width, size=(starts, 2, n))
     return ab - ab.sum(axis=-1, keepdims=True) / n
 
 
@@ -476,15 +478,15 @@ class MultistartResult:
 def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     """Deterministic seeded multistart for the rank-two problem.
 
-    Start k draws its point from a generator seeded with seed XOR k and
-    climbs by saddle-free Newton (_newton) until it converges below
+    The starts are one _random_starts block of default_rng(cfg.seed), and
+    each climbs by saddle-free Newton (_newton) until it converges below
     cfg.tol * (n + rho - 1); its iterations count the whole climb. The
     step is an ascent direction everywhere, so a start does not settle
     on a saddle or on the flat matrix b a^T = 0, where plain Newton's
     basins from small random starts lead. Every step tries a Cholesky
     test and a solve first, and only a start whose projected Hessian
-    fails it takes eigh: at (16, 2, 1) with 50 starts, 156.7 of a
-    multistart's 536.8 steps take eigh (mean over seeds 800-811). All
+    fails it takes eigh: at (16, 2, 1) with 50 starts, 177.5 of a
+    multistart's 541.3 steps take eigh (mean over seeds 800-811). All
     starts climb, are labelled and get cluster keys together as
     (starts, n) arrays, each report bit-identical to running its start
     alone. The largest temporaries are the stacked Hessian and its
@@ -501,11 +503,10 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
         raise ValueError("multistart requires symmetric (s, t) weights")
     s, t = float(pair[0]), float(pair[1])
     rho = s / t
-    seeds = [cfg.seed ^ k for k in range(cfg.starts)]
-    ab = _random_starts(weights.n, [np.random.default_rng(seed) for seed in seeds])
+    ab = _random_starts(weights.n, cfg.starts, np.random.default_rng(cfg.seed))
     a, b, iterations = _newton(ab[:, 0], ab[:, 1], rho, cfg)
     # report likelihood at the actual weights, not the t-scaled form
-    reports = _reports(a, b, iterations, rho, cfg, s, t, seeds)
+    reports = _reports(a, b, iterations, rho, cfg, s, t)
     mask = [r.converged for r in reports]
     converged = [r for r in reports if r.converged]
     if not converged:
@@ -625,12 +626,11 @@ def _squarem_cycle(counts: np.ndarray, counted: np.ndarray, theta0: tuple,
     return (nxt, *_em_step(counts, counted, *nxt))
 
 
-def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list) -> list:
-    """SQUAREM-accelerated EM on one start per seed at once, each row of
-    the (K, r) and (K, r, n) arrays running as if alone: its own step
-    length, trials, stop test, iteration count, trace and residual, and
-    it drops out of the live rows when it stops. A seed of None draws
-    from seed 0.
+def _em(counts: WeightTable, cfg: SolverConfig, draws: list) -> list:
+    """SQUAREM-accelerated EM from every _em_init draw (lam, R, C) at
+    once, each row of the stacked (K, r) and (K, r, n) arrays running as
+    if alone: its own step length, trials, stop test, iteration count,
+    trace and residual, and it drops out of the live rows when it stops.
 
     One iteration is one _squarem_cycle, and the trace holds log L at the
     start and after each cycle. A row stops when a cycle gains less than
@@ -639,22 +639,19 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list) -> list:
     and the trace repeats the previous value, so the trace never falls
     and its last value is the log L of the returned model. The residual
     is max |F(theta) - theta| at the returned point. Returns one
-    SolveReport per start."""
-    if r < 1:
+    SolveReport per draw, draw k as start k."""
+    theta = tuple(np.array(x) for x in zip(*draws))
+    if theta[0].shape[-1] < 1:
         raise ValueError("class count must be at least 1")
     table = counts.as_array()
     counted = table > 0
-    n = counts.n
-    draws = [_em_init(n, r, np.random.default_rng(0 if seed is None else seed))
-             for seed in seeds]
-    theta = tuple(np.array(x) for x in zip(*draws))
     ends = [np.empty_like(x) for x in theta]
-    residual = np.empty(len(seeds))
-    iterations = np.full(len(seeds), cfg.max_iter)
-    converged = np.zeros(len(seeds), dtype=bool)
+    residual = np.empty(len(draws))
+    iterations = np.full(len(draws), cfg.max_iter)
+    converged = np.zeros(len(draws), dtype=bool)
     step, loglik = _em_step(table, counted, *theta)
     traces = [[x] for x in loglik.tolist()]
-    live = np.arange(len(seeds))
+    live = np.arange(len(draws))
 
     def settle(rows):
         """Keep the model of the live rows that rows picks, its residual
@@ -695,13 +692,12 @@ def _em(counts: WeightTable, r: int, cfg: SolverConfig, seeds: list) -> list:
     return [SolveReport(point=LatentClassModel.of(*(end[k] for end in ends)),
                         loglik=traces[k][-1], residual=float(residual[k]),
                         iterations=int(iterations[k]), classification="unclassified",
-                        converged=bool(converged[k]), method="em", seed=seed,
+                        converged=bool(converged[k]), method="em", start=k,
                         trace=traces[k])
-            for k, seed in enumerate(seeds)]
+            for k in range(len(draws))]
 
 
-def em_fit(counts: WeightTable, r: int, cfg: SolverConfig,
-           seed: Optional[int] = None) -> SolveReport:
+def em_fit(counts: WeightTable, r: int, cfg: SolverConfig) -> SolveReport:
     """EM for the r-class latent model on a two-way count table,
     accelerated by SQUAREM (Varadhan and Roland, Scand. J. Stat. 35, 2008).
 
@@ -713,10 +709,10 @@ def em_fit(counts: WeightTable, r: int, cfg: SolverConfig,
     cycles. The count-weighted log-likelihood never decreases along the
     way: a cycle that ends a rounding error lower stops the fit on the
     point before it. The trace of log-likelihood values is attached to
-    the report. This is the one-row call of the kernel em_multistart
-    runs on all its starts at once.
+    the report. This is start 0 of em_multistart with the same cfg, the
+    one-row call of the kernel em_multistart runs on all its starts.
     """
-    return _em(counts, r, cfg, [seed])[0]
+    return _em(counts, cfg, [_em_init(counts.n, r, np.random.default_rng(cfg.seed))])[0]
 
 
 @dataclass(frozen=True)
@@ -730,13 +726,15 @@ class EMMultistartResult:
 
 
 def em_multistart(counts: WeightTable, r: int, cfg: SolverConfig) -> EMMultistartResult:
-    """Best-of-N SQUAREM EM runs, run k drawing its start from seed XOR
-    k. All runs iterate together as (starts, r, n) arrays, each with its
-    own step length, backtracking and stop test, and each report
-    bit-identical to running its start alone through em_fit. The largest
-    temporary is still the E step's (starts, r, n, n) table, 25.6 KB for
-    the 4/2 table at r = 2 and 100 starts; SQUAREM's differences and
-    trials are (starts, r + 2 r n) rows, 14.4 KB there."""
-    reports = _em(counts, r, cfg, [cfg.seed ^ k for k in range(cfg.starts)])
+    """Best-of-N SQUAREM EM runs from the first cfg.starts _em_init draws
+    of one default_rng(cfg.seed), run k from draw k. All runs iterate
+    together as (starts, r, n) arrays, each with its own step length,
+    backtracking and stop test, and each report bit-identical to running
+    its draw alone through _em. The largest temporary is the E step's
+    (starts, r, n, n) table, 25.6 KB for the 4/2 table at r = 2 and 100
+    starts; SQUAREM's differences and trials are (starts, r + 2 r n)
+    rows, 14.4 KB there."""
+    rng = np.random.default_rng(cfg.seed)
+    reports = _em(counts, cfg, [_em_init(counts.n, r, rng) for _ in range(cfg.starts)])
     best = max(reports, key=lambda rep: rep.loglik)
     return EMMultistartResult(best=best, reports=tuple(reports))

@@ -6,6 +6,9 @@ f3 scan. bench/workloads.py checks every output it times: it reads a
 candidate's pattern signs, alpha_sq and point(), the certificate's JSON
 fields, and the reports of the algebra checks. A refactor of the package
 that breaks one of them fails here, not first in a benchmark run. The
+hard-certificates and EM cases also run here at the seeds of the bench's
+first passes (bench/run.py's pass_seed) and its warm-up seed: a change
+of random starts can fail a case only where it has few starts. The
 bench modules are read, compiled and run in memory, so no bytecode is
 written next to them.
 """
@@ -40,6 +43,11 @@ def workloads() -> types.ModuleType:
     return _bench_module("workloads")
 
 
+@pytest.fixture(scope="module")
+def run() -> types.ModuleType:
+    return _bench_module("run")
+
+
 def test_every_trace_target_resolves():
     targets = _bench_module("tracing").TARGETS
     assert targets
@@ -70,3 +78,13 @@ def test_side_check_outputs_pass_their_checks(workloads):
 def test_certificates_pass_the_bench_check(workloads, n, s, t):
     cert = verify.certify(n, s, t, SolverConfig(starts=5, seed=1))
     workloads.check_certificate(cert.to_json_dict(), n, s, t)
+
+
+@pytest.mark.parametrize("index", [None, 0, 1, 2], ids=["warmup", "pass0", "pass1", "pass2"])
+def test_bench_cases_pass_at_the_bench_seeds(workloads, run, tmp_path, index):
+    seed = run.WARMUP_SEED if index is None else run.pass_seed(1, index)
+    cases = workloads.hard_certificates(seed, str(tmp_path)) \
+        + [workloads._em_swiss_case(seed), workloads._em_table_case(seed)]
+    for case in cases:
+        outcome = workloads.run_case(case)
+        assert outcome.status == "ok", (case.label, outcome.detail)

@@ -73,7 +73,7 @@ def _bits(report):
     return (tuple(x.hex() for x in report.point.a),
             tuple(x.hex() for x in report.point.b),
             float(report.loglik).hex(), report.residual.hex(), report.iterations,
-            report.classification, report.converged, report.method, report.seed)
+            report.classification, report.converged, report.method, report.start)
 
 
 def _structure(n, s, t, starts, seed):
@@ -171,7 +171,7 @@ def _reference_balanced(a, b):
     return a, b
 
 
-def _reference_newton(pt0, rho, cfg, seed):
+def _reference_newton(pt0, rho, cfg, start):
     """Saddle-free Newton on the tangent space on one start, each step
     _reference_step's, one trial scale at a time; a scale is accepted
     when the trial point is interior and the gradient norm falls or the
@@ -214,22 +214,22 @@ def _reference_newton(pt0, rho, cfg, seed):
         iterations=iterations,
         classification=_reference_label(pt, rho)
         if resid < CLASSIFY_RESIDUAL_TOL else "unclassified",
-        converged=resid < cfg.tol * (n + rho - 1), method="newton", seed=seed)
+        converged=resid < cfg.tol * (n + rho - 1), method="newton", start=start)
 
 
 def _reference_multistart(weights, cfg):
-    """The reports of multistart as a loop over the starts, one at a time."""
+    """The reports of multistart as a loop over the starts, one at a time,
+    each drawing its a and then its b from the run's one generator."""
     s, t = (float(x) for x in weights.symmetric_pair())
     rho = s / t
     reports = []
+    rng = np.random.default_rng(cfg.seed)
+    width = START_BOX / math.sqrt(weights.n)
     for k in range(cfg.starts):
-        run_seed = cfg.seed ^ k
-        rng = np.random.default_rng(run_seed)
-        width = START_BOX / math.sqrt(weights.n)
         a = rng.uniform(-width, width, size=weights.n)
         b = rng.uniform(-width, width, size=weights.n)
         pt0 = RankTwoPoint.of(a - a.mean(), b - b.mean())
-        report = _reference_newton(pt0, rho, cfg, run_seed)
+        report = _reference_newton(pt0, rho, cfg, k)
         a, b = report.point.arrays()
         reports.append(replace(report, loglik=_reference_loglik(a, b, s, t)))
     return reports
@@ -256,10 +256,10 @@ def _reference_em_step(counts, lam, R, C):
     return (new_lam, new_R, new_C), loglik
 
 
-def _reference_em(counts, r, cfg, seed=None):
-    """SQUAREM EM on one start, until a cycle gains less than cfg.tol."""
+def _reference_em(counts, r, cfg, rng, start):
+    """SQUAREM EM on one start drawn from rng, until a cycle gains less
+    than cfg.tol."""
     table = counts.as_array()
-    rng = np.random.default_rng(0 if seed is None else seed)
     lam = rng.uniform(0.1, 1.0, size=r)
     lam /= lam.sum()
     R = rng.uniform(0.1, 1.0, size=(r, counts.n))
@@ -310,7 +310,14 @@ def _reference_em(counts, r, cfg, seed=None):
     return SolveReport(point=LatentClassModel.of(*theta), loglik=trace[-1],
                        residual=float(residual), iterations=iterations,
                        classification="unclassified", converged=converged,
-                       method="em", seed=seed, trace=tuple(trace))
+                       method="em", start=start, trace=tuple(trace))
+
+
+def _reference_em_starts(counts, r, cfg):
+    """The reports of em_multistart as a loop over the starts, one at a
+    time, each drawing from the run's one generator."""
+    rng = np.random.default_rng(cfg.seed)
+    return [_reference_em(counts, r, cfg, rng, k) for k in range(cfg.starts)]
 
 
 def _em_bits(report):
@@ -321,7 +328,7 @@ def _em_bits(report):
             tuple(tuple(x.hex() for x in row) for row in model.row_cond),
             tuple(tuple(x.hex() for x in row) for row in model.col_cond),
             report.loglik.hex(), report.residual.hex(), report.iterations,
-            report.classification, report.converged, report.method, report.seed,
+            report.classification, report.converged, report.method, report.start,
             tuple(x.hex() for x in report.trace))
 
 
@@ -472,7 +479,7 @@ class TestTangentStep:
     def test_basis_spans_what_the_complete_qr_basis_spans(self, n):
         # the reflections give an orthonormal basis of the QR's span: the
         # zero-sum pairs orthogonal to the gauge line (a, -b)
-        ab = _random_starts(n, [np.random.default_rng(k) for k in range(10)])
+        ab = _random_starts(n, 10, np.random.default_rng(0))
         basis = solvers._tangent_hessian(ab[:, 0], ab[:, 1], 2.0)[0]
         eye = np.eye(2 * n - 3)
         eps = np.finfo(float).eps
@@ -532,7 +539,7 @@ class TestTangentStep:
         # random draws at 2:1, several with a step longer than 1, and the
         # rank-deficient near-flat rows: each row's step is the one-row
         # reference's, an ascent direction and at most 1 long
-        ab = _random_starts(4, [np.random.default_rng(k) for k in range(20)])
+        ab = _random_starts(4, 20, np.random.default_rng(0))
         grad = gradient(ab[:, 0], ab[:, 1], 2.0)
         step = solvers._tangent_step(ab[:, 0], ab[:, 1], grad, 2.0)
         flat_grad = gradient(NEAR_FLAT_A, NEAR_FLAT_B, 1.0)
@@ -626,7 +633,7 @@ class TestTangentStep:
         # random draws between them eigh: every row's step is that of its
         # one-row call and of the one-row reference
         near_a, near_b = _near_maximum(6)
-        ab = _random_starts(4, [np.random.default_rng(k) for k in range(6)])
+        ab = _random_starts(4, 6, np.random.default_rng(0))
         a = np.stack([near_a, ab[:, 0]], axis=1).reshape(12, 4)
         b = np.stack([near_b, ab[:, 1]], axis=1).reshape(12, 4)
         grad = gradient(a, b, 2.0)
@@ -674,7 +681,7 @@ class TestTangentStep:
         # stops at its first step, unconverged, and every other report
         # keeps its bits
         weights, cfg = WeightTable.symmetric(4, 2, 1), SolverConfig(starts=12, seed=1)
-        ab = _random_starts(4, [np.random.default_rng(1 ^ k) for k in range(12)])
+        ab = _random_starts(4, 12, np.random.default_rng(1))
         a, b = ab[:, 0], ab[:, 1]
         grad = gradient(a, b, 2.0)
         plain_step = solvers._tangent_step(a, b, grad, 2.0)
@@ -708,7 +715,7 @@ class TestTangentStep:
         calls = _patch_gufuncs(monkeypatch)
         step = solvers._tangent_step(a, b, g, 2.0)
         assert _steps(calls) == [(1, 0)] and np.isfinite(step).all()
-        ab = _random_starts(16, [np.random.default_rng(k) for k in range(3)])
+        ab = _random_starts(16, 3, np.random.default_rng(0))
         batch = np.concatenate([a, ab[:, 0]]), np.concatenate([b, ab[:, 1]])
         ra, rb, iterations = solvers._newton(*batch, 2.0, CFG)
         for k in (1, 2, 3):
@@ -734,7 +741,7 @@ class TestTangentStep:
         # one batch: each step makes one Cholesky call on every live row
         # and one eigh call on those without a factor, with no retry, and
         # the eigh rows fall as the draws reach their maxima
-        ab = _random_starts(4, [np.random.default_rng(k) for k in range(12)])
+        ab = _random_starts(4, 12, np.random.default_rng(0))
         near_a, near_b = _near_maximum(4)
         calls = _patch_gufuncs(monkeypatch)
         _, _, iterations = solvers._newton(np.concatenate([ab[:, 0], near_a]),
@@ -758,7 +765,7 @@ class TestTangentStep:
             return lapack(name, M)
 
         monkeypatch.setattr(solvers, "_lapack", checked)
-        ab = _random_starts(4, [np.random.default_rng(k) for k in range(5)])
+        ab = _random_starts(4, 5, np.random.default_rng(0))
         _, _, iterations = solvers._newton(ab[:, 0], ab[:, 1], 1.7e308, CFG)
         assert seen and all(seen)
         assert iterations.tolist() == [1] * 5
@@ -815,14 +822,14 @@ class TestClassify:
         # in one batch at ratio 2; converged starts on the s = t flat
         # family are stationary only at ratio 1, so they have a batch of
         # their own: on seed 1 the first ends with a and b below
-        # ZERO_POINT_TOL and the second with a and b just above it, but
-        # both with b a^T below it. The second start at (16, 1001, 1000)
-        # on seed 1 converges to a point off the flat family whose top
-        # projected eigenvalue, -0.99989e-7, lies inside HESSIAN_EIG_TOL
+        # ZERO_POINT_TOL and the second with a just above it, but both
+        # with b a^T below it. Newton at 1001:1000 from the n = 16 draw of
+        # default_rng(0) converges to a point off the flat family whose
+        # top projected eigenvalue, -0.99989e-7, lies inside HESSIAN_EIG_TOL
         ends = multistart(WeightTable.symmetric(4, 1, 1),
                           SolverConfig(starts=2, seed=1)).reports
-        near_equal = multistart(WeightTable.symmetric(16, 1001, 1000),
-                                SolverConfig(starts=2, seed=1)).reports[1]
+        near_equal = newton_stationary(
+            RankTwoPoint.of(*_random_starts(16, 1, np.random.default_rng(0))[0]), 1.001, CFG)
         rows = [(c.point(), 2.0) for c in CANDS.values()]
         rows += [(RankTwoPoint.symmetric([0.0] * 4), 2.0)]
         rows += [(r.point, 1.0) for r in ends]
@@ -904,7 +911,7 @@ class TestMultistart:
 
     def test_every_start_at_equal_weights_is_degenerate(self):
         # every start ends with max |b_i a_j| below ZERO_POINT_TOL, though
-        # 28 of them keep a and b just above it
+        # 30 of them keep a or b just above it
         result = multistart(WeightTable.symmetric(4, 1, 1),
                             SolverConfig(starts=50, seed=1))
         assert [r.classification for r in result.reports] == ["degenerate"] * 50
@@ -949,9 +956,9 @@ class TestMultistart:
                 founders.append(key)
                 members.append([report])
         reps = [max(group, key=lambda r: r.loglik) for group in members]
-        expected = sorted(((-rep.loglik, tuple(key)), len(group), rep.seed)
+        expected = sorted(((-rep.loglik, tuple(key)), len(group), rep.start)
                           for key, group, rep in zip(founders, members, reps))
-        assert [((-c.loglik, c.key), c.size, c.representative.seed)
+        assert [((-c.loglik, c.key), c.size, c.representative.start)
                 for c in result.clusters] == expected
         assert len(result.clusters) >= 2
 
@@ -988,22 +995,78 @@ class TestStructure:
         assert best == pytest.approx(want, rel=1e-10, abs=1e-16 * (s * n + t * n * (n - 1)))
 
 
+def _drawn_starts(monkeypatch, weights, cfg):
+    """The (starts, 2, n) start rows a and b that multistart hands to
+    Newton, and its result."""
+    seen = []
+    newton = solvers._newton
+
+    def spy(a, b, rho, cfg):
+        seen.append(np.stack([a, b], axis=1))
+        return newton(a, b, rho, cfg)
+
+    monkeypatch.setattr(solvers, "_newton", spy)
+    return seen, multistart(weights, cfg)
+
+
 class TestRandomStart:
     @settings(deadline=None)
-    @given(st.integers(2, 16), st.integers(0, 2 ** 63 - 1))
-    def test_one_draw_is_interior(self, n, seed):
+    @given(st.integers(2, 16), st.integers(1, 8), st.integers(0, 2 ** 63 - 1))
+    def test_one_draw_is_interior(self, n, starts, seed):
         rng = np.random.default_rng(seed)
-        start = _random_starts(n, [rng])[0]
-        assert start.shape == (2, n)
-        a, b = start
-        assert abs(a.sum()) < 1e-12 and abs(b.sum()) < 1e-12
+        ab = _random_starts(n, starts, rng)
+        assert ab.shape == (starts, 2, n)
+        assert np.abs(ab.sum(axis=-1)).max() < 1e-12
         bound = 1 - 1.44 * (n - 1) ** 2 / n ** 3
         assert bound >= 0.78
-        assert (1.0 + np.outer(b, a)).min() >= bound - 1e-12
-        # exactly the two vectors were drawn
+        assert (1.0 + ab[:, 1, :, None] * ab[:, 0, None, :]).min() >= bound - 1e-12
+        # exactly the two vectors of each start were drawn
         reference = np.random.default_rng(seed)
-        reference.uniform(size=2 * n)
+        reference.uniform(size=2 * n * starts)
         assert rng.uniform() == reference.uniform()
+
+    def test_one_generator_per_run(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        multistart(WeightTable.symmetric(4, 2, 1), SolverConfig(starts=20, seed=3))
+        em_multistart(swiss_counts(), 2, SolverConfig(starts=20, seed=3))
+        assert made == [3, 3]
+
+    def test_seeds_share_no_start(self, monkeypatch):
+        weights = WeightTable.symmetric(4, 2, 1)
+        rows = []
+        for seed in (1, 2):
+            seen, _ = _drawn_starts(monkeypatch, weights, SolverConfig(starts=200, seed=seed))
+            rows.append({x.tobytes() for x in seen[0]})
+        assert len(rows[0]) == len(rows[1]) == 200
+        assert not rows[0] & rows[1]
+
+    def test_start_k_is_the_same_at_any_start_count(self, monkeypatch):
+        weights = WeightTable.symmetric(4, 2, 1)
+        few_starts, few = _drawn_starts(monkeypatch, weights, SolverConfig(starts=50, seed=1))
+        many_starts, many = _drawn_starts(monkeypatch, weights, SolverConfig(starts=200, seed=1))
+        assert few_starts[0].tobytes() == many_starts[0][:50].tobytes()
+        assert [_bits(r) for r in few.reports] == [_bits(r) for r in many.reports[:50]]
+        assert [r.start for r in many.reports] == list(range(200))
+        few = em_multistart(swiss_counts(), 2, SolverConfig(starts=5, seed=1))
+        many = em_multistart(swiss_counts(), 2, SolverConfig(starts=20, seed=1))
+        assert [_em_bits(r) for r in few.reports] == [_em_bits(r) for r in many.reports[:5]]
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (16, 256000)])
+    def test_start_zero_is_the_one_draw_of_the_seed(self, monkeypatch, n, seed):
+        # start 0 is the (2, n) draw of default_rng(seed), centered: the
+        # start a run with one start has always drawn
+        seen, _ = _drawn_starts(monkeypatch, WeightTable.symmetric(n, 2, 1),
+                                SolverConfig(starts=5, seed=seed))
+        width = START_BOX / math.sqrt(n)
+        ab = np.random.default_rng(seed).uniform(-width, width, size=(2, n))
+        assert seen[0][0].tobytes() == (ab - ab.sum(axis=-1, keepdims=True) / n).tobytes()
 
 
 @st.composite
@@ -1104,7 +1167,7 @@ class TestEM:
     @pytest.mark.parametrize("max_iter", [3, 10_000])
     def test_last_trace_value_is_the_models_loglik(self, max_iter):
         table = WeightTable.full([[5, 1, 2], [1, 4, 3], [2, 2, 6]])
-        report = em_fit(table, 2, SolverConfig(max_iter=max_iter), seed=2)
+        report = em_fit(table, 2, SolverConfig(max_iter=max_iter, seed=2))
         model = report.point
         expected = math.fsum(
             table.as_array()[i, j] * math.log(math.fsum(
@@ -1120,8 +1183,8 @@ class TestEM:
             em_fit(swiss_counts(), 0, CFG)
 
     def test_report_shape(self):
-        report = em_fit(swiss_counts(), 2, SolverConfig(), seed=4)
-        assert report.method == "em"
+        report = em_fit(swiss_counts(), 2, SolverConfig(seed=4))
+        assert report.method == "em" and report.start == 0
         assert report.trace is not None
         assert report.residual < 1e-6
         data = report.to_json_dict()
@@ -1141,8 +1204,7 @@ class TestBatchedEM:
 
     def _assert_matches_loop(self, counts, r, cfg):
         result = em_multistart(counts, r, cfg)
-        reference = [_reference_em(counts, r, cfg, seed=cfg.seed ^ k)
-                     for k in range(cfg.starts)]
+        reference = _reference_em_starts(counts, r, cfg)
         assert [_em_bits(rep) for rep in result.reports] \
             == [_em_bits(rep) for rep in reference]
         assert result.best is result.reports[
@@ -1175,9 +1237,13 @@ class TestBatchedEM:
                                   SolverConfig(starts=4, seed=n, max_iter=200))
 
     def test_em_fit_is_the_one_row_call(self):
-        for seed in (None, 7):
-            assert _em_bits(em_fit(swiss_counts(), 2, CFG, seed=seed)) \
-                == _em_bits(_reference_em(swiss_counts(), 2, CFG, seed=seed))
+        # em_fit runs start 0 of em_multistart with the same configuration
+        for seed in (0, 7):
+            cfg = replace(CFG, seed=seed)
+            assert _em_bits(em_fit(swiss_counts(), 2, cfg)) \
+                == _em_bits(em_multistart(swiss_counts(), 2, cfg).reports[0]) \
+                == _em_bits(_reference_em(swiss_counts(), 2, cfg,
+                                          np.random.default_rng(seed), 0))
 
 
 class TestEMZeroCounts:
