@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Convention, FeasibilityError, Number, ProbMatrix,
-                   WeightTable, convert_convention, exact_likelihood,
-                   log_likelihood)
+                   WeightTable, convert_convention, entry_counts,
+                   exact_likelihood, log_likelihood, map_entries)
 from .ranktwo import RankTwoPoint, reciprocal_residual_exact
 
 MP_DPS = 50
@@ -78,11 +78,14 @@ def _alpha_sq(p: int, q: int, s: Fraction, t: Fraction) -> Fraction:
 
 def _member(p: int, z: int, q: int, s: Fraction, t: Fraction) -> tuple:
     """alpha^2 and the SUM_NSQ matrix J + alpha^2 c c^T of the member
-    (p, z, q) at weights (s, t)."""
+    (p, z, q) at weights (s, t). c has at most three levels, so the matrix
+    holds at most four distinct entries, 1 + u v alpha^2 for level products
+    u v; each is formed once, and the rows of one level are one tuple."""
     x = _alpha_sq(p, q, s, t)
     c = _levels(p, z, q)
-    return x, ProbMatrix.of([[1 + ci * cj * x for cj in c] for ci in c],
-                            Convention.SUM_NSQ)
+    entry = {uv: 1 + uv * x for uv in {u * v for u in set(c) for v in set(c)}}
+    rows = {u: tuple(entry[u * v] for v in c) for u in set(c)}
+    return x, ProbMatrix.of([rows[u] for u in c], Convention.SUM_NSQ)
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,9 @@ class Candidate:
     def alpha(self) -> float:
         return math.sqrt(self.alpha_sq)
 
-    def products(self) -> list:
-        """Exact table of pairwise products a_i a_j."""
-        c = self.pattern.coeffs
-        return [[ci * cj * self.alpha_sq for cj in c] for ci in c]
+    def products(self) -> tuple:
+        """Exact table of pairwise products a_i a_j, the matrix less J."""
+        return map_entries(lambda e: e - 1, self.matrix.entries)
 
     def point(self) -> RankTwoPoint:
         return RankTwoPoint.symmetric(self.a_values())
@@ -155,9 +157,9 @@ class Candidate:
 
 def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction) -> Candidate:
     x, matrix = _member(*pattern.value, s, t)
-    if any(e <= 0 for row in matrix.entries for e in row):
+    if any(e <= 0 for e, _ in entry_counts(matrix.entries)):
         raise FeasibilityError(f"pattern {pattern.signs} leaves the interior")
-    products = [[e - 1 for e in row] for row in matrix.entries]
+    products = map_entries(lambda e: e - 1, matrix.entries)
     residual = reciprocal_residual_exact(products, s / t)
     if any(r != 0 for r in residual):
         raise RuntimeError(

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -72,6 +73,77 @@ def format_number(value: Number) -> Union[str, int, float]:
 
 def _freeze_rows(rows: Iterable[Iterable[Number]]) -> tuple:
     return tuple(tuple(row) for row in rows)
+
+
+# Exact matrices here are mostly built from a few shared rows of a few
+# shared values (the two-level candidates of an n x n matrix hold at most
+# four distinct entries), so the helpers below work once per distinct row
+# or entry object and weight sums by counts. They group by identity, which
+# costs a dict lookup, and not by value, which would hash every Fraction;
+# each keeps the objects it has seen alive, so no id is reused meanwhile.
+
+
+def _tally(pairs: Iterable) -> list:
+    """[x, k] for each distinct object x of the (x, k) pairs, with the ks
+    of its pairs summed, in order of first occurrence."""
+    counts = {}
+    for x, k in pairs:
+        seen = counts.get(id(x))
+        if seen is None:
+            counts[id(x)] = [x, k]
+        else:
+            seen[1] += k
+    return list(counts.values())
+
+
+def entry_counts(rows: Sequence[Sequence[Number]]) -> list:
+    """[x, count] for each distinct entry object of the matrix rows, in
+    the row-major order of first occurrence."""
+    return _tally((x, k) for row, k in _tally((row, 1) for row in rows) for x in row)
+
+
+def _weighted_sum(pairs: Iterable) -> Number:
+    """The sum of x * k over the (x, k) pairs, with no product where k is 1."""
+    return sum(x if k == 1 else x * k for x, k in pairs)
+
+
+def map_entries(f: Callable, rows: Sequence[Sequence[Number]]) -> tuple:
+    """The rows with f applied to every entry, as a tuple of tuples: f runs
+    once per distinct entry object, and a row object that recurs gives one
+    shared result row, so the result shares as the input does."""
+    done = {}
+    mapped = {}
+    out = []
+    for row in rows:
+        seen = mapped.get(id(row))
+        if seen is None:
+            new = []
+            for x in row:
+                y = done.get(id(x))
+                if y is None:
+                    y = done[id(x)] = (x, f(x))
+                new.append(y[1])
+            seen = mapped[id(row)] = (row, tuple(new))
+        out.append(seen[1])
+    return tuple(out)
+
+
+def line_sums(rows: Sequence[Sequence[Number]]) -> tuple:
+    """The row sums and the column sums of the matrix rows, as two lists.
+    Each distinct row is summed once over its distinct entries times their
+    counts, and each column once over the distinct rows times theirs; equal
+    lines share one sum. Exact for exact entries; floats would be summed in
+    another order than entry by entry."""
+    distinct = _tally((row, 1) for row in rows)
+    row_sum = {id(row): _weighted_sum(entry_counts((row,))) for row, _ in distinct}
+    col_sum = {}
+    cols = []
+    for j in range(len(rows[0]) if rows else 0):
+        key = tuple(id(row[j]) for row, _ in distinct)
+        if key not in col_sum:
+            col_sum[key] = _weighted_sum((row[j], k) for row, k in distinct)
+        cols.append(col_sum[key])
+    return [row_sum[id(row)] for row in rows], cols
 
 
 @dataclass(frozen=True)
@@ -216,16 +288,17 @@ class ProbMatrix:
             raise ValueError("matrix side must be positive")
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValueError("entries must form an n x n matrix")
-        for row in self.entries:
-            for x in row:
-                if x < 0:
-                    raise ValueError(f"negative entry {x}")
-        total = sum(x for row in self.entries for x in row)
+        for x, _ in self._counts:
+            if x < 0:
+                raise ValueError(f"negative entry {x}")
         target = 1 if self.convention is Convention.SUM_ONE else self.n * self.n
         if self.is_exact:
+            total = _weighted_sum(self._counts)
             if total != target:
                 raise ValueError(f"exact entries must sum to {target}, got {total}")
         else:
+            # floats are summed entry by entry, in row-major order
+            total = sum(x for row in self.entries for x in row)
             tol = SUM_ONE_TOL if self.convention is Convention.SUM_ONE else SUM_NSQ_TOL
             if abs(float(total) - target) > tol:
                 raise ValueError(
@@ -237,9 +310,14 @@ class ProbMatrix:
         frozen = _freeze_rows(rows)
         return cls(n=len(frozen), convention=convention, entries=frozen)
 
-    @property
+    @cached_property
+    def _counts(self) -> list:
+        """entry_counts of the entries."""
+        return entry_counts(self.entries)
+
+    @cached_property
     def is_exact(self) -> bool:
-        return all(_is_exact(x) for row in self.entries for x in row)
+        return all(_is_exact(x) for x, _ in self._counts)
 
     def as_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.entries])
@@ -268,12 +346,11 @@ def convert_convention(P: ProbMatrix, target: Convention) -> ProbMatrix:
     if not P.is_exact:
         nsq = float(nsq)
     if target is Convention.SUM_NSQ:
-        rows = [[x * nsq for x in row] for row in P.entries]
+        rows = map_entries(lambda x: x * nsq, P.entries)
+    elif P.is_exact:
+        rows = map_entries(lambda x: Fraction(x) / nsq, P.entries)
     else:
-        if P.is_exact:
-            rows = [[Fraction(x) / nsq for x in row] for row in P.entries]
-        else:
-            rows = [[x / nsq for x in row] for row in P.entries]
+        rows = map_entries(lambda x: x / nsq, P.entries)
     return ProbMatrix.of(rows, target)
 
 
@@ -300,7 +377,8 @@ def log_likelihood(P: ProbMatrix, W: WeightTable) -> float:
 
 def exact_likelihood(P: ProbMatrix, W: WeightTable) -> Fraction:
     """Exact product prod(p_ij ** w_ij) for rational entries and integer
-    nonnegative exponents."""
+    nonnegative exponents, taken as prod(v ** e_v) over the distinct entry
+    objects v, with e_v the sum of the weights of the cells v fills."""
     if P.n != W.n:
         raise ValueError(f"dimension mismatch: matrix {P.n}, weights {W.n}")
     if not W.is_integral():
@@ -308,16 +386,16 @@ def exact_likelihood(P: ProbMatrix, W: WeightTable) -> Fraction:
                          "use log_likelihood for real exponents")
     if not P.is_exact:
         raise ValueError("exact_likelihood requires rational matrix entries")
+    exponents = _tally((p, int(W.cell(i, j))) for i, row in enumerate(P.entries)
+                       for j, p in enumerate(row))
     result = Fraction(1)
-    for i in range(P.n):
-        for j in range(P.n):
-            w = int(W.cell(i, j))
-            if w == 0:
-                continue
-            p = Fraction(P.entries[i][j])
-            if p <= 0:
-                raise FeasibilityError("exact_likelihood requires positive entries")
-            result *= p ** w
+    for p, w in exponents:
+        if w == 0:
+            continue
+        p = Fraction(p)
+        if p <= 0:
+            raise FeasibilityError("exact_likelihood requires positive entries")
+        result *= p ** w
     return result
 
 

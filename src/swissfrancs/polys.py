@@ -11,6 +11,7 @@ test.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple, Union
@@ -82,8 +83,16 @@ class Poly1:
         return f"Poly1({list(self.coeffs)})"
 
 
+def _exact(value: Number) -> Union[int, Fraction]:
+    """value as an exact coefficient: an int or a Fraction stays as it is,
+    anything else (a float) becomes the Fraction of its exact value."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 class Poly3:
-    """Sparse exact polynomial in (a1, a2, b2) with Fraction coefficients.
+    """Sparse exact polynomial in (a1, a2, b2) with int or Fraction
+    coefficients: ints stay ints, whose arithmetic is exact and much
+    cheaper than Fraction's.
 
     Terms are stored as exponent triple -> coefficient with no zero
     coefficients; the canonical term order is graded lexicographic.
@@ -91,28 +100,27 @@ class Poly3:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
+    def __init__(self, terms: Dict[Exponent, Number] | None = None):
         cleaned = {}
         if terms:
             for exp, coeff in terms.items():
-                coeff = Fraction(coeff)
                 if coeff != 0:
-                    cleaned[tuple(exp)] = coeff
+                    cleaned[tuple(exp)] = _exact(coeff)
         self.terms = cleaned
 
     @classmethod
     def const(cls, value: Number) -> "Poly3":
-        return cls({(0, 0, 0): Fraction(value)})
+        return cls({(0, 0, 0): value})
 
     @classmethod
     def variable(cls, index: int) -> "Poly3":
         exp = [0, 0, 0]
         exp[index] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     @classmethod
     def monomial(cls, exp: Exponent, coeff: Number = 1) -> "Poly3":
-        return cls({tuple(exp): Fraction(coeff)})
+        return cls({tuple(exp): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -130,7 +138,7 @@ class Poly3:
             other = Poly3.const(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
+            out[exp] = out.get(exp, 0) + coeff
         return Poly3(out)
 
     __radd__ = __add__
@@ -148,12 +156,13 @@ class Poly3:
 
     def __mul__(self, other) -> "Poly3":
         if not isinstance(other, Poly3):
-            return Poly3({e: c * Fraction(other) for e, c in self.terms.items()})
-        out: Dict[Exponent, Fraction] = {}
+            other = _exact(other)
+            return Poly3({e: c * other for e, c in self.terms.items()})
+        out: Dict[Exponent, Number] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
+                out[exp] = out.get(exp, 0) + c1 * c2
         return Poly3(out)
 
     __rmul__ = __mul__
@@ -207,24 +216,44 @@ class Poly3:
 
         With one divisor the remainder is zero if and only if the divisor
         divides self, in any monomial order.
+
+        The division works in place on one dict of terms. Each step takes
+        the leading term and moves it to the quotient (a Fraction, so an
+        int over an int stays exact) or to the remainder; what it adds to
+        the work is below that term in the order, so a heap of the terms'
+        order keys yields the leading terms in turn.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         lead_exp, lead_coeff = divisor.leading()
-        quotient: Dict[Exponent, Fraction] = {}
-        remainder: Dict[Exponent, Fraction] = {}
-        work = Poly3(dict(self.terms))
-        while not work.is_zero():
-            exp, coeff = work.leading()
-            diff = tuple(e - l for e, l in zip(exp, lead_exp))
-            if all(d >= 0 for d in diff):
-                factor = Poly3.monomial(diff, coeff / lead_coeff)
-                quotient[tuple(diff)] = quotient.get(tuple(diff), Fraction(0)) \
-                    + coeff / lead_coeff
-                work = work - factor * divisor
-            else:
-                remainder[exp] = remainder.get(exp, Fraction(0)) + coeff
-                work = work - Poly3.monomial(exp, coeff)
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead_exp]
+        quotient: Dict[Exponent, Number] = {}
+        remainder: Dict[Exponent, Number] = {}
+        work = dict(self.terms)
+        # a min-heap of (-degree, -exponents) pops the graded-lex largest
+        heap = [(-sum(e), -e[0], -e[1], -e[2]) for e in work]
+        heapq.heapify(heap)
+        while heap:
+            key = heapq.heappop(heap)
+            exp = (-key[1], -key[2], -key[3])
+            coeff = work.pop(exp, 0)
+            if coeff == 0:  # cancelled, or a stale heap entry
+                continue
+            diff = (exp[0] - lead_exp[0], exp[1] - lead_exp[1], exp[2] - lead_exp[2])
+            if min(diff) < 0:
+                remainder[exp] = coeff
+                continue
+            factor = Fraction(coeff, lead_coeff)
+            quotient[diff] = factor
+            for e, c in tail:
+                term = (diff[0] + e[0], diff[1] + e[1], diff[2] + e[2])
+                value = work.get(term, 0) - factor * c
+                if value == 0:
+                    work.pop(term, None)
+                    continue
+                if term not in work:
+                    heapq.heappush(heap, (-sum(term), -term[0], -term[1], -term[2]))
+                work[term] = value
         return Poly3(quotient), Poly3(remainder)
 
     def monomial_content(self) -> Exponent:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (Convention, ConvergenceError, FeasibilityError, Number,
-                   ProbMatrix, RankTwoError)
+                   ProbMatrix, RankTwoError, line_sums, map_entries)
 
 ZERO_SUM_TOL = 1e-12
 FEASIBILITY_MARGIN = 1e-14
@@ -48,14 +48,29 @@ class RankTwoPoint:
     def __post_init__(self):
         if self.n < 1 or len(self.a) != self.n or len(self.b) != self.n:
             raise ValueError("a and b must both have length n")
-        for name, vec in (("a", self.a), ("b", self.b)):
-            norm = math.sqrt(sum(float(x) * float(x) for x in vec))
-            if abs(sum(float(x) for x in vec)) > ZERO_SUM_TOL * max(1.0, norm):
-                raise ValueError(f"{name} must sum to zero")
+        _require_zero_sum(np.array([self.a], dtype=float), np.array([self.b], dtype=float))
 
     @classmethod
     def of(cls, a: Sequence[float], b: Sequence[float]) -> "RankTwoPoint":
         return cls(n=len(a), a=tuple(float(x) for x in a), b=tuple(float(x) for x in b))
+
+    @classmethod
+    def rows(cls, a: np.ndarray, b: np.ndarray) -> list:
+        """One point per row of the (K, n) float arrays a and b, n >= 1.
+        __post_init__'s zero-sum test runs once over the arrays, with the
+        same ValueError, and the points are then built without it."""
+        if a.ndim != 2 or a.shape != b.shape or a.shape[1] < 1:
+            raise ValueError("a and b must both be (K, n) arrays with n >= 1")
+        _require_zero_sum(a, b)
+        points = []
+        for ra, rb in zip(a.tolist(), b.tolist()):
+            pt = object.__new__(cls)
+            # a frozen dataclass's own __init__ sets its fields this way
+            object.__setattr__(pt, "n", len(ra))
+            object.__setattr__(pt, "a", tuple(ra))
+            object.__setattr__(pt, "b", tuple(rb))
+            points.append(pt)
+        return points
 
     @classmethod
     def symmetric(cls, a: Sequence[float]) -> "RankTwoPoint":
@@ -81,6 +96,17 @@ class RankTwoPoint:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RankTwoPoint":
         return cls.of(data["a"], data["b"])
+
+
+def _require_zero_sum(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ValueError unless every row v of the (K, n) arrays a and b has
+    |sum v| <= ZERO_SUM_TOL * max(1, |v|). cumsum adds in index order, so
+    each row's sums are those of a Python loop over it."""
+    for name, vec in (("a", a), ("b", b)):
+        norm = np.sqrt((vec * vec).cumsum(axis=-1)[:, -1])
+        total = vec.cumsum(axis=-1)[:, -1]
+        if (np.abs(total) > ZERO_SUM_TOL * np.maximum(1.0, norm)).any():
+            raise ValueError(f"{name} must sum to zero")
 
 
 def _require_interior(pt: RankTwoPoint) -> None:
@@ -164,14 +190,16 @@ def reciprocal_residual_exact(products: Sequence[Sequence[Number]],
 
     products[i][j] must hold a_i * b_j as exact rationals; the result is
     the 2n-vector of residuals as Fractions, exactly zero at stationary
-    points.
+    points. Each distinct entry object is inverted once and each distinct
+    row and column summed once (map_entries, line_sums).
     """
     n = len(products)
     rho = Fraction(rho)
-    recip = [[1 / (1 + Fraction(p)) for p in row] for row in products]
-    diag = [(rho - 1) * recip[i][i] - (n + rho - 1) for i in range(n)]
-    return ([sum(row) + d for row, d in zip(recip, diag)]
-            + [sum(col) + d for col, d in zip(zip(*recip), diag)])
+    recip = map_entries(lambda p: 1 / (1 + Fraction(p)), products)
+    rows, cols = line_sums(recip)
+    diag = map_entries(lambda r: (rho - 1) * r - (n + rho - 1),
+                       [[recip[i][i] for i in range(n)]])[0]
+    return [x + d for x, d in zip(rows + cols, diag + diag)]
 
 
 def canonicalize(pt: RankTwoPoint) -> RankTwoPoint:

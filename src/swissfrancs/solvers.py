@@ -12,11 +12,11 @@ The likelihood, its gradient and Hessian, Newton and the second-order
 labels all take (K, n) arrays, so multistart runs its K starts in one
 pass. Each row gets the bits it would get alone: per-row dot products
 use np.vecdot, every expression keeps its order of operations, the
-stacked Cholesky, solve, eigh, eigvalsh and matrix products run each
-row's LAPACK and BLAS calls as a 2-D call would, and which of those
-calls a row takes depends on that row only. Cholesky, eigh and eigvalsh
-go through _lapack, where a matrix LAPACK fails on gives NaN instead of
-raising for the whole stack. EM does the same
+stacked Cholesky, solve, eigh and matrix products run each row's LAPACK
+and BLAS calls as a 2-D call would, and which of those calls a row takes
+depends on that row only. Cholesky and eigh go through _lapack, where a
+matrix LAPACK fails on gives NaN instead of raising for the whole stack;
+the labels are two Cholesky tests, with no eigenvalues. EM does the same
 with (K, r) mixture weights and (K, r, n) conditionals: the E step's
 table comes from one einsum over the batch, log L sums each row's n^2
 cells as one axis, and the M step reduces over the same axes as a
@@ -272,11 +272,11 @@ def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
     labels = iter(_labels(a[stationary], b[stationary], rho))
     converged = resid < cfg.tol * (n + rho - 1)
     return [SolveReport(
-        point=RankTwoPoint.of(ra, rb), loglik=loglik[k], residual=float(resid[k]),
+        point=point, loglik=loglik[k], residual=float(resid[k]),
         iterations=int(iterations[k]),
         classification=next(labels) if stationary[k] else "unclassified",
         converged=bool(converged[k]), method="newton", start=k)
-        for k, (ra, rb) in enumerate(zip(a.tolist(), b.tolist()))]
+        for k, point in enumerate(RankTwoPoint.rows(a, b))]
 
 
 def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig) -> SolveReport:
@@ -340,10 +340,10 @@ def _tangent_hessian(a: np.ndarray, b: np.ndarray, rho: float):
 
 
 def _lapack(name: str, M: np.ndarray):
-    """The LAPACK gufunc name of numpy.linalg (cholesky_lo, eigh_lo or
-    eigvalsh_lo, what np.linalg.cholesky, eigh and eigvalsh call) on the
-    stack M in one call, under the wrapper's errstate but with invalid
-    ignored where the wrapper raises on it. Each matrix gets the
+    """The LAPACK gufunc name of numpy.linalg (cholesky_lo or eigh_lo, what
+    np.linalg.cholesky and eigh call) on the stack M in one call, under
+    the wrapper's errstate but with invalid ignored where the wrapper
+    raises on it. Each matrix gets the
     wrapper's bits, and one that LAPACK fails on comes back all NaN,
     where the wrapper raises LinAlgError for the whole stack. The
     gufuncs live in a private module, named only here."""
@@ -400,17 +400,24 @@ def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float):
 
 def _labels(a: np.ndarray, b: np.ndarray, rho: float) -> list:
     """The label of each stationary row of the (K, n) arrays a and b:
-    degenerate when flat, else from the eigenvalues of _tangent_hessian:
-    local_max when all sit below -HESSIAN_EIG_TOL, saddle when one exceeds
-    +HESSIAN_EIG_TOL, and unclassified otherwise, a row whose eigvalsh
-    fails (NaN from _lapack) included."""
+    degenerate when flat, else from two stacked Cholesky tests of the
+    _tangent_hessian H, with d = HESSIAN_EIG_TOL. local_max when -H - d I
+    has a factor, so every eigenvalue of H lies below -d; saddle when
+    d I - H has none (NaN from _lapack), so one is at least d; unclassified
+    otherwise. A row whose H is not finite reaches neither call and is
+    unclassified, where its NaN factor would read as a saddle."""
     flat = _flat(a, b)
-    top = np.zeros(len(flat))
-    top[~flat] = _lapack("eigvalsh_lo",
-                         _tangent_hessian(a[~flat], b[~flat], rho)[1]).max(axis=-1)
-    return ["degenerate" if is_flat else "local_max" if e < -HESSIAN_EIG_TOL
-            else "saddle" if e > HESSIAN_EIG_TOL else "unclassified"
-            for is_flat, e in zip(flat, top)]
+    H = _tangent_hessian(a[~flat], b[~flat], rho)[1]
+    finite = np.isfinite(H).all(axis=(-2, -1))
+    shift = HESSIAN_EIG_TOL * np.eye(H.shape[-1])
+    maximum, saddle = np.zeros((2, len(H)), dtype=bool)
+    factor = _lapack("cholesky_lo", -H[finite] - shift)
+    maximum[finite] = np.isfinite(factor).all(axis=(-2, -1))
+    factor = _lapack("cholesky_lo", shift - H[finite])
+    saddle[finite] = np.isnan(factor).any(axis=(-2, -1))
+    labels = iter(np.select([maximum, saddle], ["local_max", "saddle"],
+                            "unclassified").tolist())
+    return ["degenerate" if is_flat else next(labels) for is_flat in flat]
 
 
 def classify_stationary(pt: RankTwoPoint, rho: float) -> str:

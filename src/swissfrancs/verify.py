@@ -27,7 +27,8 @@ import numpy as np
 from .candidates import (Candidate, block_matrix, candidate_lines,
                          compare_candidates, corner_matrix, enumerate_n4)
 from .core import (Convention, ConvergenceError, Number, ProbMatrix,
-                   WeightTable, convert_convention, log_likelihood)
+                   WeightTable, convert_convention, line_sums, log_likelihood,
+                   map_entries)
 from .polys import A1, A2, B2, Poly1, Poly3, greedy_multiset_match
 from .ranktwo import (RankTwoPoint, reciprocal_residual_exact,
                       stationarity_residual)
@@ -507,27 +508,48 @@ def matrix_checks(matrix: ProbMatrix, rho: Number) -> tuple:
     exact_stationarity also asks that D be symmetric, which forces b_i = 0
     there and so that gradient, (rho - 1) b_i for zero-sum b, to 0. rank
     asks that every 2 x 2 minor through one nonzero pivot of D vanish.
+    Each step runs once per distinct entry, row or column object of D
+    (map_entries, line_sums, _minors), so a two-level matrix costs a few
+    operations at any n.
     """
     n = matrix.n
-    D = [[Fraction(x) - 1 for x in row] for row in matrix.entries]
+    D = map_entries(lambda x: Fraction(x) - 1, matrix.entries)
     residual = max(reciprocal_residual_exact(D, rho), key=abs)
-    symmetric = D == [list(col) for col in zip(*D)]
+    # tuple comparison skips entries that are the same object
+    symmetric = D == tuple(zip(*D))
     stationary = CheckResult(
         "exact_stationarity", symmetric and residual == 0,
         "P - J is not symmetric" if not symmetric else
         "reciprocal residual identically zero in rational arithmetic"
         if residual == 0 else f"largest reciprocal residual {residual}")
+    row_sums, col_sums = line_sums(D)
     margins = CheckResult(
-        "margins", not any(map(sum, D)) and not any(map(sum, zip(*D))),
+        "margins", not any(row_sums) and not any(col_sums),
         "row and column sums equal n exactly")
     # a zero D has no nonzero pivot, and every minor through (0, 0) is 0
     p, q = next(((i, j) for i in range(n) for j in range(n) if D[i][j]), (0, 0))
-    minor = next((m for i in range(n) for j in range(n)
-                  if (m := D[i][j] * D[p][q] - D[i][q] * D[p][j])), 0)
+    minor = next((m for m in _minors(D, p, q) if m), 0)
     rank = CheckResult("rank", minor == 0,
                        "every 2 x 2 minor of P - J vanishes exactly" if minor == 0
                        else f"P - J has a nonzero 2 x 2 minor {minor}")
     return (stationary, margins, rank), residual
+
+
+def _minors(D: tuple, p: int, q: int):
+    """The 2 x 2 minors D_ij D_pq - D_iq D_pj of the rows D in row-major
+    order, each formed once per distinct (D_ij, D_iq, D_pj) of objects: a
+    row object that recurs, and a column pair that recurs within a row,
+    repeat a minor already given."""
+    pivot, seen_rows, pivot_row = D[p][q], set(), D[p]
+    for row in D:
+        if id(row) in seen_rows:
+            continue
+        seen_rows.add(id(row))
+        seen = set()
+        for x, y in zip(row, pivot_row):
+            if (id(x), id(y)) not in seen:
+                seen.add((id(x), id(y)))
+                yield x * pivot - row[q] * y
 
 
 def _dominance(label: str, loglik: float, ms: Optional[MultistartResult],

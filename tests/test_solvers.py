@@ -496,12 +496,11 @@ class TestTangentStep:
         # wrapper raises for the whole stack, the gufunc under it fills the
         # failing matrix with NaN and gives every other matrix the bits the
         # wrapper gives it, alone or stacked. Cholesky fails on a negative
-        # definite matrix, eigh and eigvalsh on one that is all NaN
+        # definite matrix, eigh on one that is all NaN
         x = np.random.default_rng(3).normal(size=(4, 5, 5))
         spd = x @ np.swapaxes(x, -2, -1) + np.eye(5)
         for name, public, bad in [("cholesky_lo", np.linalg.cholesky, -spd[0]),
-                                  ("eigh_lo", np.linalg.eigh, np.full((5, 5), np.nan)),
-                                  ("eigvalsh_lo", np.linalg.eigvalsh, np.full((5, 5), np.nan))]:
+                                  ("eigh_lo", np.linalg.eigh, np.full((5, 5), np.nan))]:
             stack = np.concatenate([spd[:2], bad[None], spd[2:]])
             with pytest.raises(np.linalg.LinAlgError):
                 public(stack)
@@ -795,21 +794,32 @@ class TestClassify:
     def test_agrees_with_finite_differences(self, point, rho):
         assert classify_stationary(point, rho) == _finite_difference_label(point, rho)
 
-    def test_eigvalsh_that_fails_on_one_row_leaves_it_unclassified(self, monkeypatch):
-        # an eigvalsh that fails on one chosen matrix, as LAPACK's does
-        # when it does not converge, raises nothing: that row is
-        # unclassified and every other row keeps its label
+    def test_row_whose_hessian_is_not_finite_is_unclassified(self, monkeypatch):
+        # the labels take two stacked Cholesky calls and no eigenvalues. A
+        # row whose projected Hessian is not finite reaches neither call,
+        # where its NaN factor would read as a saddle: it is unclassified
+        # and every other row keeps its label
         points = [c.point() for c in CANDS.values()]
         a = np.array([pt.a for pt in points])
         b = np.array([pt.b for pt in points])
-        plain = _labels(a, b, 2.0)
+        with monkeypatch.context() as patch:
+            calls = _patch_gufuncs(patch)
+            plain = _labels(a, b, 2.0)
+        assert calls == [("cholesky_lo", len(points))] * 2
         assert {"local_max", "saddle"} <= set(plain)
+        assert plain == [_reference_label(pt, 2.0) for pt in points]
+        tangent_hessian = solvers._tangent_hessian
         for k in range(len(points)):
-            failing = solvers._tangent_hessian(a[k:k + 1], b[k:k + 1], 2.0)[1][0]
+            def broken(a, b, rho, _k=k):
+                basis, H = tangent_hessian(a, b, rho)
+                H[_k, 0, 0] = np.nan
+                return basis, H
+
             with monkeypatch.context() as patch:
-                calls = _patch_gufuncs(patch, {"eigvalsh_lo": [failing]})
+                patch.setattr(solvers, "_tangent_hessian", broken)
+                calls = _patch_gufuncs(patch)
                 labels = _labels(a, b, 2.0)
-            assert calls == [("eigvalsh_lo", len(points))]
+            assert calls == [("cholesky_lo", len(points) - 1)] * 2
             assert labels == plain[:k] + ["unclassified"] + plain[k + 1:]
 
     def test_requires_stationarity(self):
