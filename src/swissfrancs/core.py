@@ -55,11 +55,11 @@ def _is_exact(value: Number) -> bool:
 
 def parse_rational(text: Union[str, int, float, Fraction]) -> Number:
     """Parse a JSON scalar: "p/q" strings become Fractions, ints stay
-    exact, floats stay floats."""
+    exact, floats stay floats; ValueError for any other JSON value."""
     if isinstance(text, str):
         return Fraction(text)
-    if isinstance(text, bool):
-        raise ValueError("boolean is not a number")
+    if isinstance(text, bool) or not isinstance(text, (int, float, Fraction)):
+        raise ValueError(f"{text!r} is not a number")
     return text
 
 
@@ -250,20 +250,25 @@ class WeightTable:
         if not isinstance(data, dict):
             raise ValueError("a weight table must be a JSON object")
         kind = data.get("kind")
-        needed = {"symmetric": ("n", "s", "t"), "full": ("n", "w")}.get(kind, ())
+        if kind not in ("symmetric", "full"):
+            raise ValueError(f"unknown weight table kind {kind!r}")
+        needed = ("n", "s", "t") if kind == "symmetric" else ("n", "w")
         missing = [name for name in needed if name not in data]
         if missing:
             raise ValueError(f"{kind} weight table lacks {', '.join(missing)}")
+        n = parse_rational(data["n"])
+        if not (n.is_integer() if isinstance(n, float) else Fraction(n).denominator == 1):
+            raise ValueError(f"table side n must be an integer, got {data['n']!r}")
+        n = int(n)
         if kind == "symmetric":
-            return cls.symmetric(int(data["n"]),
-                                 parse_rational(data["s"]), parse_rational(data["t"]))
-        if kind == "full":
-            rows = [[parse_rational(x) for x in row] for row in data["w"]]
-            table = cls.full(rows)
-            if table.n != int(data["n"]):
-                raise ValueError("declared n does not match table shape")
-            return table
-        raise ValueError(f"unknown weight table kind {kind!r}")
+            return cls.symmetric(n, parse_rational(data["s"]), parse_rational(data["t"]))
+        w = data["w"]
+        if not isinstance(w, list) or not all(isinstance(row, list) for row in w):
+            raise ValueError("w must be a list of rows")
+        table = cls.full([[parse_rational(x) for x in row] for row in w])
+        if table.n != n:
+            raise ValueError("declared n does not match table shape")
+        return table
 
 
 def swiss_counts() -> WeightTable:

@@ -1,12 +1,12 @@
-"""Minimal polynomial machinery for the verification suite.
+"""Exact polynomial algebra for the factorization check, in the
+standard library only.
 
-Poly1 is a dense univariate polynomial (float or exact coefficients)
-with companion-matrix root finding; Poly3 is a sparse exact trivariate
-polynomial over the rationals in the variables (a1, a2, b2), with the
-handful of operations the factorization check needs: arithmetic,
-swapping a2 with b2, content normalization, and exact division by a
-single divisor, which in a monomial order is a decisive divisibility
-test.
+Poly3 is a sparse exact trivariate polynomial over the rationals in the
+variables (a1, a2, b2), with the handful of operations the factorization
+check needs: arithmetic, swapping a2 with b2, content normalization, and
+exact division by a single divisor, which in a monomial order is a
+decisive divisibility test. greedy_multiset_match pairs two multisets of
+numbers within MATCH_TOL.
 """
 
 from __future__ import annotations
@@ -14,73 +14,12 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, Tuple, Union
 
 Exponent = Tuple[int, int, int]
 Number = Union[int, float, Fraction]
-TRIM_REL_TOL = 1e-12
 MATCH_TOL = 1e-8
 VARIABLE_NAMES = ("a1", "a2", "b2")
-
-
-class Poly1:
-    """Dense univariate polynomial, coefficients from lowest degree up."""
-
-    def __init__(self, coeffs: Sequence[Number]):
-        coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
-            return -1
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        result = 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
-    def derivative(self) -> "Poly1":
-        if len(self.coeffs) <= 1:
-            return Poly1([0])
-        return Poly1([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def trimmed(self) -> "Poly1":
-        """Drop float leading coefficients up to TRIM_REL_TOL of the largest."""
-        scale = max(abs(float(c)) for c in self.coeffs) or 1.0
-        coeffs = list(self.coeffs)
-        while len(coeffs) > 1 and abs(float(coeffs[-1])) <= TRIM_REL_TOL * scale:
-            coeffs.pop()
-        return Poly1(coeffs)
-
-    def roots(self) -> np.ndarray:
-        """Companion-matrix eigenvalues with one Newton polish per root."""
-        poly = self.trimmed()
-        if poly.degree < 1:
-            return np.array([], dtype=complex)
-        monic = np.array([float(c) for c in poly.coeffs]) / float(poly.coeffs[-1])
-        deg = poly.degree
-        comp = np.zeros((deg, deg))
-        comp[1:, :-1] = np.eye(deg - 1)
-        comp[:, -1] = -monic[:-1]
-        roots = np.linalg.eigvals(comp)
-        deriv = poly.derivative()
-        polished = []
-        for r in roots:
-            dp = complex(deriv(r))
-            if abs(dp) > 1e-12:
-                r = r - complex(poly(r)) / dp
-            polished.append(r)
-        return np.array(polished)
-
-    def __repr__(self):
-        return f"Poly1({list(self.coeffs)})"
 
 
 def _exact(value: Number) -> Union[int, Fraction]:
@@ -117,10 +56,6 @@ class Poly3:
         exp = [0, 0, 0]
         exp[index] = 1
         return cls({tuple(exp): 1})
-
-    @classmethod
-    def monomial(cls, exp: Exponent, coeff: Number = 1) -> "Poly3":
-        return cls({tuple(exp): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -505,6 +505,8 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     cfg.cluster_eps of the founder's joins it, one vectorised pass per
     cluster, which gives the clusters a start-by-start loop gives.
     """
+    if weights.n < 2:
+        raise ValueError("multistart needs n >= 2")
     pair = weights.symmetric_pair()
     if pair is None:
         raise ValueError("multistart requires symmetric (s, t) weights")

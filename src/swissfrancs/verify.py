@@ -29,7 +29,7 @@ from .candidates import (Candidate, block_matrix, candidate_lines,
 from .core import (Convention, ConvergenceError, Number, ProbMatrix,
                    WeightTable, convert_convention, line_sums, log_likelihood,
                    map_entries)
-from .polys import A1, A2, B2, Poly1, Poly3, greedy_multiset_match
+from .polys import A1, A2, B2, Poly3, greedy_multiset_match
 from .ranktwo import (RankTwoPoint, reciprocal_residual_exact,
                       stationarity_residual)
 from .solvers import MultistartResult, SolverConfig, multistart
@@ -206,7 +206,7 @@ def sign_order_exact(P) -> SignOrderReport:
 
 @dataclass(frozen=True)
 class FPolyReport:
-    poly: Poly1
+    coefficients: tuple
     degree: int
     constant: float
     linear: float
@@ -226,7 +226,7 @@ class FPolyReport:
                 and self.function_zeros_in_reference)
 
     def to_json_dict(self) -> dict:
-        return {"coefficients": [float(c) for c in self.poly.coeffs],
+        return {"coefficients": list(self.coefficients),
                 "degree": self.degree,
                 "constant": self.constant, "linear": self.linear,
                 "roots": [[r.real, r.imag] for r in self.roots],
@@ -238,15 +238,19 @@ class FPolyReport:
 
 
 def f_polynomial(pt: RankTwoPoint, rho: float = 2.0) -> FPolyReport:
-    """Numerator of the stationarity function
+    """Numerator N of the stationarity function
     F(x) = sum_i 1/(1 + a_i x) + (rho - 1)/(1 + x^2) - (n + rho - 1)
-    expanded over the formal product of all denominators.
+    over the product (1 + x^2) Q(x) of its denominators,
+    Q(x) = prod_i (1 + a_i x).
 
-    At a symmetric stationary point every coordinate a_k and 0 (doubly)
-    is a root; the constant and linear coefficients vanish with the zero
-    sum. Repeated coordinates shrink the actual degree and leave
-    uncancelled pole positions among the numerator roots, so the report
-    distinguishes roots of the numerator from zeros of F itself.
+    The identity sum_i Q/(1 + a_i x) - n Q = -x Q' gives
+    N(x) = -x [(1 + x^2) Q'(x) + (rho - 1) x Q(x)]: the constant
+    coefficient is 0 and the linear one, -Q'(0) = -sum_i a_i, vanishes
+    with the zero sum, so x^2 divides N. At a symmetric stationary point
+    every coordinate a_k is a root too. Repeated coordinates shrink the
+    actual degree and leave uncancelled pole positions among the
+    numerator roots, so the report distinguishes roots of the numerator
+    from zeros of F itself.
     """
     a, b = pt.arrays()
     if pt.n != 4:
@@ -259,45 +263,27 @@ def f_polynomial(pt: RankTwoPoint, rho: float = 2.0) -> FPolyReport:
     resid = np.abs(stationarity_residual(pt, rho)).max()
     if resid > 1e-10:
         raise ValueError(f"point is not stationary: residual {resid:.3e}")
-    e1 = a.sum()
-    e2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
-    e3 = sum(a[i] * a[j] * a[k] for i in range(4) for j in range(i + 1, 4)
-             for k in range(j + 1, 4))
-    e4 = a[0] * a[1] * a[2] * a[3]
-    K = 4 + rho - 1
-    coeffs = [0.0,
-              -e1,
-              -(2 * e2 + (rho - 1)),
-              -3 * e3 + (3 - K) * e1,
-              -4 * e4 + (2 - K) * e2,
-              (1 - K) * e3,
-              -K * e4]
-    poly = Poly1(coeffs)
-    trimmed = poly.trimmed()
-    roots = tuple(trimmed.roots())
+    q = np.poly(-a)   # prod_i (x + a_i) highest degree first: Q lowest first
+    inner = np.convolve([1.0, 0.0, 1.0], q[1:] * np.arange(1, 5))
+    inner[1:] += (rho - 1) * q
+    coeffs = np.concatenate(([0.0], -inner))
+    roots = np.roots(coeffs[::-1])
+    degree = len(roots)                  # np.roots drops exact leading zeros
     reference = tuple(sorted(a)) + (0.0, 0.0)
-    scale = max(abs(c) for c in coeffs) or 1.0
-    coords_are_roots = all(abs(complex(trimmed(x))) <= 1e-9 * scale for x in a)
-
-    def denominator(x: complex) -> complex:
-        value = 1.0 + x * x
-        for ai in a:
-            value *= 1.0 + ai * x
-        return value
-
-    zeros_ok = True
-    for r in roots:
-        if abs(denominator(r)) <= 1e-8:
-            continue                      # uncancelled pole artifact, not a zero of F
-        if abs(r.imag) > 1e-8 or min(abs(r.real - v) for v in reference) > 1e-8:
-            zeros_ok = False
-    return FPolyReport(poly=poly, degree=trimmed.degree,
+    scale = np.abs(coeffs).max()
+    coords_are_roots = bool((np.abs(np.polyval(coeffs[::-1], a)) <= 1e-9 * scale).all())
+    # a root where the denominator (1 + x^2) Q vanishes is an uncancelled
+    # pole position, not a zero of F
+    at_pole = np.abs((1 + roots ** 2) * np.polyval(q[::-1], roots)) <= 1e-8
+    in_reference = ((np.abs(roots.imag) <= 1e-8)
+                    & (np.abs(roots.real[:, None] - reference).min(axis=1) <= 1e-8))
+    return FPolyReport(coefficients=tuple(coeffs[:degree + 1].tolist()), degree=degree,
                        constant=float(coeffs[0]), linear=float(coeffs[1]),
-                       roots=roots, reference=reference,
-                       degree_six=trimmed.degree == 6,
+                       roots=tuple(roots), reference=reference,
+                       degree_six=degree == 6,
                        multiset_matched=greedy_multiset_match(roots, reference),
                        coordinates_are_roots=coords_are_roots,
-                       function_zeros_in_reference=zeros_ok)
+                       function_zeros_in_reference=bool((at_pole | in_reference).all()))
 
 
 # ---------------------------------------------------------------------------

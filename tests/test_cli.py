@@ -100,14 +100,34 @@ class TestSolve:
         ({"kind": "full", "n": 2}, "full weight table lacks w"),
         ({"kind": "symmetric", "n": 4, "s": 2}, "symmetric weight table lacks t"),
         ({"kind": "symmetric", "s": 2, "t": 1}, "symmetric weight table lacks n"),
-    ], ids=["list", "full-empty", "full-no-w", "symmetric-no-t", "symmetric-no-n"])
+        ({"kind": "full", "n": 2, "w": 5}, "w must be a list of rows"),
+        ({"kind": "full", "n": 2, "w": [5, [2, 4]]}, "w must be a list of rows"),
+        ({"kind": "full", "n": 2, "w": [[None, 2], [2, 4]]}, "None is not a number"),
+        ({"kind": "full", "n": 2, "w": [[{"a": 1}, 2], [2, 4]]},
+         "{'a': 1} is not a number"),
+        ({"kind": "full", "n": None, "w": [[4, 2], [2, 4]]}, "None is not a number"),
+        ({"kind": "symmetric", "n": 4, "s": [2], "t": 1}, "[2] is not a number"),
+        ({"kind": "full", "n": 2.7, "w": [[4, 2], [2, 4]]},
+         "table side n must be an integer, got 2.7"),
+        ({"kind": ["full"], "n": 2, "w": [[4, 2], [2, 4]]},
+         "unknown weight table kind ['full']"),
+    ], ids=["list", "full-empty", "full-no-w", "symmetric-no-t", "symmetric-no-n",
+            "w-number", "row-number", "entry-null", "entry-object", "n-null",
+            "s-list", "n-fractional", "kind-list"])
     def test_malformed_counts_file_exits_two(self, capsys, tmp_path, data, message):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(data))
-        code, out, err = run(capsys, "solve", "--counts", str(path), "--method", "em")
+        code, out, err = run(capsys, "solve", "--counts", str(path), "--method", "em",
+                             "--starts", "2")
         assert code == 2
         assert out == ""
-        assert message in err
+        assert err.startswith("error: ") and message in err
+
+    def test_n_below_two_exits_two(self, capsys):
+        code, out, err = run(capsys, "solve", "--n", "1", "--s", "2", "--t", "1",
+                             "--starts", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: multistart needs n >= 2\n"
 
     def test_em_on_a_zero_row_and_column(self, capsys, tmp_path):
         path = tmp_path / "counts.json"

@@ -1,5 +1,5 @@
-"""Polynomial support: univariate roots, sparse exact trivariate
-arithmetic, division, content normalization."""
+"""Polynomial support: sparse exact trivariate arithmetic, division,
+content normalization, multiset matching."""
 
 from fractions import Fraction
 
@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from swissfrancs.polys import (A1, A2, B2, Poly1, Poly3,
-                               greedy_multiset_match)
+from swissfrancs.polys import A1, A2, B2, Poly3, greedy_multiset_match
 from swissfrancs.verify import (_f1_parts, cross_equation_poly, f3_eval,
                                 lemma_a2_factorization, reference_f3_poly)
 
@@ -30,34 +29,6 @@ def random_poly3(rng, terms=6, max_exp=3) -> Poly3:
         exp = tuple(int(x) for x in rng.integers(0, max_exp + 1, size=3))
         data[exp] = F(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
     return Poly3(data)
-
-
-class TestPoly1:
-    def test_eval_and_degree(self):
-        poly = Poly1([6, -11, 6, -1])        # -(x-1)(x-2)(x-3)
-        assert poly.degree == 3
-        assert poly(1) == 0 and poly(2) == 0 and poly(3) == 0
-        assert poly(0) == 6
-
-    def test_trim(self):
-        poly = Poly1([1.0, 2.0, 1e-16, 0.0])
-        assert poly.trimmed().degree == 1
-
-    def test_roots_cubic(self):
-        poly = Poly1([-6, 11, -6, 1])        # (x-1)(x-2)(x-3)
-        roots = sorted(r.real for r in poly.roots())
-        assert np.allclose(roots, [1, 2, 3], atol=1e-10)
-
-    def test_roots_with_multiplicity(self):
-        # x^2 (x - 1/2)^2
-        poly = Poly1([0, 0, 0.25, -1.0, 1.0])
-        roots = sorted(r.real for r in poly.roots())
-        assert np.allclose(roots, [0, 0, 0.5, 0.5], atol=1e-6)
-
-    def test_zero_and_constant(self):
-        assert Poly1([0]).degree == -1
-        assert Poly1([5]).degree == 0
-        assert len(Poly1([5]).roots()) == 0
 
 
 class TestPoly3Arithmetic:

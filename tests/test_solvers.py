@@ -909,6 +909,11 @@ class TestMultistart:
         with pytest.raises(ValueError, match="symmetric"):
             multistart(table, SolverConfig(starts=5))
 
+    def test_requires_n_at_least_two(self):
+        # at n = 1 every start is flat and the tangent basis has no columns
+        with pytest.raises(ValueError, match="n >= 2"):
+            multistart(WeightTable.symmetric(1, 2, 1), SolverConfig(starts=2))
+
     def test_flat_family_never_saddle(self):
         # at s = t every optimum lies on the flat family, where the
         # projected Hessian is singular up to rounding; b = 0 leaves a

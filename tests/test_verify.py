@@ -295,12 +295,47 @@ class TestFPolynomial:
                            SignPattern.PPZN: 5, SignPattern.PZZN: 4}
         for pattern, cand in CANDS.items():
             report = f_polynomial(cand.point())
-            assert report.constant == 0.0
-            assert abs(report.linear) < 1e-12
+            # exactly: x^2 divides the numerator by construction
+            assert report.constant == 0.0 and report.linear == 0.0
             assert report.degree == expected_degree[pattern]
             assert report.coordinates_are_roots
             assert report.function_zeros_in_reference
             assert report.passed
+
+    @staticmethod
+    def _closed_form(a, rho):
+        """The numerator's coefficients, lowest degree first, expanded by
+        hand for n = 4 from the elementary symmetric functions of a."""
+        e1 = a.sum()
+        e2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
+        e3 = sum(a[i] * a[j] * a[k] for i in range(4) for j in range(i + 1, 4)
+                 for k in range(j + 1, 4))
+        e4 = a[0] * a[1] * a[2] * a[3]
+        K = 4 + rho - 1
+        return [0.0, -e1, -(2 * e2 + (rho - 1)), -3 * e3 + (3 - K) * e1,
+                -4 * e4 + (2 - K) * e2, (1 - K) * e3, -K * e4]
+
+    # (passed, degree, degree_six, multiset_matched, coordinates_are_roots,
+    # function_zeros_in_reference); the same at every ratio below
+    PINNED = {"+++-": (True, 6, True, False, True, True),
+              "++--": (True, 6, True, False, True, True),
+              "++0-": (True, 5, False, False, True, True),
+              "+00-": (True, 4, False, False, True, True)}
+
+    @pytest.mark.parametrize("s, t", [(2, 1), (3, 2), (100, 1), (10001, 10000)])
+    def test_coefficients_match_the_closed_form(self, s, t):
+        for cand in enumerate_n4(s, t):
+            rho = float(cand.s) / float(cand.t)
+            report = f_polynomial(cand.point(), rho=rho)
+            expected = np.array(self._closed_form(cand.point().arrays()[0], rho))
+            # the coefficients stop at the degree, as the JSON has them
+            assert len(report.coefficients) == report.degree + 1
+            got = np.zeros(7)
+            got[:len(report.coefficients)] = report.coefficients
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+            assert (report.passed, report.degree, report.degree_six,
+                    report.multiset_matched, report.coordinates_are_roots,
+                    report.function_zeros_in_reference) == self.PINNED[cand.pattern.signs]
 
     def test_block_point_roots(self):
         report = f_polynomial(CANDS[SignPattern.PPNN].point())

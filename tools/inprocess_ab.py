@@ -101,6 +101,11 @@ def _certify(n: int, s: int, t: int, starts: int):
     return setup
 
 
+def _f_polynomials(pkg):
+    points = [cand.point() for cand in pkg.enumerate_n4(2, 1)]
+    return lambda: [pkg.f_polynomial(pt, rho=2.0) for pt in points]
+
+
 CASES = {
     "certify(16, 2, 1, starts=50)": _certify(16, 2, 1, 50),
     "rational phases of certify(16, 2, 1)": lambda pkg: _rational_phases(pkg),
@@ -113,6 +118,7 @@ CASES = {
     "global_candidate(s, 1), s = 2..40":
         lambda pkg: lambda: [pkg.global_candidate(s, 1) for s in range(2, 41)],
     "lemma_a2_factorization()": lambda pkg: pkg.lemma_a2_factorization,
+    "f_polynomial(2:1 candidates)": _f_polynomials,
     "_labels at (16, 2, 1, 50)": _labels_case(16, 50),
     "_reports at (4, 2, 1, 200)": _reports_case(4, 200),
     "_reports at (16, 2, 1, 50)": _reports_case(16, 50),
