@@ -142,7 +142,13 @@ def gradient(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     each row gets the bits a 1-D call on it gives. The caller guarantees
     interior feasibility.
     """
-    T = entry_tables(a, b)
+    return table_gradient(entry_tables(a, b), a, b, rho)
+
+
+def table_gradient(T: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   rho: float) -> np.ndarray:
+    """gradient(a, b, rho) from T = entry_tables(a, b), which it leaves
+    unchanged, so a caller that needs the table again forms it once."""
     diag = T.diagonal(0, -2, -1)
     grad_a = (b[..., :, None] / T).sum(axis=-2) + (rho - 1.0) * b / diag
     grad_b = (a[..., None, :] / T).sum(axis=-1) + (rho - 1.0) * a / diag

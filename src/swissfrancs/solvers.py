@@ -14,13 +14,13 @@ pass. Each row gets the bits it would get alone: per-row dot products
 use np.vecdot, every expression keeps its order of operations, the
 stacked Cholesky, solve, eigh and matrix products run each row's LAPACK
 and BLAS calls as a 2-D call would, and which of those calls a row takes
-depends on that row only. Cholesky and eigh go through _lapack, where a
-matrix LAPACK fails on gives NaN instead of raising for the whole stack;
-the labels are two Cholesky tests, with no eigenvalues. EM does the same
-with (K, r) mixture weights and (K, r, n) conditionals: the E step's
-table comes from one einsum over the batch, log L sums each row's n^2
-cells as one axis, and the M step reduces over the same axes as a
-single start does.
+depends on that row only. Cholesky, solve and eigh go through _lapack,
+where a matrix LAPACK fails on gives NaN instead of raising for the
+whole stack; the labels are two Cholesky tests, with no eigenvalues.
+EM does the same with (K, r) mixture weights and (K, r, n) conditionals:
+the E step's table comes from one einsum over the batch, log L sums
+each row's n^2 cells as one axis, and the M step reduces over the same
+axes as a single start does.
 EM is accelerated by SQUAREM (Varadhan and Roland, "Simple and globally
 convergent methods for accelerating the convergence of any EM
 algorithm", Scand. J. Stat. 35, 2008), each row with its own step
@@ -31,15 +31,16 @@ start count above k, and a report's start k and the seed reproduce it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import ConvergenceError, WeightTable
+from .core import ConvergenceError, WeightTable, require_integer
 from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, entry_tables, gradient,
-                      hessian, stationarity_residual)
+                      hessian, stationarity_residual, table_gradient)
 
 START_BOX = 0.6
 MAX_HALVINGS = 40
@@ -61,8 +62,13 @@ class SolverConfig:
     cluster_eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("max_iter", "starts", "seed"):
+            require_integer(name, getattr(self, name))
         for name in ("tol", "cluster_eps"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.max_iter <= 0 or self.tol <= 0 or self.starts <= 0 \
                 or self.cluster_eps <= 0 or self.seed < 0:
@@ -135,15 +141,40 @@ def scaled_loglik(a: np.ndarray, b: np.ndarray, s: float, t: float):
     T = entry_tables(a, b)
     ok = T.min(axis=(-2, -1)) > FEASIBILITY_MARGIN
     logs = T if ok.all() else T[ok]
-    np.log(logs, out=logs)
-    # the sum runs over the n^2 entries as one axis, as a 1-D call's does
-    value = (s - t) * logs.trace(0, -2, -1) \
-        + t * logs.reshape(logs.shape[:-2] + (T.shape[-1] ** 2,)).sum(axis=-1)
+    value = _weighted_logs(np.log(logs, out=logs), s, t)
     if logs is T:
         return value
     out = np.full(ok.shape, -np.inf)
     out[ok] = value
     return out[()]
+
+
+def _weighted_logs(logs: np.ndarray, s: float, t: float) -> np.ndarray:
+    """s * sum(diag) + t * sum(offdiag) of each (..., n, n) table of logs;
+    the sum runs over the n^2 entries as one axis, as a 1-D call's does."""
+    return (s - t) * logs.trace(0, -2, -1) \
+        + t * logs.reshape(logs.shape[:-2] + (logs.shape[-1] ** 2,)).sum(axis=-1)
+
+
+def _value_and_gradient(a: np.ndarray, b: np.ndarray, rho: float, s: float, t: float):
+    """scaled_loglik(a, b, s, t) and gradient(a, b, rho) of each row of the
+    (K, n) arrays a and b, bit for bit, with a gradient of inf on each row
+    whose log L is not above -inf. When every row's table lies above
+    FEASIBILITY_MARGIN and every log L above -inf, they come from one
+    entry table: the gradient first, then the logs in place. Otherwise
+    they come from those two calls, the gradient on the rows with a log
+    L above -inf only."""
+    T = entry_tables(a, b)
+    if (T.min(axis=(-2, -1)) > FEASIBILITY_MARGIN).all():
+        grad = table_gradient(T, a, b, rho)
+        value = _weighted_logs(np.log(T, out=T), s, t)
+        if (value > -np.inf).all():
+            return value, grad
+    value = scaled_loglik(a, b, s, t)
+    feasible = value > -np.inf
+    grad = np.full((len(a), 2 * a.shape[-1]), np.inf)
+    grad[feasible] = gradient(a[feasible], b[feasible], rho)
+    return value, grad
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -195,17 +226,18 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
     unconverged, and a row whose projected Hessian is not finite gets no
     Cholesky or eigh call.
 
-    Each point's value and gradient are computed once, as a trial, and
-    the accepted ones carry over to the next step. Rows are balanced only
+    Each point's value and gradient are computed once, as a trial, from
+    one entry table (_value_and_gradient), and the accepted ones carry
+    over to the next step. Q, the zero-sum basis of every step's
+    projected Hessian, is built once per n. Rows are balanced only
     at the end, for the reported gauge: at n = 2 a and b are parallel,
     and rebalancing an anti-aligned pair makes it exactly b = -a, from
     where the Newton line runs into the origin.
     """
-    value = scaled_loglik(a, b, rho, 1.0)
+    value, grad = _value_and_gradient(a, b, rho, rho, 1.0)
     if not (value > -np.inf).all():
         raise ConvergenceError("infeasible start for Newton iteration")
     a, b = a.copy(), b.copy()
-    grad = gradient(a, b, rho)
     n = a.shape[-1]
     iterations = np.full(len(a), cfg.max_iter)
     live = np.arange(len(a))
@@ -235,10 +267,7 @@ def _newton(a: np.ndarray, b: np.ndarray, rho: float, cfg: SolverConfig):
             ta = ak + scale * step[rows, :n]
             tb = bk + scale * step[rows, n:]
             # an infeasible trial has value -inf and norm inf: it fails both
-            tvalue = scaled_loglik(ta, tb, rho, 1.0)
-            feasible = tvalue > -np.inf
-            tgrad = np.full((len(rows), 2 * n), np.inf)
-            tgrad[feasible] = gradient(ta[feasible], tb[feasible], rho)
+            tvalue, tgrad = _value_and_gradient(ta, tb, rho, rho, 1.0)
             accept = (_norm(tgrad) < norm0[rows] * (1.0 - 1e-4 * scale)) \
                 | (tvalue > value[k] + 1e-4 * scale * slope[rows])
             back = (ta == ak).all(axis=-1) & (tb == bk).all(axis=-1)
@@ -264,19 +293,23 @@ def _reports(a: np.ndarray, b: np.ndarray, iterations: np.ndarray, rho: float,
     at an infeasible point), the label of every row below
     CLASSIFY_RESIDUAL_TOL (the others are unclassified), each batched."""
     n = a.shape[-1]
-    loglik = scaled_loglik(a, b, s, t)
-    feasible = loglik > -np.inf
-    resid = np.full(len(a), np.inf)
-    resid[feasible] = np.abs(gradient(a[feasible], b[feasible], rho)).max(axis=-1)
+    loglik, grad = _value_and_gradient(a, b, rho, s, t)
+    resid = np.abs(grad).max(axis=-1)
     stationary = resid < CLASSIFY_RESIDUAL_TOL
     labels = iter(_labels(a[stationary], b[stationary], rho))
     converged = resid < cfg.tol * (n + rho - 1)
-    return [SolveReport(
-        point=point, loglik=loglik[k], residual=float(resid[k]),
-        iterations=int(iterations[k]),
-        classification=next(labels) if stationary[k] else "unclassified",
-        converged=bool(converged[k]), method="newton", start=k)
-        for k, point in enumerate(RankTwoPoint.rows(a, b))]
+    reports = []
+    for k, (point, value, res, its, is_stationary, conv) in enumerate(zip(
+            RankTwoPoint.rows(a, b), loglik, resid.tolist(), iterations.tolist(),
+            stationary.tolist(), converged.tolist())):
+        report = object.__new__(SolveReport)
+        # the fields the frozen dataclass's __init__ sets, one call for all
+        report.__dict__.update(
+            point=point, loglik=value, residual=res, iterations=its,
+            classification=next(labels) if is_stationary else "unclassified",
+            converged=conv, method="newton", start=k, trace=None)
+        reports.append(report)
+    return reports
 
 
 def newton_stationary(pt0: RankTwoPoint, rho: float, cfg: SolverConfig) -> SolveReport:
@@ -312,6 +345,18 @@ def _flat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=-1) * np.abs(b).max(axis=-1) < ZERO_POINT_TOL
 
 
+@functools.cache
+def _zero_sum_basis(n: int) -> np.ndarray:
+    """Q = diag(Z, Z) of _tangent_hessian for vectors of length n, built
+    once per n and read-only."""
+    w = np.full(n, 1.0 / math.sqrt(n))
+    w[-1] += 1.0
+    Q = np.zeros((2 * n, 2 * n - 2))
+    Q[:n, :n - 1] = Q[n:, n - 1:] = (np.eye(n) - np.outer(w, w) / w[-1])[:, :-1]
+    Q.flags.writeable = False
+    return Q
+
+
 def _tangent_hessian(a: np.ndarray, b: np.ndarray, rho: float):
     """For each row of the (K, n) arrays a and b, none of them zero: an
     orthonormal basis of the zero-sum tangent space {sum a = 0} x
@@ -326,11 +371,7 @@ def _tangent_hessian(a: np.ndarray, b: np.ndarray, rho: float):
     Q^T (a, -b) to the last axis, and dropping that axis leaves the
     basis. The products are stacked matmuls, so each row gets the bits
     of a 2-D call."""
-    n = a.shape[-1]
-    w = np.full(n, 1.0 / math.sqrt(n))
-    w[-1] += 1.0
-    Q = np.zeros((2 * n, 2 * n - 2))
-    Q[:n, :n - 1] = Q[n:, n - 1:] = (np.eye(n) - np.outer(w, w) / w[-1])[:, :-1]
+    Q = _zero_sum_basis(a.shape[-1])
     h = (Q.T @ np.concatenate([a, -b], axis=-1)[:, :, None])[:, :, 0]
     h /= _norm(h)[:, None]
     top = np.abs(h[:, -1]) + 1.0
@@ -339,16 +380,17 @@ def _tangent_hessian(a: np.ndarray, b: np.ndarray, rho: float):
     return basis, np.swapaxes(basis, -2, -1) @ hessian(a, b, rho) @ basis
 
 
-def _lapack(name: str, M: np.ndarray):
-    """The LAPACK gufunc name of numpy.linalg (cholesky_lo or eigh_lo, what
-    np.linalg.cholesky and eigh call) on the stack M in one call, under
-    the wrapper's errstate but with invalid ignored where the wrapper
-    raises on it. Each matrix gets the
-    wrapper's bits, and one that LAPACK fails on comes back all NaN,
-    where the wrapper raises LinAlgError for the whole stack. The
-    gufuncs live in a private module, named only here."""
+def _lapack(name: str, *stacks: np.ndarray):
+    """The LAPACK gufunc name of numpy.linalg (cholesky_lo, eigh_lo or
+    solve, what np.linalg.cholesky, eigh and solve call on float64
+    stacks) on the stacks in one call, under the wrappers' errstate but
+    with invalid ignored where the wrappers raise on it. Each matrix gets
+    the wrapper's bits, and one that LAPACK fails on comes back all NaN,
+    where the wrapper raises LinAlgError for the whole stack; the
+    wrappers' checks of shape and type are left out. The gufuncs live in
+    a private module, named only here."""
     with np.errstate(all="ignore"):
-        return getattr(np.linalg._umath_linalg, name)(M)
+        return getattr(np.linalg._umath_linalg, name)(*stacks)
 
 
 def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float):
@@ -369,7 +411,8 @@ def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float):
     can have a Cholesky factor with a pivot of 6e-16 against a diagonal
     of 0.034; solve then gives a step of size 1e16 along a near-null
     direction, or raises on a pivot that is exactly zero.) A row that
-    passes takes the step B solve(-H, B^T g).
+    passes takes the step B solve(-H, B^T g), one stacked solve; when
+    every row passes, no other LAPACK call is made.
 
     Every other row, -H without a factor (NaN from _lapack) included,
     takes one stacked eigh: |w| is floored at 1e-8 times the largest, so
@@ -380,20 +423,23 @@ def _tangent_step(a: np.ndarray, b: np.ndarray, grad: np.ndarray, rho: float):
     basis, H = _tangent_hessian(a, b, rho)
     coef = np.swapaxes(basis, -2, -1) @ grad[:, :, None]
     finite = np.isfinite(H).all(axis=(-2, -1))
-    negH = -H[finite]
+    negH = -H if finite.all() else -H[finite]
     L = _lapack("cholesky_lo", negH)
     # NaN pivots, where -H has no factor, fail the comparison
     ok = (L.diagonal(0, -2, -1) ** 2).min(axis=-1) \
         >= 1e-8 * negH.diagonal(0, -2, -1).max(axis=-1)
-    solved = finite.copy()
-    solved[finite] = ok
-    free = finite & ~solved
-    x = np.full(coef.shape, np.nan)
-    x[solved] = np.linalg.solve(negH[ok], coef[solved])
-    w, V = _lapack("eigh_lo", H[free])
-    floor = 1e-8 * np.abs(w).max(axis=-1, keepdims=True)
-    x[free] = V @ ((np.swapaxes(V, -2, -1) @ coef[free])
-                   / np.maximum(np.abs(w), floor)[:, :, None])
+    if finite.all() and ok.all():
+        x = _lapack("solve", negH, coef)
+    else:
+        solved = finite.copy()
+        solved[finite] = ok
+        free = finite & ~solved
+        x = np.full(coef.shape, np.nan)
+        x[solved] = _lapack("solve", negH[ok], coef[solved])
+        w, V = _lapack("eigh_lo", H[free])
+        floor = 1e-8 * np.abs(w).max(axis=-1, keepdims=True)
+        x[free] = V @ ((np.swapaxes(V, -2, -1) @ coef[free])
+                       / np.maximum(np.abs(w), floor)[:, :, None])
     step = (basis @ x)[:, :, 0]
     return step / np.maximum(_norm(step), 1.0)[:, None]
 
@@ -505,6 +551,7 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     cfg.cluster_eps of the founder's joins it, one vectorised pass per
     cluster, which gives the clusters a start-by-start loop gives.
     """
+    require_integer("n", weights.n)
     if weights.n < 2:
         raise ValueError("multistart needs n >= 2")
     pair = weights.symmetric_pair()

@@ -28,7 +28,7 @@ from .candidates import (Candidate, block_matrix, candidate_lines,
                          compare_candidates, corner_matrix, enumerate_n4)
 from .core import (Convention, ConvergenceError, Number, ProbMatrix,
                    WeightTable, convert_convention, line_sums, log_likelihood,
-                   map_entries)
+                   map_entries, require_integer)
 from .polys import A1, A2, B2, Poly3, greedy_multiset_match
 from .ranktwo import (RankTwoPoint, reciprocal_residual_exact,
                       stationarity_residual)
@@ -564,6 +564,7 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
     multistart_dominance fails with that reason and the verdict is
     INCONCLUSIVE.
     """
+    require_integer("n", n)
     if n < 2:
         raise ValueError("certificates need n >= 2")
     weights = WeightTable.symmetric(n, s, t)

@@ -250,6 +250,18 @@ class TestJson:
         again = ProbMatrix.from_json_dict(data)
         assert again.entries == P2.entries
 
+    @pytest.mark.parametrize("data, message", [
+        ({"n": 2.7, "convention": "SUM_ONE", "entries": [["1/4", "1/4"], ["1/4", "1/4"]]},
+         "n must be an integer"),
+        ({"n": 2, "convention": "SUM_ONE", "entries": 5}, "entries must be a list of rows"),
+        ({"n": 2, "convention": "SUM_ONE"}, "probability matrix lacks entries"),
+        ([["1/4", "1/4"], ["1/4", "1/4"]], "must be a JSON object"),
+    ])
+    def test_malformed_matrix_raises_value_error(self, data, message):
+        # these read n = 2.7 as 2 and raised TypeError or KeyError before
+        with pytest.raises(ValueError, match=message):
+            ProbMatrix.from_json_dict(data)
+
     def test_matrix_round_trip_float(self):
         rng = np.random.default_rng(1)
         raw = rng.uniform(0.2, 2.0, size=(4, 4))

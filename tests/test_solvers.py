@@ -352,6 +352,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("starts", 2.5), ("starts", True), ("starts", 2.0), ("max_iter", 1.5),
+        ("max_iter", False), ("seed", 1.5), ("seed", True)])
+    def test_non_integer_counts_rejected(self, field, value):
+        # a float, whole or not, or a bool used to construct and then fail
+        # with a TypeError inside numpy or range
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["tol", "cluster_eps"])
+    def test_bool_tolerance_rejected(self, field):
+        # True used to run as a tolerance of 1.0
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            SolverConfig(**{field: True})
+
+    def test_integer_types_accepted(self):
+        cfg = SolverConfig(starts=np.int64(3), seed=np.uint32(7), max_iter=50, tol=1)
+        assert (cfg.starts, cfg.seed, cfg.max_iter, cfg.tol) == (3, 7, 50, 1)
+
+    @pytest.mark.parametrize("n", [4.0, 4.5, True])
+    def test_multistart_rejects_a_non_integer_side(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            multistart(WeightTable.symmetric(n, 2, 1), SolverConfig(starts=2, seed=1))
+
 
 class TestNewton:
     def test_converges_back_after_noise(self):
@@ -392,6 +416,55 @@ class TestNewton:
         bad = RankTwoPoint.of([1.0, 0.5, -0.5, -1.0], [2.0, 1.0, -1.0, -2.0])
         with pytest.raises(ConvergenceError, match="infeasible"):
             newton_stationary(bad, 2.0, CFG)
+
+
+def _margin_scaled(a, b):
+    """Two multiples of b, one float step of the scale apart, between
+    which the least entry of 1 + b a^T crosses FEASIBILITY_MARGIN: the
+    first keeps it just above, the second puts it at or below."""
+    def least(c):
+        return (1.0 + np.outer(c * b, a)).min()
+
+    c = (1.0 - FEASIBILITY_MARGIN) / -np.outer(b, a).min()
+    above = least(c) > FEASIBILITY_MARGIN
+    # a larger scale lowers the least entry, which is 1 minus a product
+    toward = np.inf if above else 0.0
+    for _ in range(10_000):
+        nxt = np.nextafter(c, toward)
+        if (least(nxt) > FEASIBILITY_MARGIN) != above:
+            inside, outside = (c, nxt) if above else (nxt, c)
+            return inside * b, outside * b
+        c = nxt
+    raise AssertionError("the least entry never crossed the margin")
+
+
+class TestSharedTable:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+    def test_value_and_gradient_are_the_two_calls_bit_for_bit(self, n, seed, log_rho):
+        # the line search's (value, gradient) of each row, from one table,
+        # is a one-row scaled_loglik(a, b, rho, 1.0) and gradient(a, b, rho),
+        # -inf and inf on an infeasible row. Random draws of width 1, some
+        # of them infeasible, and one row on each side of the margin, in one
+        # batch (the masked path) and without the infeasible rows (the
+        # one-table path)
+        rho = 10.0 ** log_rho
+        ab = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, 6, n))
+        a, b = ab - ab.mean(axis=-1, keepdims=True)
+        inside, outside = _margin_scaled(a[0], b[0])
+        a = np.concatenate([a, a[:1], a[:1]])
+        b = np.concatenate([b, inside[None], outside[None]])
+        feasible = np.array([(1.0 + np.outer(rb, ra)).min() > FEASIBILITY_MARGIN
+                             for ra, rb in zip(a, b)])
+        assert feasible[-2:].tolist() == [True, False]
+        for rows in (np.arange(len(a)), np.flatnonzero(feasible)):
+            value, grad = solvers._value_and_gradient(a[rows], b[rows], rho, rho, 1.0)
+            for k, v, g in zip(rows, value, grad):
+                expected = gradient(a[k], b[k], rho) if feasible[k] \
+                    else np.full(2 * n, np.inf)
+                assert v.hex() == float(scaled_loglik(a[k], b[k], rho, 1.0)).hex()
+                assert (v > -np.inf) == feasible[k]
+                assert [x.hex() for x in g] == [x.hex() for x in expected]
 
 
 def _hex_rows(a, b):
@@ -437,14 +510,14 @@ CAPTURED_G = """
 
 
 def _patch_gufuncs(monkeypatch, failing=None):
-    """Wrap numpy's LAPACK gufuncs cholesky_lo, eigh_lo and eigvalsh_lo,
-    which solvers._lapack and the np.linalg wrappers call. Each call is
-    recorded as (name, number of matrices), and each matrix equal to one
-    in failing[name] fails as LAPACK's failures do: it comes back all NaN
-    and the call sets the invalid flag. Returns the record."""
+    """Wrap numpy's LAPACK gufuncs cholesky_lo, eigh_lo, eigvalsh_lo and
+    solve, which solvers._lapack and the np.linalg wrappers call. Each
+    call is recorded as (name, number of matrices), and each matrix equal
+    to one in failing[name] fails as LAPACK's failures do: it comes back
+    all NaN and the call sets the invalid flag. Returns the record."""
     calls = []
     failing = failing or {}
-    for name in ("cholesky_lo", "eigh_lo", "eigvalsh_lo"):
+    for name in ("cholesky_lo", "eigh_lo", "eigvalsh_lo", "solve"):
         def patched(M, *args, _name=name, _gufunc=getattr(np.linalg._umath_linalg, name),
                     **kwargs):
             stack = M.reshape((-1,) + M.shape[-2:])
@@ -469,9 +542,21 @@ def _parts(out):
 
 def _steps(calls):
     """The (Cholesky rows, eigh rows) of each step in a record of
-    _patch_gufuncs that holds _tangent_step calls only."""
-    assert [name for name, _ in calls] == ["cholesky_lo", "eigh_lo"] * (len(calls) // 2)
-    return [(calls[k][1], calls[k + 1][1]) for k in range(0, len(calls), 2)]
+    _patch_gufuncs that holds _tangent_step calls on finite rows only.
+    A step makes one Cholesky call on every row and one solve call on
+    exactly the rows that pass, then one eigh call on the others when
+    there are any."""
+    assert not calls or calls[0][0] == "cholesky_lo"
+    firsts = [k for k, (name, _) in enumerate(calls) if name == "cholesky_lo"]
+    steps = []
+    for begin, end in zip(firsts, firsts[1:] + [len(calls)]):
+        names = [name for name, _ in calls[begin:end]]
+        rows = dict(calls[begin:end])
+        eigh = rows.get("eigh_lo", 0)
+        assert names == ["cholesky_lo", "solve"] + ["eigh_lo"] * (eigh > 0)
+        assert rows["solve"] == rows["cholesky_lo"] - eigh
+        steps.append((rows["cholesky_lo"], eigh))
+    return steps
 
 
 class TestTangentStep:
@@ -496,21 +581,25 @@ class TestTangentStep:
         # wrapper raises for the whole stack, the gufunc under it fills the
         # failing matrix with NaN and gives every other matrix the bits the
         # wrapper gives it, alone or stacked. Cholesky fails on a negative
-        # definite matrix, eigh on one that is all NaN
+        # definite matrix, eigh on one that is all NaN, solve on a
+        # singular one
         x = np.random.default_rng(3).normal(size=(4, 5, 5))
         spd = x @ np.swapaxes(x, -2, -1) + np.eye(5)
-        for name, public, bad in [("cholesky_lo", np.linalg.cholesky, -spd[0]),
-                                  ("eigh_lo", np.linalg.eigh, np.full((5, 5), np.nan))]:
+        rhs = np.random.default_rng(4).normal(size=(5, 5, 1))
+        for name, public, bad, extra in [
+                ("cholesky_lo", np.linalg.cholesky, -spd[0], ()),
+                ("eigh_lo", np.linalg.eigh, np.full((5, 5), np.nan), ()),
+                ("solve", np.linalg.solve, np.zeros((5, 5)), (rhs,))]:
             stack = np.concatenate([spd[:2], bad[None], spd[2:]])
             with pytest.raises(np.linalg.LinAlgError):
-                public(stack)
-            got = _parts(solvers._lapack(name, stack))
-            good = np.delete(stack, 2, axis=0)
-            whole = _parts(public(good))
-            for k, m in enumerate(good):
-                for part, stacked, alone in zip(got, whole, _parts(public(m))):
-                    assert np.delete(part, 2, axis=0)[k].tobytes() \
-                        == stacked[k].tobytes() == alone.tobytes()
+                public(stack, *extra)
+            got = _parts(solvers._lapack(name, stack, *extra))
+            keep = [0, 1, 3, 4]
+            whole = _parts(public(stack[keep], *(e[keep] for e in extra)))
+            for k, m in enumerate(keep):
+                for part, stacked, alone in zip(
+                        got, whole, _parts(public(stack[m], *(e[m] for e in extra)))):
+                    assert part[m].tobytes() == stacked[k].tobytes() == alone.tobytes()
             assert all(np.isnan(part[2]).all() for part in got)
 
     def test_step_climbs_away_from_a_saddle(self, monkeypatch):
@@ -759,9 +848,9 @@ class TestTangentStep:
         seen = []
         lapack = solvers._lapack
 
-        def checked(name, M):
-            seen.append(bool(np.isfinite(M).all()))
-            return lapack(name, M)
+        def checked(name, *stacks):
+            seen.append(all(np.isfinite(M).all() for M in stacks))
+            return lapack(name, *stacks)
 
         monkeypatch.setattr(solvers, "_lapack", checked)
         ab = _random_starts(4, 5, np.random.default_rng(0))

@@ -645,6 +645,12 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify(4, 0, 1, SolverConfig(starts=5))
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, True])
+    def test_non_integer_side_rejected(self, n):
+        # 4.0 and 4.5 used to raise a TypeError from inside numpy
+        with pytest.raises(ValueError, match="n must be an integer"):
+            certify(n, 2, 1, SolverConfig(starts=5))
+
     def test_verdict_stable_across_seeds(self):
         for seed in range(10):
             cert = certify(4, 2, 1, SolverConfig(starts=25, seed=seed))

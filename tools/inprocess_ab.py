@@ -15,7 +15,10 @@ Every case prepares its inputs outside the timed region, then runs once on
 each side as a warm-up. Each of the rounds calls it once on each side,
 the sides taking turns to go first. The table gives each side's median
 time per call, the median of the per-round ratios change / base, and the
-rounds in which the change was faster. The package does not import this
+rounds in which the change was faster. Every run then prints whether the
+two trees' multistart reports agree bit for bit on IDENTITY_SHAPES at
+IDENTITY_SEEDS: each report's a, b, log L and residual as hex, with its
+iterations, label and converged flag. The package does not import this
 script.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
 import statistics
@@ -31,6 +35,12 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
+# (n, s, t, starts): the certify shapes whose structure the tests pin
+IDENTITY_SHAPES = [(4, 2, 1, 200), (4, 3, 2, 200), (6, 1, 2, 50), (3, 2, 1, 50),
+                   (5, 2, 1, 50), (16, 2, 1, 50), (4, 1, 1, 50), (4, 100, 1, 10),
+                   (4, 1000, 1, 1), (16, 1001, 1000, 3), (2, 1000, 1, 10),
+                   (4, 21, 20, 50)]
+IDENTITY_SEEDS = (1, 2, 3)
 
 
 def load(name: str, src: Path):
@@ -108,6 +118,10 @@ def _f_polynomials(pkg):
 
 CASES = {
     "certify(16, 2, 1, starts=50)": _certify(16, 2, 1, 50),
+    "certify(6, 1, 2, starts=50)": _certify(6, 1, 2, 50),
+    "certify(3, 2, 1, starts=50)": _certify(3, 2, 1, 50),
+    "certify(5, 2, 1, starts=50)": _certify(5, 2, 1, 50),
+    "certify(4, 1, 1, starts=50)": _certify(4, 1, 1, 50),
     "rational phases of certify(16, 2, 1)": lambda pkg: _rational_phases(pkg),
     "block_matrix(16, 2, 1)": _phase("block_matrix"),
     "convert_convention(block 16, SUM_NSQ)": _phase("convert_convention"),
@@ -123,6 +137,27 @@ CASES = {
     "_reports at (4, 2, 1, 200)": _reports_case(4, 200),
     "_reports at (16, 2, 1, 50)": _reports_case(16, 50),
 }
+
+
+def report_digests(pkg) -> list:
+    """One sha256 per (shape, seed) of IDENTITY_SHAPES x IDENTITY_SEEDS over
+    the hex fields of every multistart report, or the error a multistart
+    raised."""
+    digests = []
+    for n, s, t, starts in IDENTITY_SHAPES:
+        for seed in IDENTITY_SEEDS:
+            try:
+                reports = pkg.multistart(pkg.WeightTable.symmetric(n, s, t),
+                                         pkg.SolverConfig(starts=starts, seed=seed)).reports
+            except pkg.ConvergenceError as exc:
+                reports = exc
+            text = repr(reports) if isinstance(reports, Exception) else repr([
+                ([x.hex() for x in r.point.a], [x.hex() for x in r.point.b],
+                 float(r.loglik).hex(), r.residual.hex(), r.iterations,
+                 r.classification, r.converged) for r in reports])
+            digests.append(((n, s, t, starts, seed),
+                            hashlib.sha256(text.encode()).hexdigest()))
+    return digests
 
 
 def _timed(call) -> float:
@@ -169,6 +204,12 @@ def main(argv=None) -> int:
     for name, b, c, ratio, wins in compare(base, change, args.rounds, names):
         print(f"{name:40s} {b * 1e3:9.3f} {c * 1e3:9.3f} {ratio:6.3f} "
               f"{wins:3d}/{args.rounds}")
+    differ = [key for (key, b), (_, c) in zip(report_digests(base), report_digests(change))
+              if b != c]
+    print(f"multistart reports on {len(IDENTITY_SHAPES)} shapes x seeds "
+          f"{IDENTITY_SEEDS[0]}-{IDENTITY_SEEDS[-1]}: "
+          + ("bit-identical" if not differ else
+             "differ at (n, s, t, starts, seed) " + ", ".join(map(str, differ))))
     return 0
 
 
