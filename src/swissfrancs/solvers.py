@@ -17,10 +17,11 @@ and BLAS calls as a 2-D call would, and which of those calls a row takes
 depends on that row only. Cholesky, solve and eigh go through _lapack,
 where a matrix LAPACK fails on gives NaN instead of raising for the
 whole stack; the labels are two Cholesky tests, with no eigenvalues.
-EM does the same with (K, r) mixture weights and (K, r, n) conditionals:
+EM does the same with (K, r + 2rn) rows, each model's weights and row
+and column conditionals as one vector [lam | R.ravel() | C.ravel()]:
 the E step's table comes from one einsum over the batch, log L sums
-each row's n^2 cells as one axis, and the M step reduces over the same
-axes as a single start does.
+each row's n^2 cells as one axis, the M step reduces over the same
+axes as a single start does, and SQUAREM's arithmetic is on whole rows.
 EM is accelerated by SQUAREM (Varadhan and Roland, "Simple and globally
 convergent methods for accelerating the convergence of any EM
 algorithm", Scand. J. Stat. 35, 2008), each row with its own step
@@ -585,23 +586,37 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
                             n_failed=cfg.starts - len(converged), config=cfg)
 
 
-def _em_init(n: int, r: int, rng: np.random.Generator):
-    lam = rng.uniform(0.1, 1.0, size=r)
+def _em_init(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """One model drawn from rng as a row [lam | R.ravel() | C.ravel()] of
+    r + 2rn entries: the weights, then the row conditionals, then the
+    column conditionals, each drawn and normalized in that order."""
+    theta = np.empty(r * (2 * n + 1))
+    lam, R, C = _parts(theta, n)
+    lam[:] = rng.uniform(0.1, 1.0, size=r)
     lam /= lam.sum()
-    R = rng.uniform(0.1, 1.0, size=(r, n))
+    R[:] = rng.uniform(0.1, 1.0, size=(r, n))
     R /= R.sum(axis=1, keepdims=True)
-    C = rng.uniform(0.1, 1.0, size=(r, n))
+    C[:] = rng.uniform(0.1, 1.0, size=(r, n))
     C /= C.sum(axis=1, keepdims=True)
-    return lam, R, C
+    return theta
 
 
-def _em_step(counts: np.ndarray, counted: np.ndarray, lam, R, C):
-    """One EM update of every row of the (K, r) weights lam and (K, r, n)
-    conditionals R and C: the next (lam, R, C), and each row's
-    count-weighted log-likelihood, read off the table P that the E step
-    forms (-inf when a counted cell's P is not > 0). Only counted cells
-    are divided by P, so the zeros an all-zero row or column of counts
-    leaves in P make no NaN."""
+def _parts(theta: np.ndarray, n: int):
+    """Views (lam, R, C) of the (..., r + 2rn) model rows theta: the
+    (..., r) weights and the (..., r, n) row and column conditionals."""
+    r = theta.shape[-1] // (2 * n + 1)
+    shape = theta.shape[:-1] + (r, n)
+    return (theta[..., :r], theta[..., r:r + r * n].reshape(shape),
+            theta[..., r + r * n:].reshape(shape))
+
+
+def _em_step(counts: np.ndarray, counted: np.ndarray, theta: np.ndarray):
+    """One EM update of every (K, r + 2rn) model row of theta: the next
+    rows, and each row's count-weighted log-likelihood, read off the table
+    P that the E step forms (-inf when a counted cell's P is not > 0).
+    Only counted cells are divided by P, so the zeros an all-zero row or
+    column of counts leaves in P make no NaN."""
+    lam, R, C = _parts(theta, len(counts))
     P = np.einsum("kh,khi,khj->kij", lam, R, C)
     logs = np.where(counted, -np.inf, np.zeros_like(P))
     np.log(P, out=logs, where=counted & (P > 0))
@@ -610,83 +625,68 @@ def _em_step(counts: np.ndarray, counted: np.ndarray, lam, R, C):
     weighted = lam[:, :, None, None] * R[:, :, :, None] * C[:, :, None, :] * counts
     np.divide(weighted, P[:, None], out=weighted, where=counted)
     mass = weighted.sum(axis=(-2, -1))
-    new_lam = mass / counts.sum()
+    out = np.empty_like(theta)
+    new_lam, new_R, new_C = _parts(out, len(counts))
+    np.divide(mass, counts.sum(), out=new_lam)
     empty = mass == 0
     safe = np.where(empty, 1.0, mass)[..., None]
-    new_R = weighted.sum(axis=-1) / safe
-    new_C = weighted.sum(axis=-2) / safe
+    np.divide(weighted.sum(axis=-1), safe, out=new_R)
+    np.divide(weighted.sum(axis=-2), safe, out=new_C)
     if empty.any():
         new_R[empty] = R[empty]
         new_C[empty] = C[empty]
-    return (new_lam, new_R, new_C), loglik
+    return out, loglik
 
 
-def _rows_like(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """alpha, one value per row, shaped to broadcast against x's rows."""
-    return alpha.reshape((-1,) + (1,) * (x.ndim - 1))
+def _squarem_cycle(counts: np.ndarray, counted: np.ndarray, theta0: np.ndarray,
+                   theta1: np.ndarray, loglik0: np.ndarray):
+    """One SQUAREM cycle of every model row, from theta0 with theta1 =
+    F(theta0) and log L loglik0, F being _em_step. Returns the stabilized
+    point F(theta'), its own step F(F(theta')) and its log L.
 
-
-def _em_rows(parts) -> np.ndarray:
-    """The (K, r + 2 r n) rows of (lam, R, C)-shaped parts, each row's
-    entries as one flat vector."""
-    return np.concatenate([x.reshape(len(x), -1) for x in parts], axis=1)
-
-
-def _squarem_cycle(counts: np.ndarray, counted: np.ndarray, theta0: tuple,
-                   theta1: tuple, loglik0: np.ndarray):
-    """One SQUAREM cycle of every row, from theta0 = (lam, R, C) with
-    theta1 = F(theta0) and log L loglik0, F being _em_step. Returns the
-    stabilized point F(theta'), its own step F(F(theta')) and its log L.
-
-    With r = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, where
-    theta2 = F(theta1), the trial is theta' = theta0 - 2 alpha r +
-    alpha^2 v, alpha = -|r|/|v| capped at -1. A trial with an entry below
+    With d = theta1 - theta0 and v = theta2 - 2 theta1 + theta0, where
+    theta2 = F(theta1), the trial is theta' = theta0 - 2 alpha d +
+    alpha^2 v, alpha = -|d|/|v| capped at -1. A trial with an entry below
     zero, or whose log L falls below loglik0, moves alpha halfway to -1;
     after SQUAREM_TRIALS trials, or once alpha is -1, the trial is theta2
     itself, two plain EM steps from theta0. Each row has its own alpha
     and its own trials."""
-    theta2, _ = _em_step(counts, counted, *theta1)
-    r = tuple(b - a for a, b in zip(theta0, theta1))
-    v = tuple(c - 2 * b + a for a, b, c in zip(theta0, theta1, theta2))
-    nr, nv = _norm(_em_rows(r)), _norm(_em_rows(v))
-    alpha = -np.maximum(np.divide(nr, nv, out=np.ones_like(nr), where=nv > 0), 1.0)
-    nxt = tuple(np.empty_like(x) for x in theta0)
+    theta2, _ = _em_step(counts, counted, theta1)
+    d = theta1 - theta0
+    v = theta2 - 2 * theta1 + theta0
+    nd, nv = _norm(d), _norm(v)
+    alpha = -np.maximum(np.divide(nd, nv, out=np.ones_like(nd), where=nv > 0), 1.0)
+    nxt = np.empty_like(theta0)
     fallback = np.ones(len(alpha), dtype=bool)
     todo = np.flatnonzero(alpha < -1)
     for _ in range(SQUAREM_TRIALS):
         if not len(todo):
             break
-        a = alpha[todo]
+        a = alpha[todo, None]
         # a huge alpha may overflow; such a trial is not finite and fails
         with np.errstate(over="ignore", invalid="ignore"):
-            trial = tuple(x[todo] - 2 * _rows_like(a, x) * dr[todo]
-                          + _rows_like(a * a, x) * dv[todo]
-                          for x, dr, dv in zip(theta0, r, v))
-        entries = _em_rows(trial)
-        ok = ((entries >= 0) & (entries < np.inf)).all(axis=1)
+            trial = theta0[todo] - 2 * a * d[todo] + a * a * v[todo]
+        ok = ((trial >= 0) & (trial < np.inf)).all(1)
         if ok.any():
-            step, loglik = _em_step(counts, counted, *(x[ok] for x in trial))
+            step, loglik = _em_step(counts, counted, trial[ok])
             good = loglik >= loglik0[todo[ok]]
             rows = todo[ok][good]
-            for out, x in zip(nxt, step):
-                out[rows] = x[good]
+            nxt[rows] = step[good]
             fallback[rows] = False
             ok[ok] = good  # ok now marks the accepted trials
         todo = todo[~ok]
         alpha[todo] = (alpha[todo] - 1) / 2
         todo = todo[alpha[todo] < -1]
     if fallback.any():
-        step, _ = _em_step(counts, counted, *(x[fallback] for x in theta2))
-        for out, x in zip(nxt, step):
-            out[fallback] = x
-    return (nxt, *_em_step(counts, counted, *nxt))
+        nxt[fallback] = _em_step(counts, counted, theta2[fallback])[0]
+    return (nxt, *_em_step(counts, counted, nxt))
 
 
-def _em(counts: WeightTable, cfg: SolverConfig, draws: list) -> list:
-    """SQUAREM-accelerated EM from every _em_init draw (lam, R, C) at
-    once, each row of the stacked (K, r) and (K, r, n) arrays running as
-    if alone: its own step length, trials, stop test, iteration count,
-    trace and residual, and it drops out of the live rows when it stops.
+def _em(counts: WeightTable, cfg: SolverConfig, theta: np.ndarray) -> list:
+    """SQUAREM-accelerated EM from every (K, r + 2rn) _em_init row of theta
+    at once, each row running as if alone: its own step length, trials,
+    stop test, iteration count, trace and residual, and it drops out of
+    the live rows when it stops.
 
     One iteration is one _squarem_cycle, and the trace holds log L at the
     start and after each cycle. A row stops when a cycle gains less than
@@ -695,29 +695,24 @@ def _em(counts: WeightTable, cfg: SolverConfig, draws: list) -> list:
     and the trace repeats the previous value, so the trace never falls
     and its last value is the log L of the returned model. The residual
     is max |F(theta) - theta| at the returned point. Returns one
-    SolveReport per draw, draw k as start k."""
-    theta = tuple(np.array(x) for x in zip(*draws))
-    if theta[0].shape[-1] < 1:
-        raise ValueError("class count must be at least 1")
+    SolveReport per row, row k as start k."""
     table = counts.as_array()
     counted = table > 0
-    ends = [np.empty_like(x) for x in theta]
-    residual = np.empty(len(draws))
-    iterations = np.full(len(draws), cfg.max_iter)
-    converged = np.zeros(len(draws), dtype=bool)
-    step, loglik = _em_step(table, counted, *theta)
+    ends = np.empty_like(theta)
+    residual = np.empty(len(theta))
+    iterations = np.full(len(theta), cfg.max_iter)
+    converged = np.zeros(len(theta), dtype=bool)
+    step, loglik = _em_step(table, counted, theta)
     traces = [[x] for x in loglik.tolist()]
-    live = np.arange(len(draws))
+    live = np.arange(len(theta))
 
     def settle(rows):
         """Keep the model of the live rows that rows picks, its residual
         (the largest change the next step would make) and its trace, as a
         tuple."""
         k = live[rows]
-        for end, now in zip(ends, theta):
-            end[k] = now[rows]
-        residual[k] = np.max([np.abs(nxt[rows] - now[rows]).reshape(len(k), -1).max(axis=-1)
-                              for now, nxt in zip(theta, step)], axis=0)
+        ends[k] = theta[rows]
+        residual[k] = np.abs(step[rows] - theta[rows]).max(-1)
         for kk in k.tolist():
             traces[kk] = tuple(traces[kk])
 
@@ -725,10 +720,7 @@ def _em(counts: WeightTable, cfg: SolverConfig, draws: list) -> list:
         last = loglik
         new, new_step, loglik = _squarem_cycle(table, counted, theta, step, last)
         fell = loglik < last
-        if fell.any():
-            for now, old in zip(new + new_step, theta + step):
-                now[fell] = old[fell]
-            loglik[fell] = last[fell]
+        new[fell], new_step[fell], loglik[fell] = theta[fell], step[fell], last[fell]
         theta, step = new, new_step
         for k, x in zip(live.tolist(), loglik.tolist()):
             traces[k].append(x)
@@ -738,19 +730,17 @@ def _em(counts: WeightTable, cfg: SolverConfig, draws: list) -> list:
             converged[live[done]] = True
             settle(done)
             going = ~done
-            live, loglik = live[going], loglik[going]
-            theta = tuple(x[going] for x in theta)
-            step = tuple(x[going] for x in step)
+            live, loglik, theta, step = live[going], loglik[going], theta[going], step[going]
             if not len(live):
                 break
     else:
         settle(slice(None))
-    return [SolveReport(point=LatentClassModel.of(*(end[k] for end in ends)),
+    return [SolveReport(point=LatentClassModel.of(*_parts(ends[k], counts.n)),
                         loglik=traces[k][-1], residual=float(residual[k]),
                         iterations=int(iterations[k]), classification="unclassified",
                         converged=bool(converged[k]), method="em", start=k,
                         trace=traces[k])
-            for k in range(len(draws))]
+            for k in range(len(ends))]
 
 
 def em_fit(counts: WeightTable, r: int, cfg: SolverConfig) -> SolveReport:
@@ -765,10 +755,10 @@ def em_fit(counts: WeightTable, r: int, cfg: SolverConfig) -> SolveReport:
     cycles. The count-weighted log-likelihood never decreases along the
     way: a cycle that ends a rounding error lower stops the fit on the
     point before it. The trace of log-likelihood values is attached to
-    the report. This is start 0 of em_multistart with the same cfg, the
-    one-row call of the kernel em_multistart runs on all its starts.
+    the report. This is start 0 of em_multistart with the same cfg:
+    em_multistart run with one start.
     """
-    return _em(counts, cfg, [_em_init(counts.n, r, np.random.default_rng(cfg.seed))])[0]
+    return em_multistart(counts, r, replace(cfg, starts=1)).reports[0]
 
 
 @dataclass(frozen=True)
@@ -784,13 +774,17 @@ class EMMultistartResult:
 def em_multistart(counts: WeightTable, r: int, cfg: SolverConfig) -> EMMultistartResult:
     """Best-of-N SQUAREM EM runs from the first cfg.starts _em_init draws
     of one default_rng(cfg.seed), run k from draw k. All runs iterate
-    together as (starts, r, n) arrays, each with its own step length,
-    backtracking and stop test, and each report bit-identical to running
-    its draw alone through _em. The largest temporary is the E step's
-    (starts, r, n, n) table, 25.6 KB for the 4/2 table at r = 2 and 100
-    starts; SQUAREM's differences and trials are (starts, r + 2 r n)
-    rows, 14.4 KB there."""
+    together as one (starts, r + 2rn) array of model rows, each with its
+    own step length, backtracking and stop test, and each report
+    bit-identical to running its draw alone through _em. The largest
+    temporary is the E step's (starts, r, n, n) table, 25.6 KB for the
+    4/2 table at r = 2 and 100 starts; the model rows, SQUAREM's
+    differences and its trials are 14.4 KB each there."""
+    require_integer("r", r)
+    if r < 1:
+        raise ValueError("class count must be at least 1")
     rng = np.random.default_rng(cfg.seed)
-    reports = _em(counts, cfg, [_em_init(counts.n, r, rng) for _ in range(cfg.starts)])
+    reports = _em(counts, cfg, np.array([_em_init(counts.n, r, rng)
+                                         for _ in range(cfg.starts)]))
     best = max(reports, key=lambda rep: rep.loglik)
     return EMMultistartResult(best=best, reports=tuple(reports))

@@ -1234,17 +1234,16 @@ class TestEM:
                             [[0.25] * 4, [0.4, 0.3, 0.2, 0.1]])],
         ids=["uniform", "empty-class"])
     def test_fixed_point_of_a_step_and_a_cycle(self, model):
-        # the EM map keeps the model, so r = v = 0, the cycle takes
+        # the EM map keeps the model, so d = v = 0, the cycle takes
         # alpha = -1, and it returns the model with the same log L
         counts = swiss_counts().as_array()
-        theta = tuple(np.array(x)[None] for x in (model.weights, model.row_cond,
-                                                  model.col_cond))
-        step, loglik = solvers._em_step(counts, counts > 0, *theta)
-        assert all((x == y).all() for x, y in zip(step, theta))
+        theta = np.concatenate([model.weights, *model.row_cond, *model.col_cond])[None]
+        step, loglik = solvers._em_step(counts, counts > 0, theta)
+        assert (step == theta).all()
         assert loglik[0] == pytest.approx(40 * math.log(1 / 16), abs=1e-10)
         new, new_step, new_loglik = solvers._squarem_cycle(
             counts, counts > 0, theta, step, loglik)
-        assert all((x == y).all() for x, y in zip(new + new_step, theta + theta))
+        assert (new == theta).all() and (new_step == theta).all()
         assert new_loglik.tolist() == loglik.tolist()
 
     def test_traces_monotone(self):
@@ -1285,6 +1284,15 @@ class TestEM:
     def test_rejects_bad_class_count(self):
         with pytest.raises(ValueError):
             em_fit(swiss_counts(), 0, CFG)
+
+    @pytest.mark.parametrize("r", [2.5, True, 2.0, -1, 0])
+    @pytest.mark.parametrize("fit", [em_fit, em_multistart])
+    def test_class_count_checked_before_any_draw(self, monkeypatch, fit, r):
+        def draw(*args):
+            raise AssertionError("drew a start before checking r")
+        monkeypatch.setattr(solvers, "_em_init", draw)
+        with pytest.raises(ValueError, match="must be an integer|at least 1"):
+            fit(swiss_counts(), r, CFG)
 
     def test_report_shape(self):
         report = em_fit(swiss_counts(), 2, SolverConfig(seed=4))

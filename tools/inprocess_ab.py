@@ -18,8 +18,9 @@ time per call, the median of the per-round ratios change / base, and the
 rounds in which the change was faster. Every run then prints whether the
 two trees' multistart reports agree bit for bit on IDENTITY_SHAPES at
 IDENTITY_SEEDS: each report's a, b, log L and residual as hex, with its
-iterations, label and converged flag. The package does not import this
-script.
+iterations, label and converged flag. It does the same for the EM reports
+of the bench's two EM cases (EM_CASES) at IDENTITY_SEEDS, every field as
+hex, trace included. The package does not import this script.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import random
 import statistics
 import sys
 from pathlib import Path
@@ -41,6 +43,9 @@ IDENTITY_SHAPES = [(4, 2, 1, 200), (4, 3, 2, 200), (6, 1, 2, 50), (3, 2, 1, 50),
                    (4, 1000, 1, 1), (16, 1001, 1000, 3), (2, 1000, 1, 10),
                    (4, 21, 20, 50)]
 IDENTITY_SEEDS = (1, 2, 3)
+# (table side, table seed, classes, starts) of the bench's EM cases: the 4/2
+# table, and the random 8x8 table drawn from bench/workloads.py's TABLE_SEED
+EM_CASES = [(4, None, 2, 100), (8, 0, 3, 20)]
 
 
 def load(name: str, src: Path):
@@ -111,6 +116,24 @@ def _certify(n: int, s: int, t: int, starts: int):
     return setup
 
 
+def _em_table(pkg, side: int, table_seed):
+    """The 4/2 table when table_seed is None, else the side x side table of
+    counts 1 to 49 that bench/workloads.random_table draws from table_seed."""
+    if table_seed is None:
+        return pkg.swiss_counts()
+    rng = random.Random(table_seed)
+    return pkg.WeightTable.full([[rng.randint(1, 49) for _ in range(side)]
+                                 for _ in range(side)])
+
+
+def _em_case(side: int, table_seed, r: int, starts: int):
+    def setup(pkg):
+        table = _em_table(pkg, side, table_seed)
+        cfg = pkg.SolverConfig(starts=starts, seed=1)
+        return lambda: pkg.em_multistart(table, r, cfg)
+    return setup
+
+
 def _f_polynomials(pkg):
     points = [cand.point() for cand in pkg.enumerate_n4(2, 1)]
     return lambda: [pkg.f_polynomial(pt, rho=2.0) for pt in points]
@@ -136,6 +159,8 @@ CASES = {
     "_labels at (16, 2, 1, 50)": _labels_case(16, 50),
     "_reports at (4, 2, 1, 200)": _reports_case(4, 200),
     "_reports at (16, 2, 1, 50)": _reports_case(16, 50),
+    "em_multistart(4/2 table, r=2, 100 starts)": _em_case(*EM_CASES[0]),
+    "em_multistart(8x8 table, r=3, 20 starts)": _em_case(*EM_CASES[1]),
 }
 
 
@@ -158,6 +183,31 @@ def report_digests(pkg) -> list:
             digests.append(((n, s, t, starts, seed),
                             hashlib.sha256(text.encode()).hexdigest()))
     return digests
+
+
+def em_digests(pkg) -> list:
+    """One sha256 per (case, seed) of EM_CASES x IDENTITY_SEEDS over every
+    field of every em_multistart report, floats as hex, trace included."""
+    digests = []
+    for side, table_seed, r, starts in EM_CASES:
+        table = _em_table(pkg, side, table_seed)
+        for seed in IDENTITY_SEEDS:
+            reports = pkg.em_multistart(table, r, pkg.SolverConfig(starts=starts,
+                                                                   seed=seed)).reports
+            text = repr([
+                ([x.hex() for x in rep.point.weights],
+                 [[x.hex() for x in row] for row in rep.point.row_cond],
+                 [[x.hex() for x in row] for row in rep.point.col_cond],
+                 rep.loglik.hex(), rep.residual.hex(), rep.iterations, rep.converged,
+                 rep.start, [x.hex() for x in rep.trace]) for rep in reports])
+            digests.append(((side, table_seed, r, starts, seed),
+                            hashlib.sha256(text.encode()).hexdigest()))
+    return digests
+
+
+def _differ(base, change, digests) -> list:
+    """The keys whose digests differ between the two trees."""
+    return [key for (key, b), (_, c) in zip(digests(base), digests(change)) if b != c]
 
 
 def _timed(call) -> float:
@@ -204,12 +254,15 @@ def main(argv=None) -> int:
     for name, b, c, ratio, wins in compare(base, change, args.rounds, names):
         print(f"{name:40s} {b * 1e3:9.3f} {c * 1e3:9.3f} {ratio:6.3f} "
               f"{wins:3d}/{args.rounds}")
-    differ = [key for (key, b), (_, c) in zip(report_digests(base), report_digests(change))
-              if b != c]
-    print(f"multistart reports on {len(IDENTITY_SHAPES)} shapes x seeds "
-          f"{IDENTITY_SEEDS[0]}-{IDENTITY_SEEDS[-1]}: "
+    seeds = f"seeds {IDENTITY_SEEDS[0]}-{IDENTITY_SEEDS[-1]}"
+    differ = _differ(base, change, report_digests)
+    print(f"multistart reports on {len(IDENTITY_SHAPES)} shapes x {seeds}: "
           + ("bit-identical" if not differ else
              "differ at (n, s, t, starts, seed) " + ", ".join(map(str, differ))))
+    differ = _differ(base, change, em_digests)
+    print(f"EM reports on {len(EM_CASES)} cases x {seeds}: "
+          + ("bit-identical" if not differ else
+             "differ at (side, table seed, r, starts, seed) " + ", ".join(map(str, differ))))
     return 0
 
 
