@@ -73,10 +73,12 @@ def _emit(args, data, text: Optional[str], header, rows) -> None:
 
 
 def _parse_weight(text: str) -> Fraction | float:
-    """Weights on the command line: fractions and integers stay exact."""
+    """Weights on the command line: fractions and integers stay exact.
+    A zero denominator falls through to float(), whose ValueError argparse
+    reports as a bad value."""
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         return float(text)
 
 

@@ -56,9 +56,13 @@ def _is_exact(value: Number) -> bool:
 
 def parse_rational(text: Union[str, int, float, Fraction]) -> Number:
     """Parse a JSON scalar: "p/q" strings become Fractions, ints stay
-    exact, floats stay floats; ValueError for any other JSON value."""
+    exact, floats stay floats; ValueError for any other JSON value and
+    for a zero denominator."""
     if isinstance(text, str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{text!r} has a zero denominator") from None
     if isinstance(text, bool) or not isinstance(text, (int, float, Fraction)):
         raise ValueError(f"{text!r} is not a number")
     return text
@@ -69,23 +73,6 @@ def require_integer(name: str, value) -> None:
     not a bool and not a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _declared_side(value) -> int:
-    """The side n that a JSON object declares; ValueError unless it is an
-    integral number."""
-    n = parse_rational(value)
-    if not (n.is_integer() if isinstance(n, float) else Fraction(n).denominator == 1):
-        raise ValueError(f"table side n must be an integer, got {value!r}")
-    return int(n)
-
-
-def _json_rows(value, name: str) -> list:
-    """The rows of parsed numbers of the JSON list of lists value;
-    ValueError when it is not one."""
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise ValueError(f"{name} must be a list of rows")
-    return [[parse_rational(x) for x in row] for row in value]
 
 
 def format_number(value: Number) -> Union[str, int, float]:
@@ -281,10 +268,16 @@ class WeightTable:
         missing = [name for name in needed if name not in data]
         if missing:
             raise ValueError(f"{kind} weight table lacks {', '.join(missing)}")
-        n = _declared_side(data["n"])
+        n = parse_rational(data["n"])
+        if not (n.is_integer() if isinstance(n, float) else Fraction(n).denominator == 1):
+            raise ValueError(f"table side n must be an integer, got {data['n']!r}")
+        n = int(n)
         if kind == "symmetric":
             return cls.symmetric(n, parse_rational(data["s"]), parse_rational(data["t"]))
-        table = cls.full(_json_rows(data["w"], "w"))
+        w = data["w"]
+        if not isinstance(w, list) or not all(isinstance(row, list) for row in w):
+            raise ValueError("w must be a list of rows")
+        table = cls.full([[parse_rational(x) for x in row] for row in w])
         if table.n != n:
             raise ValueError("declared n does not match table shape")
         return table
@@ -349,21 +342,6 @@ class ProbMatrix:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "convention": self.convention.value,
                 "entries": [[format_number(x) for x in row] for row in self.entries]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProbMatrix":
-        """The matrix a JSON object describes; ValueError when data is not
-        an object, lacks a field, or holds a malformed one."""
-        if not isinstance(data, dict):
-            raise ValueError("a probability matrix must be a JSON object")
-        missing = [name for name in ("n", "convention", "entries") if name not in data]
-        if missing:
-            raise ValueError(f"probability matrix lacks {', '.join(missing)}")
-        n = _declared_side(data["n"])
-        matrix = cls.of(_json_rows(data["entries"], "entries"), Convention(data["convention"]))
-        if matrix.n != n:
-            raise ValueError("declared n does not match entry shape")
-        return matrix
 
 
 def convert_convention(P: ProbMatrix, target: Convention) -> ProbMatrix:

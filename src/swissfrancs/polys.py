@@ -65,9 +65,6 @@ class Poly3:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other) -> "Poly3":
         if not isinstance(other, Poly3):
             other = Poly3.const(other)

@@ -79,23 +79,12 @@ class RankTwoPoint:
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array(self.a, dtype=float), np.array(self.b, dtype=float))
 
-    def entry_table(self) -> np.ndarray:
-        """The n x n table 1 + b_i a_j."""
-        return entry_tables(*self.arrays())
-
-    def min_entry(self) -> float:
-        return float(self.entry_table().min())
-
     def is_zero(self) -> bool:
         """Every coordinate of a and b below ZERO_TOL in size."""
         return max(abs(x) for x in self.a) < ZERO_TOL and max(abs(x) for x in self.b) < ZERO_TOL
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "a": list(self.a), "b": list(self.b)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RankTwoPoint":
-        return cls.of(data["a"], data["b"])
 
 
 def _require_zero_sum(a: np.ndarray, b: np.ndarray) -> None:
@@ -109,10 +98,13 @@ def _require_zero_sum(a: np.ndarray, b: np.ndarray) -> None:
             raise ValueError(f"{name} must sum to zero")
 
 
-def _require_interior(pt: RankTwoPoint) -> None:
-    m = pt.min_entry()
-    if m <= FEASIBILITY_MARGIN:
-        raise FeasibilityError(f"point is not interior: min entry {m!r}")
+def _require_interior(pt: RankTwoPoint) -> np.ndarray:
+    """The n x n table 1 + b_i a_j of pt; FeasibilityError unless its least
+    entry exceeds FEASIBILITY_MARGIN."""
+    T = entry_tables(*pt.arrays())
+    if T.min() <= FEASIBILITY_MARGIN:
+        raise FeasibilityError(f"point is not interior: min entry {float(T.min())!r}")
+    return T
 
 
 def to_matrix(pt: RankTwoPoint) -> ProbMatrix:
@@ -120,16 +112,15 @@ def to_matrix(pt: RankTwoPoint) -> ProbMatrix:
 
     Row and column sums equal n identically because a and b sum to zero.
     """
-    _require_interior(pt)
-    table = pt.entry_table()
-    return ProbMatrix.of(table.tolist(), Convention.SUM_NSQ)
+    return ProbMatrix.of(_require_interior(pt).tolist(), Convention.SUM_NSQ)
 
 
 def entry_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The tables T[..., i, j] = 1 + b_i a_j of (..., n) arrays a and b,
-    formed in place, so a batch holds one (..., n, n) array."""
+    formed in place, so a batch holds one (..., n, n) array. The 1 is of
+    the table's own type, so Fraction object arrays stay exact."""
     T = b[..., :, None] * a[..., None, :]
-    T += 1.0
+    T += T.dtype.type(1)
     return T
 
 
@@ -148,31 +139,35 @@ def gradient(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
 def table_gradient(T: np.ndarray, a: np.ndarray, b: np.ndarray,
                    rho: float) -> np.ndarray:
     """gradient(a, b, rho) from T = entry_tables(a, b), which it leaves
-    unchanged, so a caller that needs the table again forms it once."""
+    unchanged, so a caller that needs the table again forms it once.
+    The result keeps T's number type: Fractions in give Fractions out, and
+    float tables give float64 whatever the type of rho."""
+    one = T.dtype.type(1)
     diag = T.diagonal(0, -2, -1)
-    grad_a = (b[..., :, None] / T).sum(axis=-2) + (rho - 1.0) * b / diag
-    grad_b = (a[..., None, :] / T).sum(axis=-1) + (rho - 1.0) * a / diag
+    grad_a = (b[..., :, None] / T).sum(axis=-2) + (rho - one) * b / diag
+    grad_b = (a[..., None, :] / T).sum(axis=-1) + (rho - one) * a / diag
     return np.concatenate([grad_a, grad_b], axis=-1)
 
 
 def hessian(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     """Exact 2n x 2n Hessian of the scaled log-likelihood in (a, b), in
     the component order of gradient(); batched like gradient(),
-    (..., n) -> (..., 2n, 2n)."""
+    (..., n) -> (..., 2n, 2n), in the number type of gradient()."""
     n = a.shape[-1]
     T = entry_tables(a, b)
+    one = T.dtype.type(1)
     diag = T.diagonal(0, -2, -1)
-    inv2 = 1.0 / T ** 2
-    H = np.zeros(a.shape[:-1] + (2 * n, 2 * n))
+    inv2 = one / T ** 2
+    H = np.zeros(a.shape[:-1] + (2 * n, 2 * n), dtype=T.dtype)
     i = np.arange(n)
     # d grad_a[k] / d a_k and d grad_b[k] / d b_k; distinct a's do not interact
     H[..., i, i] = -(b[..., :, None] ** 2 * inv2).sum(axis=-2) \
-        - (rho - 1.0) * b ** 2 / diag ** 2
+        - (rho - one) * b ** 2 / diag ** 2
     H[..., n + i, n + i] = -(a[..., None, :] ** 2 * inv2).sum(axis=-1) \
-        - (rho - 1.0) * a ** 2 / diag ** 2
+        - (rho - one) * a ** 2 / diag ** 2
     # d grad_a[k] / d b_m = 1/T[m,k]^2 (+ diagonal correction), and symmetrically
     cross = np.swapaxes(inv2, -2, -1).copy()
-    cross[..., i, i] += (rho - 1.0) * (1.0 / diag ** 2)
+    cross[..., i, i] += (rho - one) * (one / diag ** 2)
     H[..., :n, n:] = cross
     H[..., n:, :n] = np.swapaxes(cross, -2, -1)
     return H
@@ -186,8 +181,7 @@ def stationarity_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
     """
     if rho <= 0:
         raise ValueError("weight ratio must be positive")
-    _require_interior(pt)
-    return gradient(*pt.arrays(), rho)
+    return table_gradient(_require_interior(pt), *pt.arrays(), rho)
 
 
 def reciprocal_residual_exact(products: Sequence[Sequence[Number]],

@@ -1,6 +1,6 @@
-"""Every public function and class of the package has a caller, every
-module-level constant and private function is read, and no module
-starts threads or processes or reads the environment."""
+"""Every public function, class, method and property of the package has
+a caller, every module-level constant and private function is read, and
+no module starts threads or processes or reads the environment."""
 
 import ast
 import re
@@ -16,12 +16,14 @@ TEST_FIXTURES = {
 }
 
 
-def _unread(wanted) -> list:
+def _unread(wanted, members=False) -> list:
     """The top-level names, as module:name, that wanted(node) selects in
     the package modules and that nothing reads: not the rest of their
     module, another module, bench/ or the acceptance suite. A re-export
     from __init__ is not a read; tests count only through the acceptance
-    suite, which stands for the library's users."""
+    suite, which stands for the library's users. With members, the nodes
+    are those of the top-level class bodies, named module:Class.name, and
+    a read is the text .name."""
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     users = modules + sorted((ROOT / "bench").glob("*.py")) \
         + [ROOT / "tests" / "test_acceptance.py"]
@@ -30,14 +32,18 @@ def _unread(wanted) -> list:
     for path in modules:
         lines = texts[path].splitlines()
         elsewhere = [text for other, text in texts.items() if other != path]
-        for node in ast.parse(texts[path]).body:
+        nodes = [(None, node) for node in ast.parse(texts[path]).body]
+        if members:
+            nodes = [(cls.name, node) for _, cls in nodes
+                     if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for owner, node in nodes:
             if not wanted(node):
                 continue
             rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
             for name in _names(node):
-                word = re.compile(rf"\b{name}\b")
+                word = re.compile(rf"\.{name}\b" if members else rf"\b{name}\b")
                 if not any(word.search(text) for text in elsewhere + [rest]):
-                    unread.append(f"{path.name}:{name}")
+                    unread.append(f"{path.name}:{owner + '.' if owner else ''}{name}")
     return unread
 
 
@@ -52,6 +58,15 @@ def test_every_public_name_has_a_caller():
                      and not node.name.startswith("_")
                      and node.name not in TEST_FIXTURES)
     assert not unused, f"public names with no caller: {unused}"
+
+
+def test_every_public_method_and_property_is_read():
+    # a method, classmethod or property counts as read where .name appears
+    # outside its own definition; the match is by text, so a method that
+    # shares its name with one read elsewhere (on any object) passes too
+    unread = _unread(lambda node: isinstance(node, ast.FunctionDef)
+                     and not node.name.startswith("_"), members=True)
+    assert not unread, f"public methods or properties nothing reads: {unread}"
 
 
 def test_every_constant_and_private_function_is_read():

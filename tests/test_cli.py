@@ -111,9 +111,16 @@ class TestSolve:
          "table side n must be an integer, got 2.7"),
         ({"kind": ["full"], "n": 2, "w": [[4, 2], [2, 4]]},
          "unknown weight table kind ['full']"),
+        ({"kind": "symmetric", "n": 4, "s": "1/0", "t": 1},
+         "'1/0' has a zero denominator"),
+        ({"kind": "full", "n": "1/0", "w": [[4, 2], [2, 4]]},
+         "'1/0' has a zero denominator"),
+        ({"kind": "full", "n": 2, "w": [[4, "1/0"], [2, 4]]},
+         "'1/0' has a zero denominator"),
     ], ids=["list", "full-empty", "full-no-w", "symmetric-no-t", "symmetric-no-n",
             "w-number", "row-number", "entry-null", "entry-object", "n-null",
-            "s-list", "n-fractional", "kind-list"])
+            "s-list", "n-fractional", "kind-list", "s-zero-denominator",
+            "n-zero-denominator", "w-zero-denominator"])
     def test_malformed_counts_file_exits_two(self, capsys, tmp_path, data, message):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(data))
@@ -122,6 +129,16 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--s", "1/0", "--t", "1"], "--s"),
+        (["candidates", "--s", "2", "--t", "0/0"], "--t"),
+    ])
+    def test_zero_denominator_weight_flag_exits_two(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_n_below_two_exits_two(self, capsys):
         code, out, err = run(capsys, "solve", "--n", "1", "--s", "2", "--t", "1",

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from swissfrancs.candidates import _alpha_sq, _levels
 from swissfrancs.core import (Convention, FeasibilityError, ProbMatrix,
                               RankTwoError, WeightTable, log_likelihood)
 from swissfrancs.ranktwo import (RankTwoPoint, canonicalize, gradient,
@@ -186,6 +187,37 @@ class TestDerivatives:
             assert L[idx].tobytes() == scaled_loglik(a[idx], b[idx], 2.0, 1.0).tobytes()
 
 
+    @pytest.mark.parametrize("n, s, t, members", [
+        (16, 2, 1, [(16 - q, 0, q) for q in range(1, 9)]),
+        (7, 3, 2, [(p, 7 - p - q, q) for p in range(1, 7)
+                   for q in range(1, p + 1) if p + q <= 7]),
+    ])
+    def test_exact_at_members_in_fractions(self, n, s, t, members):
+        # in the gauge a = c, b = alpha^2 c every product a_i b_j is
+        # rational, so the kernel stays in Fractions and hits 0 exactly
+        rho = F(s, t)
+        for p, z, q in members:
+            c = _levels(p, z, q)
+            x = _alpha_sq(p, q, F(s), F(t))
+            a = np.array([F(v) for v in c], dtype=object)
+            b = np.array([x * v for v in c], dtype=object)
+            g = gradient(a, b, rho)
+            assert all(type(v) is F and v == 0 for v in g), (p, z, q)
+            H = hessian(a, b, rho)
+            assert H.shape == (2 * n, 2 * n)
+            # the cells no formula writes, a_k a_m and b_k b_m for k != m,
+            # keep the int 0 of the object array's allocation
+            assert all(type(v) is F or v == 0 and type(v) is int for v in H.flat)
+            assert (H == H.T).all()
+
+    def test_float_arrays_with_fraction_rho_give_float64(self):
+        a, b = P2_POINT.arrays()
+        assert gradient(a, b, F(2)).dtype == np.float64
+        assert hessian(a, b, F(2)).dtype == np.float64
+        assert np.array_equal(gradient(a, b, F(2)), gradient(a, b, 2.0))
+        assert np.array_equal(hessian(a, b, F(2)), hessian(a, b, 2.0))
+
+
 class TestCanonicalize:
     def test_scales_to_equal_head(self):
         pt = RankTwoPoint.of([1.0, 0.5, -0.5, -1.0], [2.0, 1.0, -1.0, -2.0])
@@ -295,8 +327,3 @@ class TestPointValidation:
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
             RankTwoPoint.of([0.1, 0.1, 0.1, 0.1], [0.0] * 4)
-
-    def test_json_round_trip(self):
-        pt = P2_POINT
-        again = RankTwoPoint.from_json_dict(pt.to_json_dict())
-        assert again == pt

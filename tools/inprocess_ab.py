@@ -156,6 +156,8 @@ CASES = {
         lambda pkg: lambda: [pkg.global_candidate(s, 1) for s in range(2, 41)],
     "lemma_a2_factorization()": lambda pkg: pkg.lemma_a2_factorization,
     "f_polynomial(2:1 candidates)": _f_polynomials,
+    # side-checks' largest share, and the call its setup_s probe times
+    "f3_region_scan(400)": lambda pkg: lambda: pkg.f3_region_scan(400),
     "_labels at (16, 2, 1, 50)": _labels_case(16, 50),
     "_reports at (4, 2, 1, 200)": _reports_case(4, 200),
     "_reports at (16, 2, 1, 50)": _reports_case(16, 50),
