@@ -10,9 +10,8 @@ from .ranktwo import (RankTwoPoint, canonicalize, normalize_margins,
 from .solvers import (LatentClassModel, MultistartResult, SolveReport,
                       SolverConfig, classify_stationary, em_fit,
                       em_multistart, multistart, newton_stationary)
-from .candidates import (Candidate, SignPattern, block_matrix, block_point,
-                         corner_matrix, corner_point, enumerate_n4,
-                         global_candidate)
+from .candidates import (Candidate, SignPattern, block_matrix, corner_matrix,
+                         enumerate_n4, global_candidate)
 from .verify import (Certificate, certify, f1_eval, f3_eval, f3_region_scan,
                      f_polynomial, lemma_a2_factorization, sign_order_check,
                      tail_pair_solve)

@@ -26,6 +26,7 @@ have exactly zero reciprocal residual before it is returned.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +46,11 @@ MP_DPS = 50
 # Up to this bound, which holds every t < s <= 1000, candidates carry it;
 # above it they compare by 50-digit logs.
 EXACT_EXPONENT_MAX = 20_000
+# A likelihood is printed only while its numerator and denominator are each
+# below this bound (at most 4300 digits, Python's default int-to-str limit),
+# so 1000:1 prints log L. The digits are formatted through decimal, which
+# that limit does not cap, so PYTHONINTMAXSTRDIGITS leaves the text alone.
+LIKELIHOOD_TEXT_BOUND = 10 ** 4300
 
 
 class SignPattern(Enum):
@@ -54,10 +60,6 @@ class SignPattern(Enum):
     PPNN = (2, 0, 2)
     PPZN = (2, 1, 1)
     PZZN = (1, 2, 1)
-
-    @property
-    def coeffs(self) -> tuple:
-        return _levels(*self.value)
 
     @property
     def signs(self) -> str:
@@ -88,6 +90,22 @@ def _member(p: int, z: int, q: int, s: Fraction, t: Fraction) -> tuple:
     return x, ProbMatrix.of([rows[u] for u in c], Convention.SUM_NSQ)
 
 
+def _member_vectors(c: tuple, x: Fraction) -> tuple:
+    """The float vectors (a, b) of the pattern vector c at alpha^2 = x:
+    a = sqrt|x| c, and b = a, or b = -a where x < 0, so b a^T = x c c^T."""
+    x = float(x)
+    root = math.sqrt(abs(x))
+    a = tuple(ci * root for ci in c)
+    return a, a if x >= 0 else tuple(-ci * root for ci in c)
+
+
+def _member_point(p: int, z: int, q: int, s: Number, t: Number) -> RankTwoPoint:
+    """The float point of the member (p, z, q) at weights s, t > 0: at
+    s < t, alpha^2 < 0 and b = -a."""
+    x = _alpha_sq(p, q, Fraction(s), Fraction(t))
+    return RankTwoPoint.of(*_member_vectors(_levels(p, z, q), x))
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One sign pattern with its exact scale, matrix and likelihood."""
@@ -100,19 +118,12 @@ class Candidate:
     likelihood: Optional[Fraction]
     loglik: float
 
-    @property
-    def alpha(self) -> float:
-        return math.sqrt(self.alpha_sq)
-
     def products(self) -> tuple:
         """Exact table of pairwise products a_i a_j, the matrix less J."""
         return map_entries(lambda e: e - 1, self.matrix.entries)
 
     def point(self) -> RankTwoPoint:
-        return RankTwoPoint.symmetric(self.a_values())
-
-    def a_values(self) -> tuple:
-        return tuple(ci * self.alpha for ci in self.pattern.coeffs)
+        return _member_point(*self.pattern.value, self.s, self.t)
 
     def loglik_mp(self, dps: int = MP_DPS):
         """Log-likelihood at high precision, an mpmath.mpf, usable for any
@@ -132,18 +143,20 @@ class Candidate:
             return total
 
     def likelihood_text(self) -> Optional[str]:
-        """The exact likelihood as "p/q" text, or None without one (see
-        has_exact_likelihood) or when its integers pass Python's
-        4300-digit limit for printing, as at weights 1000:1."""
-        try:
-            return None if self.likelihood is None else str(self.likelihood)
-        except ValueError:
+        """The exact likelihood as str() prints it, "p/q", or None without
+        one (see has_exact_likelihood) or when its numerator or denominator
+        reaches LIKELIHOOD_TEXT_BOUND, as at weights 1000:1."""
+        like = self.likelihood
+        if like is None or max(like.numerator, like.denominator) >= LIKELIHOOD_TEXT_BOUND:
             return None
+        num, den = (str(decimal.Decimal(k)) for k in (like.numerator, like.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
     def to_json_dict(self) -> dict:
         out = {"pattern": self.pattern.signs,
                "alpha_sq": str(self.alpha_sq),
-               "a": list(self.a_values()),
+               "a": list(_member_vectors(_levels(*self.pattern.value),
+                                         self.alpha_sq)[0]),
                "matrix": self.matrix.to_json_dict(),
                "loglik": float(f"{self.loglik:.17g}")}
         if (likelihood := self.likelihood_text()) is not None:
@@ -246,24 +259,6 @@ def block_matrix(n: int, s: Number, t: Number) -> ProbMatrix:
                               Convention.SUM_ONE)
 
 
-def block_point(n: int, s: Number, t: Number) -> RankTwoPoint:
-    """Rank-two coordinates of block_matrix in the SUM_NSQ convention."""
-    if n < 2:
-        raise ValueError("block matrix needs n >= 2")
-    s, t = float(s), float(t)
-    if not 0 < t < s:
-        raise ValueError("block matrix requires 0 < t < s")
-    p = (n + 1) // 2
-    q = n - p
-    denom = s + (n - 1) * t
-    beta_p = math.sqrt((s - t) * q / (p * denom))
-    beta_q = math.sqrt((s - t) * p / (q * denom))
-    a = [beta_p] * p + [-beta_q] * q
-    # p*beta_p = q*beta_q analytically; remove the rounding residue
-    drift = sum(a) / n
-    return RankTwoPoint.symmetric([x - drift for x in a])
-
-
 def corner_matrix(n: int, s: Number, t: Number) -> ProbMatrix:
     """Corner-perturbed flat matrix conjectured optimal for 0 < s <= t,
     SUM_ONE form: the member (1, n - 2, 1). Its entries are 1/n^2 but at
@@ -274,19 +269,3 @@ def corner_matrix(n: int, s: Number, t: Number) -> ProbMatrix:
     if not 0 < s <= t:
         raise ValueError("corner matrix requires 0 < s <= t")
     return convert_convention(_member(1, n - 2, 1, s, t)[1], Convention.SUM_ONE)
-
-
-def corner_point(n: int, s: Number, t: Number) -> RankTwoPoint:
-    """Rank-two coordinates of corner_matrix: a and b carry opposite
-    signs in the two corner coordinates, with a_1 b_1 = (s-t)/(s+t)."""
-    if n < 2:
-        raise ValueError("corner matrix needs n >= 2")
-    s, t = float(s), float(t)
-    if not 0 < s <= t:
-        raise ValueError("corner matrix requires 0 < s <= t")
-    alpha = math.sqrt((t - s) / (s + t))
-    a = [0.0] * n
-    b = [0.0] * n
-    a[0], a[-1] = alpha, -alpha
-    b[0], b[-1] = -alpha, alpha
-    return RankTwoPoint.of(a, b)

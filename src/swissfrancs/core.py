@@ -341,7 +341,7 @@ class ProbMatrix:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "convention": self.convention.value,
-                "entries": [[format_number(x) for x in row] for row in self.entries]}
+                "entries": [list(row) for row in map_entries(format_number, self.entries)]}
 
 
 def convert_convention(P: ProbMatrix, target: Convention) -> ProbMatrix:

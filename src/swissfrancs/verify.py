@@ -93,8 +93,7 @@ def reference_f3_poly() -> Poly3:
 
 
 def _sqrt_fraction(value: Fraction) -> Optional[Fraction]:
-    if value < 0:
-        return None
+    """The rational square root of value >= 0, or None if it has none."""
     n = math.isqrt(value.numerator)
     d = math.isqrt(value.denominator)
     if n * n == value.numerator and d * d == value.denominator:
@@ -107,10 +106,15 @@ def tail_pair_solve(A1v: Number, A2v: Number) -> Tuple[Number, Number]:
 
     Uses the two constraints sum(A_i) = 4 and 2/A_1 + 1/A_2 + 1/A_3 +
     1/A_4 = 5: the tail pair solves z^2 - sigma z + pi with
-    sigma = 4 - A_1 - A_2 and pi = sigma / (5 - 2/A_1 - 1/A_2). Exact
-    for exact inputs with a square discriminant; the larger root comes
-    first.
+    sigma = 4 - A_1 - A_2 and pi = sigma / (5 - 2/A_1 - 1/A_2). The inputs,
+    floats too, are taken as exact rationals and sigma, pi and the
+    discriminant are exact. The roots are Fractions when the discriminant
+    is a rational square and floats otherwise; the larger comes first.
     """
+    try:
+        A1v, A2v = Fraction(A1v), Fraction(A2v)
+    except (OverflowError, ValueError):
+        raise ValueError("leading entries must be finite numbers") from None
     if A1v <= 0 or A2v <= 0:
         raise ValueError("leading entries must be positive")
     sigma = 4 - A1v - A2v
@@ -123,14 +127,10 @@ def tail_pair_solve(A1v: Number, A2v: Number) -> Tuple[Number, Number]:
     disc = sigma * sigma - 4 * pi
     if disc < 0:
         raise ValueError("no real stationary tail: negative discriminant")
-    exact = not isinstance(A1v, float) and not isinstance(A2v, float)
-    if exact:
-        root = _sqrt_fraction(Fraction(disc))
-        if root is not None:
-            high = (Fraction(sigma) + root) / 2
-            low = (Fraction(sigma) - root) / 2
-            return high, low
-    root = math.sqrt(float(disc))
+    root = _sqrt_fraction(disc)
+    if root is not None:
+        return (sigma + root) / 2, (sigma - root) / 2
+    root = math.sqrt(disc)
     return (float(sigma) + root) / 2, (float(sigma) - root) / 2
 
 

@@ -1,6 +1,10 @@
 """Every public function, class, method and property of the package has
 a caller, every module-level constant and private function is read, and
-no module starts threads or processes or reads the environment."""
+no module starts threads or processes or reads the environment.
+
+A read is code, not text: each reader is parsed, and a name counts as
+read where it appears as a Name, an Attribute's attr or an imported name.
+A name in a comment or a docstring is not a read."""
 
 import ast
 import re
@@ -8,42 +12,68 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "swissfrancs"
-
-# public names that only tests may use, each with the reason it stays
-TEST_FIXTURES = {
-    "block_point",   # float reference for the exact block candidate
-    "corner_point",  # float reference for the exact corner candidate
-}
+# a string such as "solvers.newton_stationary": bench/tracing.py's TARGETS
+# name the functions it traces this way
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 
-def _unread(wanted, members=False) -> list:
+def _reads(source: str, dotted: bool = False) -> list:
+    """(name, line) for each read in the code of source; with dotted, each
+    part of a string constant that is a dotted name reads too, unless the
+    string is a docstring or another bare string statement."""
+    reads, bare = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            bare.add(id(node.value))
+        elif isinstance(node, ast.Name):
+            reads.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            reads.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            reads += [(part, node.lineno) for part in node.name.split(".")]
+        elif dotted and isinstance(node, ast.Constant) and id(node) not in bare \
+                and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
+            reads += [(part, node.lineno) for part in node.value.split(".")]
+    return reads
+
+
+def _outside_reads() -> set:
+    """The names read in bench/*.py, dotted strings included, and in the
+    acceptance suite, which stands for the library's users."""
+    names = {name for path in sorted((ROOT / "bench").glob("*.py"))
+             for name, _ in _reads(path.read_text(), dotted=True)}
+    accept = (ROOT / "tests" / "test_acceptance.py").read_text()
+    return names | {name for name, _ in _reads(accept)}
+
+
+def _unread(wanted, members=False, modules=None, outside=None) -> list:
     """The top-level names, as module:name, that wanted(node) selects in
     the package modules and that nothing reads: not the rest of their
-    module, another module, bench/ or the acceptance suite. A re-export
-    from __init__ is not a read; tests count only through the acceptance
-    suite, which stands for the library's users. With members, the nodes
-    are those of the top-level class bodies, named module:Class.name, and
-    a read is the text .name."""
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    users = modules + sorted((ROOT / "bench").glob("*.py")) \
-        + [ROOT / "tests" / "test_acceptance.py"]
-    texts = {path: path.read_text() for path in users}
+    module, another module, or the names outside (default _outside_reads).
+    modules maps each module's file name to its source (default: the
+    package but __init__, as a re-export is not a read). With members, the
+    nodes are those of the top-level class bodies, named
+    module:Class.name."""
+    if modules is None:
+        modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+                   if path.name != "__init__.py"}
+    outside = _outside_reads() if outside is None else outside
+    reads = {name: _reads(text) for name, text in modules.items()}
     unread = []
-    for path in modules:
-        lines = texts[path].splitlines()
-        elsewhere = [text for other, text in texts.items() if other != path]
-        nodes = [(None, node) for node in ast.parse(texts[path]).body]
+    for module, text in modules.items():
+        elsewhere = outside.union(*({name for name, _ in found}
+                                    for other, found in reads.items() if other != module))
+        nodes = [(None, node) for node in ast.parse(text).body]
         if members:
             nodes = [(cls.name, node) for _, cls in nodes
                      if isinstance(cls, ast.ClassDef) for node in cls.body]
         for owner, node in nodes:
             if not wanted(node):
                 continue
-            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-            for name in _names(node):
-                word = re.compile(rf"\.{name}\b" if members else rf"\b{name}\b")
-                if not any(word.search(text) for text in elsewhere + [rest]):
-                    unread.append(f"{path.name}:{owner + '.' if owner else ''}{name}")
+            rest = {name for name, line in reads[module]
+                    if not node.lineno <= line <= node.end_lineno}
+            unread += [f"{module}:{owner + '.' if owner else ''}{name}"
+                       for name in _names(node) if name not in elsewhere and name not in rest]
     return unread
 
 
@@ -53,17 +83,19 @@ def _names(node) -> list:
     return [node.name]
 
 
+def _public(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def test_every_public_name_has_a_caller():
-    unused = _unread(lambda node: isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                     and not node.name.startswith("_")
-                     and node.name not in TEST_FIXTURES)
+    unused = _unread(_public)
     assert not unused, f"public names with no caller: {unused}"
 
 
 def test_every_public_method_and_property_is_read():
-    # a method, classmethod or property counts as read where .name appears
-    # outside its own definition; the match is by text, so a method that
-    # shares its name with one read elsewhere (on any object) passes too
+    # a method, classmethod or property counts as read where its name is
+    # read outside its own definition; the match is by name, so a method
+    # that shares its name with one read elsewhere (on any object) passes too
     unread = _unread(lambda node: isinstance(node, ast.FunctionDef)
                      and not node.name.startswith("_"), members=True)
     assert not unread, f"public methods or properties nothing reads: {unread}"
@@ -74,6 +106,19 @@ def test_every_constant_and_private_function_is_read():
     unread = _unread(lambda node: isinstance(node, ast.Assign)
                      or isinstance(node, ast.FunctionDef) and node.name.startswith("_"))
     assert not unread, f"constants or private functions nothing reads: {unread}"
+
+
+def test_a_name_only_in_a_docstring_or_comment_is_not_read():
+    module = ('def caller():\n    """Calls helper()."""\n    # and helper\n'
+              '    return 1\n\n\ndef helper():\n    return caller()\n')
+    assert _unread(_public, modules={"m.py": module}, outside={"caller"}) == ["m.py:helper"]
+    assert _unread(_public, modules={"m.py": module}, outside={"helper"}) == []
+
+
+def test_a_dotted_string_reads_only_in_bench_code():
+    source = '"""m.docstring"""\nTARGETS = ("m.traced", "not dotted")\n'
+    assert {name for name, _ in _reads(source, dotted=True)} == {"TARGETS", "m", "traced"}
+    assert {name for name, _ in _reads(source)} == {"TARGETS"}
 
 
 def test_no_threads_processes_or_environment_reads():

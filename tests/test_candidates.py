@@ -4,16 +4,17 @@ The alpha^2 formulas are cross-checked against an independent bisection
 oracle on the reciprocal row equations, pattern by pattern.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from swissfrancs.candidates import (EXACT_EXPONENT_MAX, SignPattern,
-                                    block_matrix, block_point,
+                                    _levels, _member_point, block_matrix,
                                     compare_candidates, corner_matrix,
-                                    corner_point, enumerate_n4,
-                                    global_candidate, has_exact_likelihood)
+                                    enumerate_n4, global_candidate,
+                                    has_exact_likelihood)
 from swissfrancs.core import Convention, convert_convention
 from swissfrancs.ranktwo import (reciprocal_residual_exact,
                                  stationarity_residual, to_matrix)
@@ -51,7 +52,7 @@ class TestClosedForms:
         cands = {c.pattern: c for c in enumerate_n4(s, t)}
         cand = cands[pattern]
         rho = s / t
-        coeffs = pattern.coeffs
+        coeffs = _levels(*pattern.value)
         # the positive root of the first-row equation, found independently;
         # the bracket stops just short of the feasibility pole
         upper = 0.999 / max(abs(coeffs[0] * c) for c in coeffs)
@@ -182,8 +183,14 @@ class TestBlockMatrix:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6])
     def test_block_point_is_stationary(self, n):
-        pt = block_point(n, 2, 1)
-        assert np.abs(stationarity_residual(pt, 2.0)).max() < 1e-10
+        s, t, p, q = 2, 1, (n + 1) // 2, n // 2
+        pt = _member_point(p, 0, q, s, t)
+        # the closed-form levels of the two blocks
+        high = math.sqrt((s - t) * q / (p * (s + (n - 1) * t)))
+        low = -math.sqrt((s - t) * p / (q * (s + (n - 1) * t)))
+        assert pt.a == pt.b
+        np.testing.assert_allclose(pt.a, [high] * p + [low] * q, rtol=0, atol=1e-15)
+        assert np.abs(stationarity_residual(pt, s / t)).max() < 1e-10
         nsq = convert_convention(block_matrix(n, 2, 1), Convention.SUM_NSQ)
         assert np.abs(to_matrix(pt).as_array() - nsq.as_array()).max() < 1e-12
 
@@ -205,7 +212,7 @@ class TestCornerMatrix:
         assert sum(x for row in corner.entries for x in row) == 1
 
     def test_corner_point_products(self):
-        pt = corner_point(4, 1, 2)
+        pt = _member_point(1, 2, 1, 1, 2)
         a, b = pt.arrays()
         assert a[0] * b[0] == pytest.approx((1 - 2) / (1 + 2), abs=1e-15)
         nsq = convert_convention(corner_matrix(4, 1, 2), Convention.SUM_NSQ)
@@ -213,7 +220,12 @@ class TestCornerMatrix:
 
     @pytest.mark.parametrize("n,s,t", [(4, 1, 2), (5, 1, 3), (6, 2, 5)])
     def test_corner_point_is_stationary(self, n, s, t):
-        pt = corner_point(n, s, t)
+        pt = _member_point(1, n - 2, 1, s, t)
+        a, b = pt.arrays()
+        # the closed-form corners: a_1 b_1 = (s - t)/(s + t), the rest zero
+        assert a[0] * b[0] == pytest.approx((s - t) / (s + t), abs=1e-15)
+        assert (a[0], b[0]) == (-a[-1], -b[-1])
+        assert not a[1:-1].any() and not b[1:-1].any()
         assert np.abs(stationarity_residual(pt, s / t)).max() < 1e-12
 
     def test_diagonal_dominant_weights_rejected(self):

@@ -7,6 +7,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from swissfrancs.verify import LEMMAS
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -297,6 +300,34 @@ class TestCandidates:
         assert err == ""
         expected = (GOLDEN / f"candidates_{s}_1.{suffix}").read_bytes()
         assert out.encode("utf-8") == expected
+
+    def test_output_does_not_depend_on_the_int_to_str_limit(self):
+        # PYTHONINTMAXSTRDIGITS=0 lifts Python's limit on printing integers
+        # and 640 lowers it; L is printed the same way under each, and
+        # 1000:1 keeps log L
+        script = (
+            "import contextlib, io, json\n"
+            "from swissfrancs.cli import main\n"
+            "outs = []\n"
+            "for s in ('100', '1000'):\n"
+            "    for fmt in ('json', 'text', 'csv'):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "            main(['candidates', '--s', s, '--t', '1', '--format', fmt])\n"
+            "        outs.append(out.getvalue())\n"
+            "print(json.dumps(outs))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        runs = []
+        for limit in (None, "0", "640"):
+            run_env = env if limit is None else {**env, "PYTHONINTMAXSTRDIGITS": limit}
+            done = subprocess.run([sys.executable, "-c", script], env=run_env,
+                                  capture_output=True, text=True, check=True)
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1] == runs[2]
+        assert [out.encode("utf-8") for out in runs[0][3:]] == [
+            (GOLDEN / f"candidates_1000_1.{suffix}").read_bytes()
+            for suffix in ("json", "txt", "csv")]
+        assert "L = " in runs[0][1] and "log L" not in runs[0][1]
 
     def test_solver_options_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

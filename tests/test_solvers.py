@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swissfrancs import solvers
-from swissfrancs.candidates import (SignPattern, block_point, corner_point,
-                                    enumerate_n4)
+from swissfrancs.candidates import SignPattern, _member_point, enumerate_n4
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
 from swissfrancs.ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, gradient,
                                  hessian, stationarity_residual)
@@ -877,8 +876,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("point, rho", [
         *((cand.point(), 2.0) for cand in CANDS.values()),
-        (block_point(6, 2, 1), 2.0),
-        (corner_point(6, 1, 2), 0.5),
+        (_member_point(3, 0, 3, 2, 1), 2.0),
+        (_member_point(1, 4, 1, 1, 2), 0.5),
     ])
     def test_agrees_with_finite_differences(self, point, rho):
         assert classify_stationary(point, rho) == _finite_difference_label(point, rho)

@@ -2,9 +2,9 @@
 
 The A/B script's cases reach into private names (solvers._newton,
 _reports, _labels, _random_starts), so a rename fails here, not first at
-the next A/B run. Each case is set up and called once, untimed. The
-scripts are read, compiled and run in memory, so no bytecode is written
-next to them.
+the next A/B run. Each case is set up and called once, untimed, and the
+candidate digest is taken once. The scripts are read, compiled and run in
+memory, so no bytecode is written next to them.
 """
 
 import sys
@@ -44,3 +44,9 @@ def test_em_cases_use_the_bench_tables():
     assert (side, table_seed) == (workloads.TABLE_SIDE, workloads.TABLE_SEED)
     assert AB._em_table(swissfrancs, side, table_seed).as_array().tolist() \
         == workloads.random_table(table_seed)
+
+
+def test_candidate_digest_covers_every_weight_pair():
+    digests = AB.candidate_digests(swissfrancs)
+    assert [key for key, _ in digests] == AB.CANDIDATE_WEIGHTS
+    assert all(len(digest) == 64 for _, digest in digests)

@@ -216,6 +216,22 @@ class TestTailPair:
         assert a3 >= a4 > 0
         assert a3 + a4 == pytest.approx(4 - 1.1 - 1.05)
 
+    def test_float_inputs_are_exact_rationals(self):
+        # the float discriminant at (1.2, 1.2) is -4e-16; that of the
+        # binary value of 1.2 is +4.7e-17, and the pair nears (4/5, 4/5)
+        a3, a4 = tail_pair_solve(1.2, 1.2)
+        assert a3 == pytest.approx(0.8, abs=1e-8) and a4 == pytest.approx(0.8, abs=1e-8)
+        # one ulp above, the exact discriminant is -1.9e-16
+        with pytest.raises(ValueError, match="discriminant"):
+            tail_pair_solve(1.2000000000000002, 1.2000000000000002)
+        # a rational square discriminant gives Fraction roots for floats too
+        assert [(x, type(x)) for x in tail_pair_solve(1.0, 1.0)] == [(F(1), F)] * 2
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tail_pair_solve(bad, 1.0)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             tail_pair_solve(F(0), F(1))

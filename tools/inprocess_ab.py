@@ -20,7 +20,9 @@ two trees' multistart reports agree bit for bit on IDENTITY_SHAPES at
 IDENTITY_SEEDS: each report's a, b, log L and residual as hex, with its
 iterations, label and converged flag. It does the same for the EM reports
 of the bench's two EM cases (EM_CASES) at IDENTITY_SEEDS, every field as
-hex, trace included. The package does not import this script.
+hex, trace included, and for enumerate_n4's candidates at
+CANDIDATE_WEIGHTS: each point()'s a and b as hex, and to_json_dict(). The
+package does not import this script.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ import gc
 import hashlib
 import importlib
 import importlib.util
+import json
 import random
 import statistics
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -46,6 +50,9 @@ IDENTITY_SEEDS = (1, 2, 3)
 # (table side, table seed, classes, starts) of the bench's EM cases: the 4/2
 # table, and the random 8x8 table drawn from bench/workloads.py's TABLE_SEED
 EM_CASES = [(4, None, 2, 100), (8, 0, 3, 20)]
+# (s, t) of the candidate check: exact likelihoods at 2:1 and 3:2, 50-digit
+# logs at 5/2:1, log L printed at 1000:1, and past the exact bound at 20001:1
+CANDIDATE_WEIGHTS = [(2, 1), (3, 2), (Fraction(5, 2), 1), (1000, 1), (20001, 1)]
 
 
 def load(name: str, src: Path):
@@ -207,6 +214,19 @@ def em_digests(pkg) -> list:
     return digests
 
 
+def candidate_digests(pkg) -> list:
+    """One sha256 per weight pair of CANDIDATE_WEIGHTS over every
+    enumerate_n4 candidate: its point()'s a and b as hex, and its
+    to_json_dict(), whose floats print as repr and so bit for bit."""
+    digests = []
+    for s, t in CANDIDATE_WEIGHTS:
+        points = [(c.point(), c.to_json_dict()) for c in pkg.enumerate_n4(s, t)]
+        text = repr([([x.hex() for x in pt.a], [x.hex() for x in pt.b],
+                      json.dumps(data)) for pt, data in points])
+        digests.append(((s, t), hashlib.sha256(text.encode()).hexdigest()))
+    return digests
+
+
 def _differ(base, change, digests) -> list:
     """The keys whose digests differ between the two trees."""
     return [key for (key, b), (_, c) in zip(digests(base), digests(change)) if b != c]
@@ -265,6 +285,10 @@ def main(argv=None) -> int:
     print(f"EM reports on {len(EM_CASES)} cases x {seeds}: "
           + ("bit-identical" if not differ else
              "differ at (side, table seed, r, starts, seed) " + ", ".join(map(str, differ))))
+    differ = _differ(base, change, candidate_digests)
+    print(f"enumerate_n4 candidates at {len(CANDIDATE_WEIGHTS)} weights: "
+          + ("bit-identical" if not differ else
+             "differ at (s, t) " + ", ".join(map(str, differ))))
     return 0
 
 
