@@ -158,7 +158,7 @@ class Candidate:
                "a": list(_member_vectors(_levels(*self.pattern.value),
                                          self.alpha_sq)[0]),
                "matrix": self.matrix.to_json_dict(),
-               "loglik": float(f"{self.loglik:.17g}")}
+               "loglik": float(self.loglik)}
         if (likelihood := self.likelihood_text()) is not None:
             out["likelihood"] = likelihood
         else:

@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
         # entries rescaled to sum to one
         total = float(weights.total())
         data["best_loglik_counts"] = float(
-            f"{result.best.loglik - total * math.log(weights.n ** 2):.17g}")
+            result.best.loglik - total * math.log(weights.n ** 2))
     lines = [f"best log-likelihood: {result.best.loglik:.17g}",
              f"classification: {result.best.classification}",
              f"residual: {result.best.residual:.3e}",

@@ -173,6 +173,7 @@ class WeightTable:
     w: tuple | None = None
 
     def __post_init__(self):
+        require_integer("n", self.n)
         if self.n < 1:
             raise ValueError(f"table side must be positive, got {self.n}")
         if self.kind == "symmetric":

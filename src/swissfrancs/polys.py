@@ -11,7 +11,6 @@ numbers within MATCH_TOL.
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
@@ -103,12 +102,8 @@ class Poly3:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
         result = Poly3.const(1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def swap_a2_b2(self) -> "Poly3":
@@ -139,21 +134,15 @@ class Poly3:
         exp = max(self.terms, key=self._order_key)
         return exp, self.terms[exp]
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda kv: self._order_key(kv[0]),
-                      reverse=True)
-
     def divide(self, divisor: "Poly3") -> Tuple["Poly3", "Poly3"]:
         """Single-divisor division: self = quotient * divisor + remainder.
 
         With one divisor the remainder is zero if and only if the divisor
         divides self, in any monomial order.
 
-        The division works in place on one dict of terms. Each step takes
-        the leading term and moves it to the quotient (a Fraction, so an
-        int over an int stays exact) or to the remainder; what it adds to
-        the work is below that term in the order, so a heap of the terms'
-        order keys yields the leading terms in turn.
+        Each step takes the leading term of what is left and moves it to
+        the quotient (a Fraction, so an int over an int stays exact) or to
+        the remainder, then subtracts its multiple of the divisor's tail.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -162,15 +151,9 @@ class Poly3:
         quotient: Dict[Exponent, Number] = {}
         remainder: Dict[Exponent, Number] = {}
         work = dict(self.terms)
-        # a min-heap of (-degree, -exponents) pops the graded-lex largest
-        heap = [(-sum(e), -e[0], -e[1], -e[2]) for e in work]
-        heapq.heapify(heap)
-        while heap:
-            key = heapq.heappop(heap)
-            exp = (-key[1], -key[2], -key[3])
-            coeff = work.pop(exp, 0)
-            if coeff == 0:  # cancelled, or a stale heap entry
-                continue
+        while work:
+            exp = max(work, key=self._order_key)
+            coeff = work.pop(exp)
             diff = (exp[0] - lead_exp[0], exp[1] - lead_exp[1], exp[2] - lead_exp[2])
             if min(diff) < 0:
                 remainder[exp] = coeff
@@ -182,24 +165,16 @@ class Poly3:
                 value = work.get(term, 0) - factor * c
                 if value == 0:
                     work.pop(term, None)
-                    continue
-                if term not in work:
-                    heapq.heappush(heap, (-sum(term), -term[0], -term[1], -term[2]))
-                work[term] = value
+                else:
+                    work[term] = value
         return Poly3(quotient), Poly3(remainder)
-
-    def monomial_content(self) -> Exponent:
-        if not self.terms:
-            return (0, 0, 0)
-        exps = list(self.terms)
-        return tuple(min(e[i] for e in exps) for i in range(3))
 
     def primitive(self) -> "Poly3":
         """Strip the monomial content and the rational content, and make
         the graded-lex leading coefficient positive."""
         if self.is_zero():
             return self
-        mono = self.monomial_content()
+        mono = [min(e[i] for e in self.terms) for i in range(3)]
         shifted = {tuple(e - m for e, m in zip(exp, mono)): c
                    for exp, c in self.terms.items()}
         num_gcd = 0
@@ -217,7 +192,8 @@ class Poly3:
         if self.is_zero():
             return "0"
         parts = []
-        for exp, coeff in self.sorted_terms():
+        for exp, coeff in sorted(self.terms.items(), reverse=True,
+                                 key=lambda kv: self._order_key(kv[0])):
             factors = []
             if coeff != 1 or not any(exp):
                 factors.append(str(coeff))

@@ -72,10 +72,6 @@ class RankTwoPoint:
             points.append(pt)
         return points
 
-    @classmethod
-    def symmetric(cls, a: Sequence[float]) -> "RankTwoPoint":
-        return cls.of(a, a)
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array(self.a, dtype=float), np.array(self.b, dtype=float))
 

@@ -121,7 +121,7 @@ class SolveReport:
             point = {"kind": "ranktwo", **self.point.to_json_dict()}
         else:
             point = {"kind": "latent", **self.point.to_json_dict()}
-        out = {"point": point, "loglik": float(f"{self.loglik:.17g}"),
+        out = {"point": point, "loglik": float(self.loglik),
                "residual": self.residual, "iterations": self.iterations,
                "classification": self.classification, "converged": self.converged,
                "method": self.method, "start": self.start}
@@ -141,12 +141,8 @@ def scaled_loglik(a: np.ndarray, b: np.ndarray, s: float, t: float):
     """
     T = entry_tables(a, b)
     ok = T.min(axis=(-2, -1)) > FEASIBILITY_MARGIN
-    logs = T if ok.all() else T[ok]
-    value = _weighted_logs(np.log(logs, out=logs), s, t)
-    if logs is T:
-        return value
     out = np.full(ok.shape, -np.inf)
-    out[ok] = value
+    out[ok] = _weighted_logs(np.log(T[ok]), s, t)
     return out[()]
 
 
@@ -506,7 +502,7 @@ class Cluster:
     key: tuple
 
     def to_json_dict(self) -> dict:
-        return {"loglik": float(f"{self.loglik:.17g}"), "size": self.size,
+        return {"loglik": float(self.loglik), "size": self.size,
                 "classification": self.representative.classification,
                 "residual": self.representative.residual,
                 "point": self.representative.point.to_json_dict()}
@@ -552,7 +548,6 @@ def multistart(weights: WeightTable, cfg: SolverConfig) -> MultistartResult:
     cfg.cluster_eps of the founder's joins it, one vectorised pass per
     cluster, which gives the clusters a start-by-start loop gives.
     """
-    require_integer("n", weights.n)
     if weights.n < 2:
         raise ValueError("multistart needs n >= 2")
     pair = weights.symmetric_pair()

@@ -455,7 +455,7 @@ class Certificate:
         if self.conjecture is not None:
             out["conjecture"] = self.conjecture
             out["conjectured_matrix"] = self.conjectured_matrix.to_json_dict()
-            out["conjectured_loglik"] = float(f"{self.conjectured_loglik:.17g}")
+            out["conjectured_loglik"] = float(self.conjectured_loglik)
             out["conjectured_residual"] = self.conjectured_residual
         return out
 

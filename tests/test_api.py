@@ -4,7 +4,9 @@ no module starts threads or processes or reads the environment.
 
 A read is code, not text: each reader is parsed, and a name counts as
 read where it appears as a Name, an Attribute's attr or an imported name.
-A name in a comment or a docstring is not a read."""
+A name in a comment or a docstring is not a read. A classmethod or
+staticmethod counts as read only through its own class: as Owner.name,
+module.Owner.name, or cls.name inside Owner's body."""
 
 import ast
 import re
@@ -18,9 +20,11 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 
 
 def _reads(source: str, dotted: bool = False) -> list:
-    """(name, line) for each read in the code of source; with dotted, each
-    part of a string constant that is a dotted name reads too, unless the
-    string is a docstring or another bare string statement."""
+    """(name, line) for each read in the code of source, plus ("X.name",
+    line) for each attribute name read off a name or attribute X; with
+    dotted, each part of a string constant that is a dotted name reads
+    too, and so does each adjacent pair as "X.name", unless the string is a
+    docstring or another bare string statement."""
     reads, bare = [], set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
@@ -29,11 +33,16 @@ def _reads(source: str, dotted: bool = False) -> list:
             reads.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             reads.append((node.attr, node.lineno))
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if owner is not None:
+                reads.append((f"{owner}.{node.attr}", node.lineno))
         elif isinstance(node, ast.alias):
             reads += [(part, node.lineno) for part in node.name.split(".")]
         elif dotted and isinstance(node, ast.Constant) and id(node) not in bare \
                 and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
-            reads += [(part, node.lineno) for part in node.value.split(".")]
+            parts = node.value.split(".")
+            reads += [(part, node.lineno) for part in parts]
+            reads += [(f"{x}.{y}", node.lineno) for x, y in zip(parts, parts[1:])]
     return reads
 
 
@@ -53,7 +62,8 @@ def _unread(wanted, members=False, modules=None, outside=None) -> list:
     modules maps each module's file name to its source (default: the
     package but __init__, as a re-export is not a read). With members, the
     nodes are those of the top-level class bodies, named
-    module:Class.name."""
+    module:Class.name, and a classmethod or staticmethod is read only as
+    Class.name, or as cls.name in the rest of Class's body."""
     if modules is None:
         modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
                    if path.name != "__init__.py"}
@@ -65,16 +75,31 @@ def _unread(wanted, members=False, modules=None, outside=None) -> list:
                                     for other, found in reads.items() if other != module))
         nodes = [(None, node) for node in ast.parse(text).body]
         if members:
-            nodes = [(cls.name, node) for _, cls in nodes
+            nodes = [(cls, node) for _, cls in nodes
                      if isinstance(cls, ast.ClassDef) for node in cls.body]
         for owner, node in nodes:
             if not wanted(node):
                 continue
             rest = {name for name, line in reads[module]
                     if not node.lineno <= line <= node.end_lineno}
-            unread += [f"{module}:{owner + '.' if owner else ''}{name}"
-                       for name in _names(node) if name not in elsewhere and name not in rest]
+            for name in _names(node):
+                key = name
+                if owner is not None and _bound_to_class(node):
+                    key = f"{owner.name}.{name}"
+                    if any(found == f"cls.{name}" and owner.lineno <= line <= owner.end_lineno
+                           and not node.lineno <= line <= node.end_lineno
+                           for found, line in reads[module]):
+                        continue
+                if key not in elsewhere and key not in rest:
+                    unread.append(f"{module}:{owner.name + '.' if owner else ''}{name}")
     return unread
+
+
+def _bound_to_class(node) -> bool:
+    """Whether node is a method decorated @classmethod or @staticmethod."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+        for d in node.decorator_list)
 
 
 def _names(node) -> list:
@@ -92,12 +117,16 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names with no caller: {unused}"
 
 
+def _public_method(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+
+
 def test_every_public_method_and_property_is_read():
-    # a method, classmethod or property counts as read where its name is
-    # read outside its own definition; the match is by name, so a method
-    # that shares its name with one read elsewhere (on any object) passes too
-    unread = _unread(lambda node: isinstance(node, ast.FunctionDef)
-                     and not node.name.startswith("_"), members=True)
+    # a method or property counts as read where its name is read outside
+    # its own definition; the match is by name, so a method that shares its
+    # name with one read elsewhere (on any object) passes too. A classmethod
+    # or staticmethod counts only where it is read through its own class.
+    unread = _unread(_public_method, members=True)
     assert not unread, f"public methods or properties nothing reads: {unread}"
 
 
@@ -115,9 +144,22 @@ def test_a_name_only_in_a_docstring_or_comment_is_not_read():
     assert _unread(_public, modules={"m.py": module}, outside={"helper"}) == []
 
 
+def test_a_classmethod_is_read_only_through_its_own_class():
+    module = ('class A:\n    @classmethod\n    def make(cls):\n        return cls()\n\n\n'
+              'class B:\n    @classmethod\n    def make(cls):\n        return cls()\n\n'
+              '    @staticmethod\n    def pair():\n        return B.make(), B.make()\n\n'
+              '    @classmethod\n    def twice(cls):\n        return cls.pair()\n')
+    modules = {"m.py": module}
+    assert _unread(_public_method, members=True, modules=modules,
+                   outside={"B.twice"}) == ["m.py:A.make"]
+    assert _unread(_public_method, members=True, modules=modules,
+                   outside={"B.twice", "A.make"}) == []
+
+
 def test_a_dotted_string_reads_only_in_bench_code():
     source = '"""m.docstring"""\nTARGETS = ("m.traced", "not dotted")\n'
-    assert {name for name, _ in _reads(source, dotted=True)} == {"TARGETS", "m", "traced"}
+    assert {name for name, _ in _reads(source, dotted=True)} \
+        == {"TARGETS", "m", "traced", "m.traced"}
     assert {name for name, _ in _reads(source)} == {"TARGETS"}
 
 

@@ -215,6 +215,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeightTable.symmetric(4, 0, 1)
 
+    @pytest.mark.parametrize("n", [4.0, 2.5, True])
+    def test_non_integer_side_rejected(self, n):
+        # the table is refused here, so em_multistart never meets its side
+        with pytest.raises(ValueError, match="n must be an integer"):
+            WeightTable.symmetric(n, 2, 1)
+
     def test_non_finite_weights(self):
         with pytest.raises(ValueError, match="weight s"):
             WeightTable.symmetric(4, float("inf"), 1)

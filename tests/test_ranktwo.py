@@ -19,9 +19,15 @@ F = Fraction
 A5 = 1 / math.sqrt(5)
 A15 = 1 / math.sqrt(15)
 
-P2_POINT = RankTwoPoint.symmetric([A5, A5, -A5, -A5])
-P1_POINT = RankTwoPoint.symmetric([A15, A15, A15, -3 * A15])
-P4_POINT = RankTwoPoint.symmetric([1 / math.sqrt(3), 0.0, 0.0, -1 / math.sqrt(3)])
+
+def _symmetric(a):
+    """The point (a, a), whose matrix 1 + a_i a_j is symmetric."""
+    return RankTwoPoint.of(a, a)
+
+
+P2_POINT = _symmetric([A5, A5, -A5, -A5])
+P1_POINT = _symmetric([A15, A15, A15, -3 * A15])
+P4_POINT = _symmetric([1 / math.sqrt(3), 0.0, 0.0, -1 / math.sqrt(3)])
 
 
 def random_feasible(rng, n=4):
@@ -36,7 +42,7 @@ def random_feasible(rng, n=4):
 
 class TestToMatrix:
     def test_zero_gives_flat(self):
-        matrix = to_matrix(RankTwoPoint.symmetric([0.0] * 4))
+        matrix = to_matrix(_symmetric([0.0] * 4))
         assert np.array_equal(matrix.as_array(), np.ones((4, 4)))
 
     def test_block_point(self):
@@ -79,7 +85,7 @@ class TestToMatrix:
 
 class TestResiduals:
     def test_zero_point_any_ratio(self):
-        pt = RankTwoPoint.symmetric([0.0] * 4)
+        pt = _symmetric([0.0] * 4)
         for rho in (0.5, 1.0, 2.0, 7.0):
             assert np.abs(stationarity_residual(pt, rho)).max() == 0.0
 
@@ -90,7 +96,7 @@ class TestResiduals:
         a = np.array(P2_POINT.a)
         a[0] += 0.01
         a[3] -= 0.01
-        pt = RankTwoPoint.symmetric(a)
+        pt = _symmetric(a)
         assert np.abs(stationarity_residual(pt, 2.0)).max() > 1e-3
 
     def test_exact_reciprocal_zero_for_block_products(self):
@@ -242,7 +248,7 @@ class TestCanonicalize:
         # the sign-flipped three-positive point sorts to (3a, -a, -a, -a)
         # with a negative second coordinate; the flip-and-reverse map then
         # lands on the canonical (a, a, a, -3a) form
-        flipped = RankTwoPoint.symmetric([-A15, -A15, -A15, 3 * A15])
+        flipped = _symmetric([-A15, -A15, -A15, 3 * A15])
         out = canonicalize(flipped)
         assert np.allclose(out.a, [A15, A15, A15, -3 * A15], atol=1e-12)
         assert out.a[1] >= 0
@@ -266,7 +272,7 @@ class TestCanonicalize:
 
     def test_zero_point_rejected(self):
         with pytest.raises(RankTwoError, match="zero"):
-            canonicalize(RankTwoPoint.symmetric([0.0] * 4))
+            canonicalize(_symmetric([0.0] * 4))
 
     def test_indefinite_head_rejected(self):
         pt = RankTwoPoint.of([0.5, 0.0, 0.0, -0.5], [-0.5, 0.0, 0.0, 0.5])

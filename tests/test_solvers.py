@@ -36,6 +36,11 @@ STRUCTURE_SHAPES = [(4, 2, 1, 200), (4, 3, 2, 200), (6, 1, 2, 50), (3, 2, 1, 50)
 STRUCTURE = Path(__file__).parent / "golden" / "multistart_structure.json"
 
 
+def _symmetric(a):
+    """The point (a, a), whose matrix 1 + a_i a_j is symmetric."""
+    return RankTwoPoint.of(a, a)
+
+
 def _finite_difference_label(pt, rho, h=1e-5):
     """Reference second-order test: central differences of the likelihood
     along an orthonormal basis of the zero-sum, gauge-free tangent space."""
@@ -390,13 +395,13 @@ class TestNewton:
         assert abs(head - 1 / math.sqrt(5)) <= 1e-10
 
     def test_symmetric_corner_start(self):
-        start = RankTwoPoint.symmetric([0.5, 0.0, 0.0, -0.5])
+        start = _symmetric([0.5, 0.0, 0.0, -0.5])
         report = newton_stationary(start, 2.0, CFG)
         assert report.converged
         assert max(report.point.a) == pytest.approx(1 / math.sqrt(3), abs=1e-10)
 
     def test_zero_start_is_degenerate(self):
-        report = newton_stationary(RankTwoPoint.symmetric([0.0] * 4), 2.0, CFG)
+        report = newton_stationary(_symmetric([0.0] * 4), 2.0, CFG)
         assert report.converged
         assert report.iterations == 1
         assert report.residual == 0.0
@@ -864,7 +869,7 @@ class TestClassify:
             == "local_max"
 
     def test_flat_point_is_degenerate(self):
-        assert classify_stationary(RankTwoPoint.symmetric([0.0] * 4), 2.0) \
+        assert classify_stationary(_symmetric([0.0] * 4), 2.0) \
             == "degenerate"
 
     def test_all_candidates_classified(self):
@@ -912,7 +917,7 @@ class TestClassify:
 
     def test_requires_stationarity(self):
         with pytest.raises(ValueError, match="stationary"):
-            classify_stationary(RankTwoPoint.symmetric([0.3, 0.1, -0.1, -0.3]),
+            classify_stationary(_symmetric([0.3, 0.1, -0.1, -0.3]),
                                 2.0)
 
     def test_batch_labels_each_row_as_the_reference_does(self):
@@ -929,7 +934,7 @@ class TestClassify:
         near_equal = newton_stationary(
             RankTwoPoint.of(*_random_starts(16, 1, np.random.default_rng(0))[0]), 1.001, CFG)
         rows = [(c.point(), 2.0) for c in CANDS.values()]
-        rows += [(RankTwoPoint.symmetric([0.0] * 4), 2.0)]
+        rows += [(_symmetric([0.0] * 4), 2.0)]
         rows += [(r.point, 1.0) for r in ends]
         rows += [(near_equal.point, 1.001)]
         expected = [_reference_label(pt, rho) for pt, rho in rows]

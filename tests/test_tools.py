@@ -3,7 +3,7 @@
 The A/B script's cases reach into private names (solvers._newton,
 _reports, _labels, _random_starts), so a rename fails here, not first at
 the next A/B run. Each case is set up and called once, untimed, and the
-candidate digest is taken once. The scripts are read, compiled and run in
+candidate and algebra digests are taken once each. The scripts are read, compiled and run in
 memory, so no bytecode is written next to them.
 """
 
@@ -49,4 +49,12 @@ def test_em_cases_use_the_bench_tables():
 def test_candidate_digest_covers_every_weight_pair():
     digests = AB.candidate_digests(swissfrancs)
     assert [key for key, _ in digests] == AB.CANDIDATE_WEIGHTS
+    assert all(len(digest) == 64 for _, digest in digests)
+
+
+def test_algebra_digest_covers_every_lemma():
+    digests = AB.algebra_digests(swissfrancs)
+    assert [key for key, _ in digests] \
+        == [(name, s, t) for s, t in AB.LEMMA_WEIGHTS for name in swissfrancs.verify.LEMMAS] \
+        + [("factor lemma",), ("reference f3",)]
     assert all(len(digest) == 64 for _, digest in digests)

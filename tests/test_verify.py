@@ -370,7 +370,7 @@ class TestFPolynomial:
 
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            f_polynomial(RankTwoPoint.symmetric([0.0] * 4))
+            f_polynomial(RankTwoPoint.of([0.0] * 4, [0.0] * 4))
 
     def test_asymmetric_point_rejected(self):
         pt = RankTwoPoint.of([0.2, 0.2, -0.2, -0.2], [0.25, 0.25, -0.25, -0.25])
@@ -379,7 +379,8 @@ class TestFPolynomial:
 
     def test_non_stationary_rejected(self):
         with pytest.raises(ValueError, match="stationary"):
-            f_polynomial(RankTwoPoint.symmetric([0.3, 0.1, -0.1, -0.3]))
+            a = [0.3, 0.1, -0.1, -0.3]
+            f_polynomial(RankTwoPoint.of(a, a))
 
 
 class TestLemmas:

@@ -20,9 +20,12 @@ two trees' multistart reports agree bit for bit on IDENTITY_SHAPES at
 IDENTITY_SEEDS: each report's a, b, log L and residual as hex, with its
 iterations, label and converged flag. It does the same for the EM reports
 of the bench's two EM cases (EM_CASES) at IDENTITY_SEEDS, every field as
-hex, trace included, and for enumerate_n4's candidates at
-CANDIDATE_WEIGHTS: each point()'s a and b as hex, and to_json_dict(). The
-package does not import this script.
+hex, trace included, for enumerate_n4's candidates at
+CANDIDATE_WEIGHTS: each point()'s a and b as hex, and to_json_dict(), and
+for the exact algebra: each LEMMAS entry's detail and data at
+LEMMA_WEIGHTS, lemma_a2_factorization()'s to_json_dict() and the
+to_string() of its quotient, remainder and cofactor, and
+reference_f3_poly().to_string(). The package does not import this script.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ EM_CASES = [(4, None, 2, 100), (8, 0, 3, 20)]
 # (s, t) of the candidate check: exact likelihoods at 2:1 and 3:2, 50-digit
 # logs at 5/2:1, log L printed at 1000:1, and past the exact bound at 20001:1
 CANDIDATE_WEIGHTS = [(2, 1), (3, 2), (Fraction(5, 2), 1), (1000, 1), (20001, 1)]
+# (s, t) of the LEMMAS check: ratio 2, where every entry runs, and 3:2,
+# where the ratio-2 entries skip
+LEMMA_WEIGHTS = [(2, 1), (3, 2)]
 
 
 def load(name: str, src: Path):
@@ -227,6 +233,27 @@ def candidate_digests(pkg) -> list:
     return digests
 
 
+def algebra_digests(pkg) -> list:
+    """One sha256 per LEMMAS entry at each pair of LEMMA_WEIGHTS over its
+    detail and data, whose floats print as repr, one over
+    lemma_a2_factorization()'s to_json_dict() and the to_string() of its
+    quotient, remainder and cofactor, and one over reference_f3_poly()'s
+    to_string()."""
+    verify = importlib.import_module(f"{pkg.__name__}.verify")
+    texts = []
+    for s, t in LEMMA_WEIGHTS:
+        for name, check in verify.LEMMAS.items():
+            result = check(s, t)
+            texts.append(((name, s, t), repr((result.detail, result.data))))
+    report = pkg.lemma_a2_factorization()
+    texts.append((("factor lemma",), repr((
+        json.dumps(report.to_json_dict()), report.quotient.to_string(),
+        report.remainder.to_string(),
+        report.cofactor.to_string() if report.cofactor else None))))
+    texts.append((("reference f3",), verify.reference_f3_poly().to_string()))
+    return [(key, hashlib.sha256(text.encode()).hexdigest()) for key, text in texts]
+
+
 def _differ(base, change, digests) -> list:
     """The keys whose digests differ between the two trees."""
     return [key for (key, b), (_, c) in zip(digests(base), digests(change)) if b != c]
@@ -289,6 +316,9 @@ def main(argv=None) -> int:
     print(f"enumerate_n4 candidates at {len(CANDIDATE_WEIGHTS)} weights: "
           + ("bit-identical" if not differ else
              "differ at (s, t) " + ", ".join(map(str, differ))))
+    differ = _differ(base, change, algebra_digests)
+    print(f"algebra (LEMMAS at {len(LEMMA_WEIGHTS)} weights, factor lemma, f3 cofactor): "
+          + ("bit-identical" if not differ else "differ at " + ", ".join(map(str, differ))))
     return 0
 
 
