@@ -195,16 +195,16 @@ class WeightTable:
             if not _is_exact(value) and not math.isfinite(value):
                 raise ValueError(f"weight {name} is not finite: {value!r}")
         if self.kind == "symmetric":
-            # the solvers take s, t and s/t as floats: one that rounds to 0
-            # or overflows makes them divide by zero or overflow
-            ratio = Fraction(self.s) / Fraction(self.t)
-            for name, value in (("s", self.s), ("t", self.t), ("ratio s/t", ratio)):
-                try:
-                    in_range = float(value) > 0
-                except OverflowError:
-                    in_range = False
-                if not in_range:
-                    raise ValueError(f"weight {name} is outside the float range")
+            named.append(("ratio s/t", Fraction(self.s) / Fraction(self.t)))
+        # the solvers take each weight and s/t as floats: one that overflows,
+        # or a positive one that rounds to 0, makes them overflow or divide by 0
+        for name, value in named:
+            try:
+                in_range = value == 0 or float(value) > 0
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"weight {name} is outside the float range")
 
     @classmethod
     def symmetric(cls, n: int, s: Number, t: Number) -> "WeightTable":
@@ -307,7 +307,7 @@ class ProbMatrix:
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValueError("entries must form an n x n matrix")
         for x, _ in self._counts:
-            if x < 0:
+            if not x >= 0:
                 raise ValueError(f"negative entry {x}")
         target = 1 if self.convention is Convention.SUM_ONE else self.n * self.n
         if self.is_exact:
@@ -318,7 +318,7 @@ class ProbMatrix:
             # floats are summed entry by entry, in row-major order
             total = sum(x for row in self.entries for x in row)
             tol = SUM_ONE_TOL if self.convention is Convention.SUM_ONE else SUM_NSQ_TOL
-            if abs(float(total) - target) > tol:
+            if not abs(float(total) - target) <= tol:
                 raise ValueError(
                     f"entries sum to {float(total)!r}, expected {target} within {tol}")
 

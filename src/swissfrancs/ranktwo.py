@@ -36,9 +36,9 @@ ZERO_TOL = 1e-14
 class RankTwoPoint:
     """Vectors (a, b) of length n encoding the matrix 1 + b_i a_j.
 
-    Both vectors must sum to zero (relative tolerance 1e-12). Interior
-    feasibility, min(1 + a_i b_j) > 0, is not required at construction;
-    operations that need it check and raise FeasibilityError.
+    Both vectors must be finite and sum to zero (relative tolerance
+    1e-12). Interior feasibility, min(1 + a_i b_j) > 0, is not required at
+    construction; operations that need it check and raise FeasibilityError.
     """
 
     n: int
@@ -84,21 +84,23 @@ class RankTwoPoint:
 
 
 def _require_zero_sum(a: np.ndarray, b: np.ndarray) -> None:
-    """Raise ValueError unless every row v of the (K, n) arrays a and b has
-    |sum v| <= ZERO_SUM_TOL * max(1, |v|). cumsum adds in index order, so
-    each row's sums are those of a Python loop over it."""
+    """Raise ValueError unless every row v of the (K, n) arrays a and b is
+    finite and has |sum v| <= ZERO_SUM_TOL * max(1, |v|). cumsum adds in
+    index order, so each row's sums are those of a Python loop over it."""
     for name, vec in (("a", a), ("b", b)):
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{name} must be finite")
         norm = np.sqrt((vec * vec).cumsum(axis=-1)[:, -1])
         total = vec.cumsum(axis=-1)[:, -1]
-        if (np.abs(total) > ZERO_SUM_TOL * np.maximum(1.0, norm)).any():
+        if not (np.abs(total) <= ZERO_SUM_TOL * np.maximum(1.0, norm)).all():
             raise ValueError(f"{name} must sum to zero")
 
 
 def _require_interior(pt: RankTwoPoint) -> np.ndarray:
     """The n x n table 1 + b_i a_j of pt; FeasibilityError unless its least
-    entry exceeds FEASIBILITY_MARGIN."""
+    entry exceeds FEASIBILITY_MARGIN, which a NaN does not."""
     T = entry_tables(*pt.arrays())
-    if T.min() <= FEASIBILITY_MARGIN:
+    if not T.min() > FEASIBILITY_MARGIN:
         raise FeasibilityError(f"point is not interior: min entry {float(T.min())!r}")
     return T
 
@@ -120,24 +122,18 @@ def entry_tables(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return T
 
 
-def gradient(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
+def table_gradient(T: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   rho: float) -> np.ndarray:
     """Gradient of the scaled log-likelihood
-    sum_ij ln(1 + b_i a_j) + (rho - 1) sum_i ln(1 + b_i a_i) in (a, b).
+    sum_ij ln(1 + b_i a_j) + (rho - 1) sum_i ln(1 + b_i a_i) in (a, b)
+    from T = entry_tables(a, b), which it leaves unchanged.
 
     Component i is the derivative in a_i, component n + j the derivative
     in b_j. a and b may carry leading batch axes, (..., n) -> (..., 2n);
     each row gets the bits a 1-D call on it gives. The caller guarantees
-    interior feasibility.
+    interior feasibility. The result keeps T's number type: Fractions in
+    give Fractions out, and float tables give float64 whatever rho's type.
     """
-    return table_gradient(entry_tables(a, b), a, b, rho)
-
-
-def table_gradient(T: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   rho: float) -> np.ndarray:
-    """gradient(a, b, rho) from T = entry_tables(a, b), which it leaves
-    unchanged, so a caller that needs the table again forms it once.
-    The result keeps T's number type: Fractions in give Fractions out, and
-    float tables give float64 whatever the type of rho."""
     one = T.dtype.type(1)
     diag = T.diagonal(0, -2, -1)
     grad_a = (b[..., :, None] / T).sum(axis=-2) + (rho - one) * b / diag
@@ -147,8 +143,8 @@ def table_gradient(T: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 def hessian(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
     """Exact 2n x 2n Hessian of the scaled log-likelihood in (a, b), in
-    the component order of gradient(); batched like gradient(),
-    (..., n) -> (..., 2n, 2n), in the number type of gradient()."""
+    the component order of table_gradient(); batched like it,
+    (..., n) -> (..., 2n, 2n), in its number type."""
     n = a.shape[-1]
     T = entry_tables(a, b)
     one = T.dtype.type(1)
@@ -172,10 +168,10 @@ def hessian(a: np.ndarray, b: np.ndarray, rho: float) -> np.ndarray:
 def stationarity_residual(pt: RankTwoPoint, rho: float) -> np.ndarray:
     """Gradient form of the first-order conditions at weight ratio rho.
 
-    The gradient() of the scaled log-likelihood at pt; it is zero exactly
-    at stationary points with zero-sum a and b.
+    The table_gradient() of the scaled log-likelihood at pt; it is zero
+    exactly at stationary points with zero-sum a and b.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("weight ratio must be positive")
     return table_gradient(_require_interior(pt), *pt.arrays(), rho)
 

@@ -40,8 +40,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import ConvergenceError, WeightTable, require_integer
-from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, entry_tables, gradient,
-                      hessian, stationarity_residual, table_gradient)
+from .ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, entry_tables, hessian,
+                      stationarity_residual, table_gradient)
 
 START_BOX = 0.6
 MAX_HALVINGS = 40
@@ -132,45 +132,39 @@ class SolveReport:
 
 def scaled_loglik(a: np.ndarray, b: np.ndarray, s: float, t: float):
     """s * sum(ln diag) + t * sum(ln offdiag) of the matrix 1 + b_i a_j,
-    or -inf when an entry is at or below FEASIBILITY_MARGIN, where Newton
-    and the stationarity residual stop too.
+    or -inf when an entry is at or below FEASIBILITY_MARGIN or NaN, where
+    Newton and the stationarity residual stop too.
 
     a and b may carry leading batch axes, (..., n) -> (...); each row gets
-    the bits a 1-D call on it gives, and no log of an infeasible row is
-    taken.
+    the bits a 1-D call on it gives.
     """
     T = entry_tables(a, b)
-    ok = T.min(axis=(-2, -1)) > FEASIBILITY_MARGIN
-    out = np.full(ok.shape, -np.inf)
-    out[ok] = _weighted_logs(np.log(T[ok]), s, t)
-    return out[()]
+    return _loglik(np.maximum(T, FEASIBILITY_MARGIN, out=T), s, t)[()]
 
 
-def _weighted_logs(logs: np.ndarray, s: float, t: float) -> np.ndarray:
-    """s * sum(diag) + t * sum(offdiag) of each (..., n, n) table of logs;
-    the sum runs over the n^2 entries as one axis, as a 1-D call's does."""
-    return (s - t) * logs.trace(0, -2, -1) \
+def _loglik(T: np.ndarray, s: float, t: float) -> np.ndarray:
+    """scaled_loglik of each (..., n, n) entry table T whose entries at or
+    below FEASIBILITY_MARGIN are raised to it, so that no log or quotient
+    of a table that is not interior meets a number <= 0: such a table,
+    whose least entry is the margin or NaN, gets -inf. The logs are taken
+    in place and summed over the n^2 entries as one axis, as a 1-D call's."""
+    interior = T.min(axis=(-2, -1)) > FEASIBILITY_MARGIN
+    logs = np.log(T, out=T)
+    value = (s - t) * logs.trace(0, -2, -1) \
         + t * logs.reshape(logs.shape[:-2] + (logs.shape[-1] ** 2,)).sum(axis=-1)
+    return np.where(interior, value, -np.inf)
 
 
 def _value_and_gradient(a: np.ndarray, b: np.ndarray, rho: float, s: float, t: float):
-    """scaled_loglik(a, b, s, t) and gradient(a, b, rho) of each row of the
-    (K, n) arrays a and b, bit for bit, with a gradient of inf on each row
-    whose log L is not above -inf. When every row's table lies above
-    FEASIBILITY_MARGIN and every log L above -inf, they come from one
-    entry table: the gradient first, then the logs in place. Otherwise
-    they come from those two calls, the gradient on the rows with a log
-    L above -inf only."""
+    """scaled_loglik(a, b, s, t) and table_gradient(entry_tables(a, b), a, b,
+    rho) of each row of the (K, n) arrays a and b, bit for bit, from one
+    entry table raised to the margin: the gradient first, then the logs in
+    place (_loglik). A row whose log L is not above -inf gets gradient inf."""
     T = entry_tables(a, b)
-    if (T.min(axis=(-2, -1)) > FEASIBILITY_MARGIN).all():
-        grad = table_gradient(T, a, b, rho)
-        value = _weighted_logs(np.log(T, out=T), s, t)
-        if (value > -np.inf).all():
-            return value, grad
-    value = scaled_loglik(a, b, s, t)
-    feasible = value > -np.inf
-    grad = np.full((len(a), 2 * a.shape[-1]), np.inf)
-    grad[feasible] = gradient(a[feasible], b[feasible], rho)
+    np.maximum(T, FEASIBILITY_MARGIN, out=T)
+    grad = table_gradient(T, a, b, rho)
+    value = _loglik(T, s, t)
+    grad[~(value > -np.inf)] = np.inf
     return value, grad
 
 

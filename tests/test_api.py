@@ -3,8 +3,9 @@ a caller, every module-level constant and private function is read, and
 no module starts threads or processes or reads the environment.
 
 A read is code, not text: each reader is parsed, and a name counts as
-read where it appears as a Name, an Attribute's attr or an imported name.
-A name in a comment or a docstring is not a read. A classmethod or
+read where it appears as a Name or an Attribute's attr. A name in a
+comment or a docstring is not a read, and neither is an import: a name
+imported and never used keeps nothing alive. A classmethod or
 staticmethod counts as read only through its own class: as Owner.name,
 module.Owner.name, or cls.name inside Owner's body."""
 
@@ -36,8 +37,6 @@ def _reads(source: str, dotted: bool = False) -> list:
             owner = getattr(node.value, "id", getattr(node.value, "attr", None))
             if owner is not None:
                 reads.append((f"{owner}.{node.attr}", node.lineno))
-        elif isinstance(node, ast.alias):
-            reads += [(part, node.lineno) for part in node.name.split(".")]
         elif dotted and isinstance(node, ast.Constant) and id(node) not in bare \
                 and isinstance(node.value, str) and DOTTED.fullmatch(node.value):
             parts = node.value.split(".")
@@ -142,6 +141,14 @@ def test_a_name_only_in_a_docstring_or_comment_is_not_read():
               '    return 1\n\n\ndef helper():\n    return caller()\n')
     assert _unread(_public, modules={"m.py": module}, outside={"caller"}) == ["m.py:helper"]
     assert _unread(_public, modules={"m.py": module}, outside={"helper"}) == []
+
+
+def test_an_imported_name_is_read_only_where_code_uses_it():
+    modules = {"a.py": "def f():\n    return 1\n",
+               "b.py": "from .a import f\n\n\ndef g():\n    return 2\n"}
+    assert _unread(_public, modules=modules, outside={"g"}) == ["a.py:f"]
+    modules["b.py"] += "\n\ndef h():\n    return f()\n"
+    assert _unread(_public, modules=modules, outside={"g", "h"}) == []
 
 
 def test_a_classmethod_is_read_only_through_its_own_class():

@@ -120,10 +120,12 @@ class TestSolve:
          "'1/0' has a zero denominator"),
         ({"kind": "full", "n": 2, "w": [[4, "1/0"], [2, 4]]},
          "'1/0' has a zero denominator"),
+        ({"kind": "full", "n": 2, "w": [[10 ** 400, 1], [1, 1]]},
+         "weight w[0][0] is outside the float range"),
     ], ids=["list", "full-empty", "full-no-w", "symmetric-no-t", "symmetric-no-n",
             "w-number", "row-number", "entry-null", "entry-object", "n-null",
             "s-list", "n-fractional", "kind-list", "s-zero-denominator",
-            "n-zero-denominator", "w-zero-denominator"])
+            "n-zero-denominator", "w-zero-denominator", "w-beyond-float"])
     def test_malformed_counts_file_exits_two(self, capsys, tmp_path, data, message):
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(data))

@@ -207,6 +207,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum"):
             ProbMatrix.of([[1.0] * 4] * 4, Convention.SUM_ONE)
 
+    @pytest.mark.parametrize("rows", [
+        [[math.nan]], [[1.0, math.nan], [math.nan, 1.0]], [[math.inf]],
+        [[0.5, math.inf], [-math.inf, 0.5]]], ids=["nan", "nan-pair", "inf", "inf-pair"])
+    def test_non_finite_entry(self, rows):
+        # each check is the condition that must hold, which NaN fails
+        with pytest.raises(ValueError):
+            ProbMatrix.of(rows, Convention.SUM_ONE)
+
     def test_zero_weight_table(self):
         with pytest.raises(ValueError):
             WeightTable.full([[0, 0], [0, 0]])
@@ -236,6 +244,14 @@ class TestValidation:
     def test_symmetric_weights_outside_the_float_range(self, s, t, name):
         with pytest.raises(ValueError, match=f"{name} is outside the float range"):
             WeightTable.symmetric(3, s, t)
+
+    @pytest.mark.parametrize("w, name", [
+        ([[10 ** 400, 1], [1, 1]], r"w\[0\]\[0\]"),
+        ([[1, 0], [F(1, 10 ** 400), 1]], r"w\[1\]\[0\]")])
+    def test_full_weights_outside_the_float_range(self, w, name):
+        # a zero weight is in range; a positive one must stay positive
+        with pytest.raises(ValueError, match=f"weight {name} is outside the float range"):
+            WeightTable.full(w)
 
     def test_symmetric_weights_at_the_float_range_edge(self):
         table = WeightTable.symmetric(3, 1e300, 1e-7)

@@ -9,15 +9,30 @@ import pytest
 from swissfrancs.candidates import _alpha_sq, _levels
 from swissfrancs.core import (Convention, FeasibilityError, ProbMatrix,
                               RankTwoError, WeightTable, log_likelihood)
-from swissfrancs.ranktwo import (RankTwoPoint, canonicalize, gradient,
+from swissfrancs.ranktwo import (RankTwoPoint, canonicalize, entry_tables,
                                  hessian, normalize_margins,
                                  reciprocal_residual_exact,
-                                 stationarity_residual, to_matrix)
+                                 stationarity_residual, table_gradient,
+                                 to_matrix)
 from swissfrancs.solvers import scaled_loglik
 
 F = Fraction
 A5 = 1 / math.sqrt(5)
 A15 = 1 / math.sqrt(15)
+
+
+def _gradient(a, b, rho):
+    """The gradient of the scaled log-likelihood at (a, b), from its table."""
+    return table_gradient(entry_tables(a, b), a, b, rho)
+
+
+def _unchecked(a, b):
+    """A RankTwoPoint built without __post_init__'s zero-sum test, as
+    RankTwoPoint.rows builds its points after testing them at once."""
+    pt = object.__new__(RankTwoPoint)
+    for name, value in (("n", len(a)), ("a", tuple(a)), ("b", tuple(b))):
+        object.__setattr__(pt, name, value)
+    return pt
 
 
 def _symmetric(a):
@@ -149,7 +164,7 @@ class TestResiduals:
                     continue
                 products = [[F(ai) * F(bj) for bj in b] for ai in a]
                 recip = np.array(reciprocal_residual_exact(products, rho), dtype=float)
-                grad = gradient(a, b, rho)
+                grad = _gradient(a, b, rho)
                 assert np.allclose(recip, -np.concatenate([a, b]) * grad, atol=1e-12)
 
 class TestDerivatives:
@@ -166,8 +181,8 @@ class TestDerivatives:
                 step = np.zeros(2 * n)
                 step[k] = h
                 up, down = x + step, x - step
-                diffs[:, k] = (gradient(up[:n], up[n:], rho)
-                               - gradient(down[:n], down[n:], rho)) / (2 * h)
+                diffs[:, k] = (_gradient(up[:n], up[n:], rho)
+                               - _gradient(down[:n], down[n:], rho)) / (2 * h)
             H = hessian(a, b, rho)
             assert np.array_equal(H, H.T)
             assert np.allclose(H, diffs, rtol=1e-6, atol=1e-6 * rho)
@@ -180,10 +195,10 @@ class TestDerivatives:
         a = rng.uniform(-0.5, 0.5, size=(3, 5, n)) / math.sqrt(n)
         b = rng.uniform(-0.5, 0.5, size=(3, 5, n)) / math.sqrt(n)
         for rho in (0.5, 1.0, 2.0, 1000.0):
-            G, H = gradient(a, b, rho), hessian(a, b, rho)
+            G, H = _gradient(a, b, rho), hessian(a, b, rho)
             L = scaled_loglik(a, b, rho, 1.0)
             for idx in np.ndindex(3, 5):
-                assert G[idx].tobytes() == gradient(a[idx], b[idx], rho).tobytes()
+                assert G[idx].tobytes() == _gradient(a[idx], b[idx], rho).tobytes()
                 assert H[idx].tobytes() == hessian(a[idx], b[idx], rho).tobytes()
                 assert L[idx].tobytes() == scaled_loglik(a[idx], b[idx], rho, 1.0).tobytes()
         a[0] *= 100.0
@@ -207,7 +222,7 @@ class TestDerivatives:
             x = _alpha_sq(p, q, F(s), F(t))
             a = np.array([F(v) for v in c], dtype=object)
             b = np.array([x * v for v in c], dtype=object)
-            g = gradient(a, b, rho)
+            g = _gradient(a, b, rho)
             assert all(type(v) is F and v == 0 for v in g), (p, z, q)
             H = hessian(a, b, rho)
             assert H.shape == (2 * n, 2 * n)
@@ -218,9 +233,9 @@ class TestDerivatives:
 
     def test_float_arrays_with_fraction_rho_give_float64(self):
         a, b = P2_POINT.arrays()
-        assert gradient(a, b, F(2)).dtype == np.float64
+        assert _gradient(a, b, F(2)).dtype == np.float64
         assert hessian(a, b, F(2)).dtype == np.float64
-        assert np.array_equal(gradient(a, b, F(2)), gradient(a, b, 2.0))
+        assert np.array_equal(_gradient(a, b, F(2)), _gradient(a, b, 2.0))
         assert np.array_equal(hessian(a, b, F(2)), hessian(a, b, 2.0))
 
 
@@ -333,3 +348,26 @@ class TestPointValidation:
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
             RankTwoPoint.of([0.1, 0.1, 0.1, 0.1], [0.0] * 4)
+
+    @pytest.mark.parametrize("a", [[math.nan, 0.0], [math.inf, -math.inf],
+                                   [math.inf, 0.0]], ids=["nan", "inf-pair", "inf"])
+    def test_non_finite_rejected(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            RankTwoPoint.of(a, [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            RankTwoPoint.of([0.0, 0.0], a)
+        with pytest.raises(ValueError, match="finite"):
+            RankTwoPoint.rows(np.array([[1.0, -1.0], a]), np.zeros((2, 2)))
+
+    def test_nan_table_is_not_interior(self):
+        # a NaN entry fails min > FEASIBILITY_MARGIN, as a negative one does
+        pt = _unchecked([math.nan, 0.0], [0.0, 0.0])
+        with pytest.raises(FeasibilityError):
+            to_matrix(pt)
+        with pytest.raises(FeasibilityError):
+            stationarity_residual(pt, 2.0)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
+    def test_nonpositive_ratio_rejected(self, rho):
+        with pytest.raises(ValueError, match="weight ratio must be positive"):
+            stationarity_residual(P2_POINT, rho)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from swissfrancs import solvers
 from swissfrancs.candidates import SignPattern, _member_point, enumerate_n4
 from swissfrancs.core import ConvergenceError, WeightTable, swiss_counts
-from swissfrancs.ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, gradient,
-                                 hessian, stationarity_residual)
+from swissfrancs.ranktwo import (FEASIBILITY_MARGIN, RankTwoPoint, entry_tables,
+                                 hessian, stationarity_residual, table_gradient)
 from swissfrancs.solvers import (CLASSIFY_RESIDUAL_TOL, HESSIAN_EIG_TOL,
                                  START_BOX, ZERO_POINT_TOL, LatentClassModel,
                                  SolveReport, SolverConfig, _cluster_keys,
@@ -34,6 +34,11 @@ STRUCTURE_SHAPES = [(4, 2, 1, 200), (4, 3, 2, 200), (6, 1, 2, 50), (3, 2, 1, 50)
                     (4, 1000, 1, 1), (16, 1001, 1000, 3), (2, 1000, 1, 10),
                     (4, 21, 20, 50)]
 STRUCTURE = Path(__file__).parent / "golden" / "multistart_structure.json"
+
+
+def _gradient(a, b, rho):
+    """The gradient of the scaled log-likelihood at (a, b), from its table."""
+    return table_gradient(entry_tables(a, b), a, b, rho)
 
 
 def _symmetric(a):
@@ -185,7 +190,7 @@ def _reference_newton(pt0, rho, cfg, start):
     n = len(a)
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        grad = gradient(a, b, rho)
+        grad = _gradient(a, b, rho)
         if np.abs(grad).max() < cfg.tol:
             break
         step = _reference_step(a, b, grad, rho)
@@ -198,7 +203,7 @@ def _reference_newton(pt0, rho, cfg, start):
             na = a + scale * step[:n]
             nb = b + scale * step[n:]
             if _reference_feasible(na, nb) and (
-                    np.linalg.norm(gradient(na, nb, rho)) < norm0 * (1.0 - 1e-4 * scale)
+                    np.linalg.norm(_gradient(na, nb, rho)) < norm0 * (1.0 - 1e-4 * scale)
                     or _reference_loglik(na, nb, rho, 1.0)
                     > value0 + 1e-4 * scale * slope):
                 a, b = na, nb
@@ -447,11 +452,10 @@ class TestSharedTable:
     @given(st.integers(2, 16), st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
     def test_value_and_gradient_are_the_two_calls_bit_for_bit(self, n, seed, log_rho):
         # the line search's (value, gradient) of each row, from one table,
-        # is a one-row scaled_loglik(a, b, rho, 1.0) and gradient(a, b, rho),
+        # is a one-row scaled_loglik(a, b, rho, 1.0) and _gradient(a, b, rho),
         # -inf and inf on an infeasible row. Random draws of width 1, some
         # of them infeasible, and one row on each side of the margin, in one
-        # batch (the masked path) and without the infeasible rows (the
-        # one-table path)
+        # batch and without the infeasible rows
         rho = 10.0 ** log_rho
         ab = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, 6, n))
         a, b = ab - ab.mean(axis=-1, keepdims=True)
@@ -464,7 +468,7 @@ class TestSharedTable:
         for rows in (np.arange(len(a)), np.flatnonzero(feasible)):
             value, grad = solvers._value_and_gradient(a[rows], b[rows], rho, rho, 1.0)
             for k, v, g in zip(rows, value, grad):
-                expected = gradient(a[k], b[k], rho) if feasible[k] \
+                expected = _gradient(a[k], b[k], rho) if feasible[k] \
                     else np.full(2 * n, np.inf)
                 assert v.hex() == float(scaled_loglik(a[k], b[k], rho, 1.0)).hex()
                 assert (v > -np.inf) == feasible[k]
@@ -617,7 +621,7 @@ class TestTangentStep:
         assert w[-1] > HESSIAN_EIG_TOL
         u = 1e-4 * basis[0] @ V[:, -1]
         pa, pb = a + u[:4], b + u[4:]
-        grad = gradient(pa[None], pb[None], 2.0)
+        grad = _gradient(pa[None], pb[None], 2.0)
         calls = _patch_gufuncs(monkeypatch)
         step = solvers._tangent_step(pa[None], pb[None], grad, 2.0)[0]
         # -H has no Cholesky factor, so the row takes eigh
@@ -632,9 +636,9 @@ class TestTangentStep:
         # rank-deficient near-flat rows: each row's step is the one-row
         # reference's, an ascent direction and at most 1 long
         ab = _random_starts(4, 20, np.random.default_rng(0))
-        grad = gradient(ab[:, 0], ab[:, 1], 2.0)
+        grad = _gradient(ab[:, 0], ab[:, 1], 2.0)
         step = solvers._tangent_step(ab[:, 0], ab[:, 1], grad, 2.0)
-        flat_grad = gradient(NEAR_FLAT_A, NEAR_FLAT_B, 1.0)
+        flat_grad = _gradient(NEAR_FLAT_A, NEAR_FLAT_B, 1.0)
         calls = _patch_gufuncs(monkeypatch)
         flat_step = solvers._tangent_step(NEAR_FLAT_A, NEAR_FLAT_B, flat_grad, 1.0)
         # the first row fails the pivot test, where eigh floors two |w|,
@@ -659,7 +663,7 @@ class TestTangentStep:
         eig = np.linalg.eigvalsh(solvers._tangent_hessian(a, b, 1.0)[1])
         assert (np.abs(eig) <= HESSIAN_EIG_TOL).sum(axis=-1).tolist() == [2, 0]
         ra, rb, iterations = solvers._newton(a, b, 1.0, CFG)
-        assert (np.abs(gradient(ra, rb, 1.0)).max(axis=-1) < CFG.tol).all()
+        assert (np.abs(_gradient(ra, rb, 1.0)).max(axis=-1) < CFG.tol).all()
         reference = [_reference_newton(RankTwoPoint.of(*row), 1.0, CFG, None)
                      for row in zip(a, b)]
         assert iterations.tolist() == [r.iterations for r in reference]
@@ -707,7 +711,7 @@ class TestTangentStep:
         # are the same step: every row passes Cholesky, and with Cholesky
         # failing on every matrix every row takes eigh
         a, b = _near_maximum(8)
-        grad = gradient(a, b, 2.0)
+        grad = _gradient(a, b, 2.0)
         calls = _patch_gufuncs(monkeypatch)
         solved = solvers._tangent_step(a, b, grad, 2.0)
         assert _steps(calls) == [(8, 0)]
@@ -728,7 +732,7 @@ class TestTangentStep:
         ab = _random_starts(4, 6, np.random.default_rng(0))
         a = np.stack([near_a, ab[:, 0]], axis=1).reshape(12, 4)
         b = np.stack([near_b, ab[:, 1]], axis=1).reshape(12, 4)
-        grad = gradient(a, b, 2.0)
+        grad = _gradient(a, b, 2.0)
         calls = _patch_gufuncs(monkeypatch)
         step = solvers._tangent_step(a, b, grad, 2.0)
         assert _steps(calls) == [(12, 6)]
@@ -755,7 +759,7 @@ class TestTangentStep:
         H = solvers._tangent_hessian(a, b, 1.0)[1][0]
         pivots = np.diag(np.linalg.cholesky(-H)) ** 2
         assert pivots.min() < 1e-13 * np.diag(-H).max()
-        grad = gradient(a, b, 1.0)
+        grad = _gradient(a, b, 1.0)
         calls = _patch_gufuncs(monkeypatch)
         step = solvers._tangent_step(a, b, grad, 1.0)
         assert _steps(calls) == [(1, 1)]
@@ -775,7 +779,7 @@ class TestTangentStep:
         weights, cfg = WeightTable.symmetric(4, 2, 1), SolverConfig(starts=12, seed=1)
         ab = _random_starts(4, 12, np.random.default_rng(1))
         a, b = ab[:, 0], ab[:, 1]
-        grad = gradient(a, b, 2.0)
+        grad = _gradient(a, b, 2.0)
         plain_step = solvers._tangent_step(a, b, grad, 2.0)
         plain = multistart(weights, cfg)
         failing = solvers._tangent_hessian(a[3:4], b[3:4], 2.0)[1][0]

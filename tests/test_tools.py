@@ -58,3 +58,10 @@ def test_algebra_digest_covers_every_lemma():
         == [(name, s, t) for s, t in AB.LEMMA_WEIGHTS for name in swissfrancs.verify.LEMMAS] \
         + [("factor lemma",), ("reference f3",)]
     assert all(len(digest) == 64 for _, digest in digests)
+
+
+def test_evaluation_digest_covers_every_row_set():
+    digests = AB.evaluation_digests(swissfrancs)
+    margin = swissfrancs.ranktwo.FEASIBILITY_MARGIN
+    assert [key for key, _ in digests] == [key for key, *_ in AB.evaluation_rows(margin)]
+    assert all(len(digest) == 64 for _, digest in digests)

@@ -25,7 +25,10 @@ CANDIDATE_WEIGHTS: each point()'s a and b as hex, and to_json_dict(), and
 for the exact algebra: each LEMMAS entry's detail and data at
 LEMMA_WEIGHTS, lemma_a2_factorization()'s to_json_dict() and the
 to_string() of its quotient, remainder and cofactor, and
-reference_f3_poly().to_string(). The package does not import this script.
+reference_f3_poly().to_string(). Last, it compares the likelihood
+evaluation on the fixed rows of evaluation_rows: solvers'
+_value_and_gradient and scaled_loglik as hex. The package does not
+import this script.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ CANDIDATE_WEIGHTS = [(2, 1), (3, 2), (Fraction(5, 2), 1), (1000, 1), (20001, 1)]
 # (s, t) of the LEMMAS check: ratio 2, where every entry runs, and 3:2,
 # where the ratio-2 entries skip
 LEMMA_WEIGHTS = [(2, 1), (3, 2)]
+# table sides and weight ratios of the evaluation check's random interior
+# rows, and its extreme ratios: at 1e300 the gradient overflows near the
+# margin, at 1.7e308 log L overflows too
+EVAL_SIDES = (2, 4, 16)
+EVAL_RATIOS = (2.0, 1000.0, 1.0001)
+EXTREME_RATIOS = (1e300, 1.7e308)
 
 
 def load(name: str, src: Path):
@@ -94,7 +103,9 @@ def _labels_case(n: int, starts: int):
     def setup(pkg):
         import numpy as np
         solvers, _, a, b, _ = _newton_ends(pkg, n, 2.0, 1.0, starts)
-        resid = np.abs(pkg.ranktwo.gradient(a, b, 2.0)).max(axis=-1)
+        ranktwo = pkg.ranktwo
+        resid = np.abs(ranktwo.table_gradient(ranktwo.entry_tables(a, b), a, b,
+                                              2.0)).max(axis=-1)
         keep = resid < solvers.CLASSIFY_RESIDUAL_TOL
         return lambda: solvers._labels(a[keep], b[keep], 2.0)
     return setup
@@ -254,6 +265,56 @@ def algebra_digests(pkg) -> list:
     return [(key, hashlib.sha256(text.encode()).hexdigest()) for key, text in texts]
 
 
+def evaluation_rows(margin: float) -> list:
+    """(key, a, b, rho) of the evaluation check: 8 random interior rows at
+    each side of EVAL_SIDES and ratio of EVAL_RATIOS; at n = 4 and ratio 2,
+    rows whose least entry lies just above the margin, just below it, at
+    0, below 0 and at NaN, alone and among interior rows; and interior rows
+    at EXTREME_RATIOS, one with diagonal entries near the margin."""
+    import numpy as np
+    rng = np.random.default_rng(0)
+    rows = []
+    for n in EVAL_SIDES:
+        # entries 1 + b_i a_j with |a_j|, |b_i| <= 0.9 are at least 0.19
+        ab = rng.uniform(-0.45, 0.45, size=(2, 8, n))
+        a, b = ab - ab.mean(axis=-1, keepdims=True)
+        rows += [(("interior", n, rho), a, b, rho) for rho in EVAL_RATIOS]
+    # b = c a with a = (1, -1, 0, 0): the least entry is 1 - c
+    line = np.array([1.0, -1.0, 0.0, 0.0])
+    scales = [np.nextafter(1.0 - margin, 0.0), 1.0 - margin, 1.0, 1.5, np.nan]
+    edge_a = np.array([line] * len(scales))
+    edge_b = np.array([c * line for c in scales])
+    inner_a, inner_b = rows[3][1], rows[3][2]
+    rows += [(("margin, 0, below 0, NaN", 4, 2.0), edge_a, edge_b, 2.0),
+             (("among interior rows", 4, 2.0), np.concatenate([inner_a, edge_a]),
+              np.concatenate([inner_b, edge_b]), 2.0)]
+    near = (1.0 - 1e-13) ** 0.5 * np.array([[1.0, 0.0, 0.0, -1.0]])
+    extreme_a = np.concatenate([inner_a, near])
+    extreme_b = np.concatenate([inner_b, -near])
+    rows += [(("extreme", 4, rho), extreme_a, extreme_b, rho) for rho in EXTREME_RATIOS]
+    return rows
+
+
+def evaluation_digests(pkg) -> list:
+    """One sha256 per entry of evaluation_rows over solvers'
+    _value_and_gradient(a, b, rho, rho, 1.0), and scaled_loglik(a, b, rho,
+    1.0) of the rows and of each row alone, as hex. Overflow and invalid
+    values do not warn, as in the package's Newton iteration."""
+    import numpy as np
+    solvers = importlib.import_module(f"{pkg.__name__}.solvers")
+    digests = []
+    for key, a, b, rho in evaluation_rows(solvers.FEASIBILITY_MARGIN):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = solvers._value_and_gradient(a, b, rho, rho, 1.0)
+            values = [solvers.scaled_loglik(a, b, rho, 1.0)] \
+                + [solvers.scaled_loglik(ra, rb, rho, 1.0) for ra, rb in zip(a, b)]
+        text = repr(([x.hex() for x in value.tolist()],
+                     [[x.hex() for x in row] for row in grad.tolist()],
+                     [float(x).hex() for v in values for x in np.ravel(v)]))
+        digests.append((key, hashlib.sha256(text.encode()).hexdigest()))
+    return digests
+
+
 def _differ(base, change, digests) -> list:
     """The keys whose digests differ between the two trees."""
     return [key for (key, b), (_, c) in zip(digests(base), digests(change)) if b != c]
@@ -318,6 +379,9 @@ def main(argv=None) -> int:
              "differ at (s, t) " + ", ".join(map(str, differ))))
     differ = _differ(base, change, algebra_digests)
     print(f"algebra (LEMMAS at {len(LEMMA_WEIGHTS)} weights, factor lemma, f3 cofactor): "
+          + ("bit-identical" if not differ else "differ at " + ", ".join(map(str, differ))))
+    differ = _differ(base, change, evaluation_digests)
+    print("likelihood evaluation (_value_and_gradient, scaled_loglik) on fixed rows: "
           + ("bit-identical" if not differ else "differ at " + ", ".join(map(str, differ))))
     return 0
 
