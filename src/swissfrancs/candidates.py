@@ -38,14 +38,18 @@ from .core import (Convention, FeasibilityError, Number, ProbMatrix,
                    exact_likelihood, log_likelihood, map_entries)
 from .ranktwo import RankTwoPoint, reciprocal_residual_exact
 
-MP_DPS = 50
 # The exact likelihood at integral weights (s, t) is a product of entry
 # powers whose exponents sum to 4 s + 12 t, and its integers grow with that
 # sum: forming the four takes 0.01 s at 1000:1 (sum 4012), 0.2 s at
 # 1001:1000 (16004), 0.3 s at 5000:1 (20012) and 1 s at 10000:1 (40012).
 # Up to this bound, which holds every t < s <= 1000, candidates carry it;
-# above it they compare by 50-digit logs.
+# above it they compare by interval logs at the precisions of LOG_DIGITS.
 EXACT_EXPONENT_MAX = 20_000
+# Digits of the interval logs, tried in turn until the enclosures decide.
+# Near s = t the four log L agree to about twice the digits of s/t - 1:
+# 50 digits separate them up to 1e16 + 1 : 1e16, 100 digits up to
+# 1e32 + 1 : 1e32, and 1600 digits still at 1e307 + 1 : 1e307, in 0.7 s.
+LOG_DIGITS = (50, 100, 200, 400, 800, 1600)
 # A likelihood is printed only while its numerator and denominator are each
 # below this bound (at most 4300 digits, Python's default int-to-str limit),
 # so 1000:1 prints log L. The digits are formatted through decimal, which
@@ -125,22 +129,17 @@ class Candidate:
     def point(self) -> RankTwoPoint:
         return _member_point(*self.pattern.value, self.s, self.t)
 
-    def loglik_mp(self, dps: int = MP_DPS):
-        """Log-likelihood at high precision, an mpmath.mpf, usable for any
-        positive weights."""
-        # imported here: only weights without an exact likelihood need
-        # mpmath, and loading it costs about 3.8 MB of resident memory
-        import mpmath
-        with mpmath.workdps(dps):
-            total = mpmath.mpf(0)
-            s = mpmath.mpf(self.s.numerator) / self.s.denominator
-            t = mpmath.mpf(self.t.numerator) / self.t.denominator
-            for i in range(self.matrix.n):
-                for j in range(self.matrix.n):
-                    p = Fraction(self.matrix.entries[i][j])
-                    w = s if i == j else t
-                    total += w * mpmath.log(mpmath.mpf(p.numerator) / p.denominator)
-            return total
+    def loglik_interval(self, dps: int):
+        """An mpmath interval that encloses the log-likelihood, computed at
+        dps digits in an interval context of its own: mpmath's global
+        precisions stay as they were, and concurrent calls do not meet."""
+        # imported here: only likelihoods that are neither compared nor
+        # printed exactly need mpmath, which costs about 3.8 MB resident
+        from mpmath import MPIntervalContext
+        iv = MPIntervalContext()
+        iv.dps = dps
+        return log_likelihood(self.matrix, WeightTable.symmetric(4, self.s, self.t),
+                              lambda x: iv.mpf(x.numerator) / x.denominator, iv.log)
 
     def likelihood_text(self) -> Optional[str]:
         """The exact likelihood as str() prints it, "p/q", or None without
@@ -162,10 +161,33 @@ class Candidate:
         if (likelihood := self.likelihood_text()) is not None:
             out["likelihood"] = likelihood
         else:
-            import mpmath
-            with mpmath.workdps(30):
-                out["loglik_30"] = mpmath.nstr(self.loglik_mp(30), 30)
+            out["loglik_30"] = _loglik_30(self)
         return out
+
+
+def _enclosures(candidates: Sequence[Candidate]):
+    """(dps, endpoints) for each dps of LOG_DIGITS in turn: the lower and
+    upper ends of each candidate's loglik_interval(dps), as mpmath.mpf
+    numbers of a context of its own at dps digits, which hold them
+    exactly."""
+    from mpmath import MPContext
+    for dps in LOG_DIGITS:
+        mp = MPContext()
+        mp.dps = dps
+        yield dps, [(mp.mpf(x.a), mp.mpf(x.b))
+                    for x in (c.loglik_interval(dps) for c in candidates)]
+
+
+def _loglik_30(cand: Candidate) -> str:
+    """The log-likelihood rounded to 30 significant digits: the first
+    mpmath.nstr text that both ends of an enclosure give, so every digit
+    is proved. Past the last precision it is the lower end's text."""
+    import mpmath
+    for _, [(lo, hi)] in _enclosures([cand]):
+        text = mpmath.nstr(lo, 30)
+        if mpmath.nstr(hi, 30) == text:
+            return text
+    return text
 
 
 def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction) -> Candidate:
@@ -204,17 +226,21 @@ def enumerate_n4(s: Number, t: Number) -> list:
 
 def compare_candidates(candidates: Sequence[Candidate]) -> tuple:
     """(best, strict, method): the first candidate of largest likelihood,
-    whether all others are strictly smaller, and the method: exact
-    rationals when every candidate carries its likelihood (see
-    has_exact_likelihood), 50-digit logs otherwise."""
+    whether all others are strictly smaller, and the method. When every
+    candidate carries its likelihood (see has_exact_likelihood) the
+    rationals decide. Otherwise the interval logs do, at the first digits
+    of LOG_DIGITS where the largest lower end lies above every other
+    candidate's upper end; when none does, strict is False and best is the
+    first of largest lower end at the last precision."""
     if all(c.likelihood is not None for c in candidates):
         keys = [c.likelihood for c in candidates]
-        method = "exact rational comparison"
-    else:
-        keys = [c.loglik_mp() for c in candidates]
-        method = "50-digit log comparison"
-    best = max(range(len(candidates)), key=lambda i: keys[i])
-    return candidates[best], keys.count(keys[best]) == 1, method
+        best = max(range(len(candidates)), key=lambda i: keys[i])
+        return candidates[best], keys.count(keys[best]) == 1, "exact rational comparison"
+    for dps, ends in _enclosures(candidates):
+        best = max(range(len(candidates)), key=lambda i: ends[i][0])
+        if all(ends[best][0] > hi for i, (_, hi) in enumerate(ends) if i != best):
+            return candidates[best], True, f"{dps}-digit log comparison"
+    return candidates[best], False, f"no separation at {LOG_DIGITS[-1]} digits"
 
 
 def global_candidate(s: Number, t: Number,

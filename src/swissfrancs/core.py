@@ -307,7 +307,9 @@ class ProbMatrix:
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValueError("entries must form an n x n matrix")
         for x, _ in self._counts:
-            if not x >= 0:
+            if x != x:  # NaN alone is unequal to itself
+                raise ValueError(f"entry {x} is not a number")
+            if x < 0:
                 raise ValueError(f"negative entry {x}")
         target = 1 if self.convention is Convention.SUM_ONE else self.n * self.n
         if self.is_exact:
@@ -364,15 +366,18 @@ def convert_convention(P: ProbMatrix, target: Convention) -> ProbMatrix:
     return ProbMatrix.of(rows, target)
 
 
-def log_likelihood(P: ProbMatrix, W: WeightTable) -> float:
-    """Weighted log-likelihood sum(w_ij * ln p_ij).
+def log_likelihood(P: ProbMatrix, W: WeightTable, number: Callable = float,
+                   log: Callable = math.log):
+    """Weighted log-likelihood sum(w_ij * ln p_ij), summed in row-major
+    order over number(w_ij) * log(number(p_ij)): floats by default, or any
+    number type the caller's number and log give, such as mpmath intervals.
 
     Cells with zero weight contribute nothing even at p = 0; a zero entry
     under a positive weight makes the value -inf.
     """
     if P.n != W.n:
         raise ValueError(f"dimension mismatch: matrix {P.n}, weights {W.n}")
-    total = 0.0
+    total = number(0)
     for i in range(P.n):
         for j in range(P.n):
             w = W.cell(i, j)
@@ -381,7 +386,7 @@ def log_likelihood(P: ProbMatrix, W: WeightTable) -> float:
             p = P.entries[i][j]
             if p == 0:
                 return float("-inf")
-            total += float(w) * math.log(float(p))
+            total += number(w) * log(number(p))
     return total
 
 

@@ -85,14 +85,14 @@ class RankTwoPoint:
 
 def _require_zero_sum(a: np.ndarray, b: np.ndarray) -> None:
     """Raise ValueError unless every row v of the (K, n) arrays a and b is
-    finite and has |sum v| <= ZERO_SUM_TOL * max(1, |v|). cumsum adds in
-    index order, so each row's sums are those of a Python loop over it."""
+    finite and has |sum v| <= ZERO_SUM_TOL * max(1, max |v_i|). cumsum adds
+    in index order, so each row's sum is that of a Python loop over it."""
     for name, vec in (("a", a), ("b", b)):
         if not np.isfinite(vec).all():
             raise ValueError(f"{name} must be finite")
-        norm = np.sqrt((vec * vec).cumsum(axis=-1)[:, -1])
+        scale = np.abs(vec).max(axis=-1)
         total = vec.cumsum(axis=-1)[:, -1]
-        if not (np.abs(total) <= ZERO_SUM_TOL * np.maximum(1.0, norm)).all():
+        if not (np.abs(total) <= ZERO_SUM_TOL * np.maximum(1.0, scale)).all():
             raise ValueError(f"{name} must sum to zero")
 
 

@@ -5,10 +5,16 @@ oracle on the reciprocal row equations, pattern by pattern.
 """
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import iv
 
 from swissfrancs.candidates import (EXACT_EXPONENT_MAX, SignPattern,
                                     _levels, _member_point, block_matrix,
@@ -157,6 +163,77 @@ class TestGlobalCandidate:
         cands = enumerate_n4(s, 1)
         with pytest.raises(ValueError, match="tie"):
             global_candidate(s, 1, [cands[1]] + cands[1:])
+
+    @pytest.mark.parametrize("s, t", [(10**22 + 1, 10**22), (10**24 + 1, 10**24),
+                                      (10**24 + 2, 10**24), (10**30 + 1, 10**30)])
+    def test_near_equal_weights_need_more_digits(self, s, t):
+        # the four log L agree to 45 digits or more, so 50-digit ones overlap
+        winner, strict, method = compare_candidates(enumerate_n4(s, t))
+        assert (winner.pattern, strict, method) == \
+            (SignPattern.PPNN, True, "100-digit log comparison")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 60), st.integers(1, 3))
+    def test_block_wins_just_above_equal_weights(self, k, d):
+        # the largest cubic coefficient kappa as s/t -> 1+ is ++--'s -1/8
+        winner, strict, _ = compare_candidates(enumerate_n4(10**k + d, 10**k))
+        assert (winner.pattern, strict) == (SignPattern.PPNN, True)
+
+    def test_mpmath_precision_is_untouched(self):
+        before = (iv.dps, mpmath.mp.dps)
+        cands = enumerate_n4(10**22 + 1, 10**22)
+        compare_candidates(cands)
+        [c.to_json_dict() for c in cands]
+        assert (iv.dps, mpmath.mp.dps) == before
+
+    def test_concurrent_comparisons_agree_with_serial_ones(self):
+        # a precision set on mpmath's global contexts would leak between
+        # the threads: 30 digits from one, 100 from the other
+        printed = enumerate_n4(10001, 10000)
+        compared = enumerate_n4(10**22 + 1, 10**22)
+        jobs = [lambda: [c.to_json_dict()["loglik_30"] for c in printed],
+                lambda: compare_candidates(compared)[1:]]
+        expected = [job() for job in jobs]
+        got = [[], []]
+
+        def run(k):
+            for _ in range(20):
+                got[k].append(jobs[k]())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[expected[0]] * 20, [expected[1]] * 20]
+
+    @pytest.mark.parametrize("s, t", [(F(5, 2), 1), (10001, 10000),
+                                      (10**8 + 1, 10**8), (10**22 + 1, 10**22)])
+    def test_loglik_30_prints_proved_digits(self, s, t):
+        cands = enumerate_n4(s, t)
+        printed = [c.to_json_dict()["loglik_30"] for c in cands]
+        assert printed == [_reference_loglik_30(c) for c in cands]
+        assert len(set(printed)) == 4
+
+
+def _reference_loglik_30(cand) -> str:
+    """The candidate's log-likelihood at 400 digits, a plain mpmath.mp sum
+    over the 16 cells, printed to 30 significant digits."""
+    def mp(x):
+        x = F(x)
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    with mpmath.workdps(400):
+        total = mpmath.fsum(mp(cand.s if i == j else cand.t) * mpmath.log(mp(p))
+                            for i, row in enumerate(cand.matrix.entries)
+                            for j, p in enumerate(row))
+        return mpmath.nstr(total, 30)
 
 
 class TestBlockMatrix:

@@ -291,6 +291,15 @@ class TestCandidates:
         assert code == 2
         assert "4 s + 12 t <= 20000" in err
 
+    def test_near_equal_weights(self, capsys):
+        # the four log L agree to 45 digits here
+        code, out, _ = run(capsys, "candidates", "--s", "10000000000000000000001",
+                           "--t", "10000000000000000000000")
+        assert code == 0
+        data = json.loads(out)
+        assert data["winner"] == "++--"
+        assert len({c["loglik_30"] for c in data["candidates"]}) == 4
+
     @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt"),
                                              ("csv", "csv")])
     @pytest.mark.parametrize("s", [2, 1000])

@@ -207,12 +207,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum"):
             ProbMatrix.of([[1.0] * 4] * 4, Convention.SUM_ONE)
 
-    @pytest.mark.parametrize("rows", [
-        [[math.nan]], [[1.0, math.nan], [math.nan, 1.0]], [[math.inf]],
-        [[0.5, math.inf], [-math.inf, 0.5]]], ids=["nan", "nan-pair", "inf", "inf-pair"])
-    def test_non_finite_entry(self, rows):
-        # each check is the condition that must hold, which NaN fails
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("rows, match", [
+        ([[math.nan]], "entry nan is not a number"),
+        ([[1.0, math.nan], [math.nan, 1.0]], "entry nan is not a number"),
+        ([[math.inf]], "sum to inf"),
+        ([[0.5, math.inf], [-math.inf, 0.5]], "negative entry -inf")],
+        ids=["nan", "nan-pair", "inf", "inf-pair"])
+    def test_non_finite_entry(self, rows, match):
+        with pytest.raises(ValueError, match=match):
             ProbMatrix.of(rows, Convention.SUM_ONE)
 
     def test_zero_weight_table(self):

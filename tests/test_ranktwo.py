@@ -1,6 +1,7 @@
 """The rank-two parametrization and its stationarity calculus."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -358,6 +359,13 @@ class TestPointValidation:
             RankTwoPoint.of([0.0, 0.0], a)
         with pytest.raises(ValueError, match="finite"):
             RankTwoPoint.rows(np.array([[1.0, -1.0], a]), np.zeros((2, 2)))
+
+    def test_huge_zero_sum_accepted_silently(self):
+        # the tolerance scales with max |v_i|, so no square overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = RankTwoPoint.of([1e200, -1e200], [0.0, 0.0])
+        assert pt.a == (1e200, -1e200)
 
     def test_nan_table_is_not_interior(self):
         # a NaN entry fails min > FEASIBILITY_MARGIN, as a negative one does

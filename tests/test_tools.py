@@ -52,6 +52,19 @@ def test_candidate_digest_covers_every_weight_pair():
     assert all(len(digest) == 64 for _, digest in digests)
 
 
+def test_candidate_digest_covers_the_comparison(monkeypatch):
+    before = AB.candidate_digests(swissfrancs)
+    compare = swissfrancs.candidates.compare_candidates
+
+    def renamed(cands):
+        winner, strict, method = compare(cands)
+        return winner, strict, method + " (renamed)"
+
+    monkeypatch.setattr(swissfrancs.candidates, "compare_candidates", renamed)
+    after = AB.candidate_digests(swissfrancs)
+    assert all(b != a for (_, b), (_, a) in zip(before, after))
+
+
 def test_algebra_digest_covers_every_lemma():
     digests = AB.algebra_digests(swissfrancs)
     assert [key for key, _ in digests] \

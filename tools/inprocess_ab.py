@@ -21,8 +21,9 @@ IDENTITY_SEEDS: each report's a, b, log L and residual as hex, with its
 iterations, label and converged flag. It does the same for the EM reports
 of the bench's two EM cases (EM_CASES) at IDENTITY_SEEDS, every field as
 hex, trace included, for enumerate_n4's candidates at
-CANDIDATE_WEIGHTS: each point()'s a and b as hex, and to_json_dict(), and
-for the exact algebra: each LEMMAS entry's detail and data at
+CANDIDATE_WEIGHTS: each point()'s a and b as hex, and to_json_dict(), with
+compare_candidates' winner, strict flag and method, and for the exact
+algebra: each LEMMAS entry's detail and data at
 LEMMA_WEIGHTS, lemma_a2_factorization()'s to_json_dict() and the
 to_string() of its quotient, remainder and cofactor, and
 reference_f3_poly().to_string(). Last, it compares the likelihood
@@ -56,7 +57,7 @@ IDENTITY_SEEDS = (1, 2, 3)
 # (table side, table seed, classes, starts) of the bench's EM cases: the 4/2
 # table, and the random 8x8 table drawn from bench/workloads.py's TABLE_SEED
 EM_CASES = [(4, None, 2, 100), (8, 0, 3, 20)]
-# (s, t) of the candidate check: exact likelihoods at 2:1 and 3:2, 50-digit
+# (s, t) of the candidate check: exact likelihoods at 2:1 and 3:2, interval
 # logs at 5/2:1, log L printed at 1000:1, and past the exact bound at 20001:1
 CANDIDATE_WEIGHTS = [(2, 1), (3, 2), (Fraction(5, 2), 1), (1000, 1), (20001, 1)]
 # (s, t) of the LEMMAS check: ratio 2, where every entry runs, and 3:2,
@@ -234,12 +235,16 @@ def em_digests(pkg) -> list:
 def candidate_digests(pkg) -> list:
     """One sha256 per weight pair of CANDIDATE_WEIGHTS over every
     enumerate_n4 candidate: its point()'s a and b as hex, and its
-    to_json_dict(), whose floats print as repr and so bit for bit."""
+    to_json_dict(), whose floats print as repr and so bit for bit; and
+    over compare_candidates' winner signs, strict flag and method."""
     digests = []
     for s, t in CANDIDATE_WEIGHTS:
-        points = [(c.point(), c.to_json_dict()) for c in pkg.enumerate_n4(s, t)]
-        text = repr([([x.hex() for x in pt.a], [x.hex() for x in pt.b],
-                      json.dumps(data)) for pt, data in points])
+        cands = pkg.enumerate_n4(s, t)
+        winner, strict, method = pkg.candidates.compare_candidates(cands)
+        points = [(c.point(), c.to_json_dict()) for c in cands]
+        text = repr(([([x.hex() for x in pt.a], [x.hex() for x in pt.b],
+                       json.dumps(data)) for pt, data in points],
+                     winner.pattern.signs, strict, method))
         digests.append(((s, t), hashlib.sha256(text.encode()).hexdigest()))
     return digests
 
