@@ -190,7 +190,10 @@ def _loglik_30(cand: Candidate) -> str:
     return text
 
 
-def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction) -> Candidate:
+def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction,
+                     weights: WeightTable, exact: bool) -> Candidate:
+    """The candidate of pattern at weights (s, t), whose table is weights;
+    it carries its exact likelihood when exact is true."""
     x, matrix = _member(*pattern.value, s, t)
     if any(e <= 0 for e, _ in entry_counts(matrix.entries)):
         raise FeasibilityError(f"pattern {pattern.signs} leaves the interior")
@@ -200,9 +203,7 @@ def _build_candidate(pattern: SignPattern, s: Fraction, t: Fraction) -> Candidat
         raise RuntimeError(
             f"pattern {pattern.signs} is not stationary at these weights; "
             "no candidate exists")
-    weights = WeightTable.symmetric(4, s, t)
-    likelihood = (exact_likelihood(matrix, weights)
-                  if has_exact_likelihood(s, t) else None)
+    likelihood = exact_likelihood(matrix, weights) if exact else None
     loglik = log_likelihood(matrix, weights)
     return Candidate(pattern=pattern, s=s, t=t, alpha_sq=x, matrix=matrix,
                      likelihood=likelihood, loglik=loglik)
@@ -221,7 +222,8 @@ def enumerate_n4(s: Number, t: Number) -> list:
     s, t = Fraction(s), Fraction(t)
     if not 0 < t < s:
         raise ValueError("candidates degenerate to the flat matrix unless 0 < t < s")
-    return [_build_candidate(pattern, s, t) for pattern in SignPattern]
+    weights, exact = WeightTable.symmetric(4, s, t), has_exact_likelihood(s, t)
+    return [_build_candidate(pattern, s, t, weights, exact) for pattern in SignPattern]
 
 
 def compare_candidates(candidates: Sequence[Candidate]) -> tuple:

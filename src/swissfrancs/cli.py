@@ -130,17 +130,15 @@ def cmd_solve(args) -> int:
         _emit(args, data, text, ("run", "loglik", "iterations", "converged"), rows)
         return EXIT_OK
 
-    pair = weights.symmetric_pair()
-    if pair is None:
+    # a 1 x 1 table has no off-diagonal cell; multistart refuses its side
+    if weights.n > 1 and weights.symmetric_pair() is None:
         raise ValueError("the rank-two solver needs diagonal/off-diagonal "
                          "weights; use --method em for general tables")
-    s, t = pair
-    symmetric = WeightTable.symmetric(weights.n, s, t)
-    result = multistart(symmetric, cfg)
+    result = multistart(weights, cfg)
     data = result.to_json_dict()
     data["best_loglik"] = data["best"]["loglik"]
-    if weights.kind == "full":
-        # likelihood of the found matrix under the original counts,
+    if not _weights_given(args):
+        # likelihood of the found matrix under the count table,
         # entries rescaled to sum to one
         total = float(weights.total())
         data["best_loglik_counts"] = float(

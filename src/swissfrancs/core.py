@@ -1,11 +1,12 @@
 """Tables, matrices and likelihood evaluation.
 
 The objects here are deliberately small and immutable: a weight table
-holds the per-cell exponents of the likelihood (either an explicit count
-table or the symmetric diagonal/off-diagonal pair), and a probability
-matrix holds an n x n nonnegative matrix together with its normalization
-convention (entries summing to 1, or to n^2 after the scale-up that makes
-the all-ones matrix the natural base point).
+holds the per-cell exponents of the likelihood as one n x n table (the
+symmetric weights, s on the diagonal and t elsewhere, are one such
+table), and a probability matrix holds an n x n nonnegative matrix
+together with its normalization convention (entries summing to 1, or to
+n^2 after the scale-up that makes the all-ones matrix the natural base
+point).
 
 Likelihoods come in two flavors: a float log-likelihood with the usual
 ln(0) = -inf convention, and an exact rational product for rational
@@ -158,84 +159,82 @@ def line_sums(rows: Sequence[Sequence[Number]]) -> tuple:
     return [row_sum[id(row)] for row in rows], cols
 
 
+def _require_float_weights(values: Sequence[Number], name: Callable) -> None:
+    """Raise ValueError, naming the weight name(x), at the first x of values
+    that is not finite, else at the first that is outside the float range:
+    the solvers take each weight and s/t as floats, and one that overflows,
+    or a positive one that rounds to 0, makes them overflow or divide by 0."""
+    for x in values:
+        if not _is_exact(x) and not math.isfinite(x):
+            raise ValueError(f"weight {name(x)} is not finite: {x!r}")
+    for x in values:
+        try:
+            in_range = x == 0 or float(x) > 0
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise ValueError(f"weight {name(x)} is outside the float range")
+
+
 @dataclass(frozen=True)
 class WeightTable:
-    """Per-cell exponents of the likelihood.
+    """Per-cell exponents of the likelihood: a frozen n x n nonnegative
+    table w. Symmetric weights are the table with s on the diagonal and t
+    elsewhere; symmetric() builds one, and symmetric_pair() reads (s, t)
+    back from any table of that shape."""
 
-    kind "symmetric" keeps only the diagonal exponent s and off-diagonal
-    exponent t; kind "full" stores an explicit n x n nonnegative table.
-    """
-
-    n: int
-    kind: str
-    s: Number | None = None
-    t: Number | None = None
-    w: tuple | None = None
+    w: tuple
 
     def __post_init__(self):
-        require_integer("n", self.n)
-        if self.n < 1:
-            raise ValueError(f"table side must be positive, got {self.n}")
-        if self.kind == "symmetric":
-            if self.s is None or self.t is None or self.s <= 0 or self.t <= 0:
-                raise ValueError("symmetric weights require s > 0 and t > 0")
-        elif self.kind == "full":
-            if self.w is None or len(self.w) != self.n or any(len(r) != self.n for r in self.w):
-                raise ValueError("full weights require an n x n table")
-            if any(x < 0 for row in self.w for x in row):
-                raise ValueError("weights must be nonnegative")
-            if all(x == 0 for row in self.w for x in row):
-                raise ValueError("at least one weight must be positive")
-        else:
-            raise ValueError(f"unknown weight table kind {self.kind!r}")
-        named = ([("s", self.s), ("t", self.t)] if self.kind == "symmetric" else
-                 [(f"w[{i}][{j}]", x) for i, row in enumerate(self.w)
-                  for j, x in enumerate(row)])
-        for name, value in named:
-            if not _is_exact(value) and not math.isfinite(value):
-                raise ValueError(f"weight {name} is not finite: {value!r}")
-        if self.kind == "symmetric":
-            named.append(("ratio s/t", Fraction(self.s) / Fraction(self.t)))
-        # the solvers take each weight and s/t as floats: one that overflows,
-        # or a positive one that rounds to 0, makes them overflow or divide by 0
-        for name, value in named:
-            try:
-                in_range = value == 0 or float(value) > 0
-            except OverflowError:
-                in_range = False
-            if not in_range:
-                raise ValueError(f"weight {name} is outside the float range")
+        n = self.n
+        if n < 1:
+            raise ValueError(f"table side must be positive, got {n}")
+        if any(len(row) != n for row in self.w):
+            raise ValueError("full weights require an n x n table")
+        values = [x for x, _ in self._counts]
+        if any(x < 0 for x in values):
+            raise ValueError("weights must be nonnegative")
+        if all(x == 0 for x in values):
+            raise ValueError("at least one weight must be positive")
+        _require_float_weights(values, lambda x: next(
+            f"w[{i}][{j}]" for i, row in enumerate(self.w)
+            for j, y in enumerate(row) if y is x))
 
     @classmethod
     def symmetric(cls, n: int, s: Number, t: Number) -> "WeightTable":
-        return cls(n=n, kind="symmetric", s=s, t=t)
+        require_integer("n", n)
+        if n < 1:
+            raise ValueError(f"table side must be positive, got {n}")
+        if s is None or t is None or s <= 0 or t <= 0:
+            raise ValueError("symmetric weights require s > 0 and t > 0")
+        _require_float_weights((s, t), lambda x: "s" if x is s else "t")
+        _require_float_weights((Fraction(s) / Fraction(t),), lambda _: "ratio s/t")
+        return cls(tuple(tuple(s if i == j else t for j in range(n)) for i in range(n)))
 
     @classmethod
     def full(cls, w: Sequence[Sequence[Number]]) -> "WeightTable":
-        rows = _freeze_rows(w)
-        return cls(n=len(rows), kind="full", w=rows)
+        return cls(_freeze_rows(w))
 
-    def cell(self, i: int, j: int) -> Number:
-        if self.kind == "symmetric":
-            return self.s if i == j else self.t
-        return self.w[i][j]
+    @property
+    def n(self) -> int:
+        return len(self.w)
+
+    @cached_property
+    def _counts(self) -> list:
+        """entry_counts of the table."""
+        return entry_counts(self.w)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(self.cell(i, j)) for j in range(self.n)]
-                         for i in range(self.n)])
+        return np.array([[float(x) for x in row] for row in self.w])
 
     def total(self) -> Number:
-        if self.kind == "symmetric":
-            return self.n * self.s + self.n * (self.n - 1) * self.t
         return sum(x for row in self.w for x in row)
 
     def symmetric_pair(self):
-        """Return (s, t) if the table has the diagonal/off-diagonal shape,
-        else None."""
-        if self.kind == "symmetric":
-            return self.s, self.t
+        """Return (s, t) if the table has the diagonal/off-diagonal shape
+        with s, t > 0, else None; a 1 x 1 table has no off-diagonal cell."""
         diag = {self.w[i][i] for i in range(self.n)}
-        off = {self.w[i][j] for i in range(self.n) for j in range(self.n) if i != j}
+        off = {x for i, row in enumerate(self.w) for j, x in enumerate(row) if i != j}
         if len(diag) == 1 and len(off) == 1:
             s, t = next(iter(diag)), next(iter(off))
             if s > 0 and t > 0:
@@ -243,23 +242,22 @@ class WeightTable:
         return None
 
     def is_integral(self) -> bool:
-        if self.kind == "symmetric":
-            return _is_exact(self.s) and Fraction(self.s).denominator == 1 \
-                and _is_exact(self.t) and Fraction(self.t).denominator == 1
-        return all(_is_exact(x) and Fraction(x).denominator == 1
-                   for row in self.w for x in row)
+        return all(_is_exact(x) and Fraction(x).denominator == 1 for x, _ in self._counts)
 
     def to_json_dict(self) -> dict:
-        if self.kind == "symmetric":
+        """The symmetric form {n, s, t} when symmetric_pair() finds one,
+        else the full form {n, w}."""
+        pair = self.symmetric_pair()
+        if pair is not None:
             return {"n": self.n, "kind": "symmetric",
-                    "s": format_number(self.s), "t": format_number(self.t)}
+                    "s": format_number(pair[0]), "t": format_number(pair[1])}
         return {"n": self.n, "kind": "full",
                 "w": [[format_number(x) for x in row] for row in self.w]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightTable":
-        """The table a JSON object describes; ValueError when data is not
-        an object or lacks a field its kind needs."""
+        """The table a JSON object of either form describes; ValueError
+        when data is not an object or lacks a field its kind needs."""
         if not isinstance(data, dict):
             raise ValueError("a weight table must be a JSON object")
         kind = data.get("kind")
@@ -286,7 +284,7 @@ class WeightTable:
 
 def swiss_counts() -> WeightTable:
     """The 4x4 count table with 4 on the diagonal and 2 elsewhere."""
-    return WeightTable.full([[4 if i == j else 2 for j in range(4)] for i in range(4)])
+    return WeightTable.symmetric(4, 4, 2)
 
 
 @dataclass(frozen=True)
@@ -378,12 +376,10 @@ def log_likelihood(P: ProbMatrix, W: WeightTable, number: Callable = float,
     if P.n != W.n:
         raise ValueError(f"dimension mismatch: matrix {P.n}, weights {W.n}")
     total = number(0)
-    for i in range(P.n):
-        for j in range(P.n):
-            w = W.cell(i, j)
+    for prow, wrow in zip(P.entries, W.w):
+        for p, w in zip(prow, wrow):
             if w == 0:
                 continue
-            p = P.entries[i][j]
             if p == 0:
                 return float("-inf")
             total += number(w) * log(number(p))
@@ -401,8 +397,8 @@ def exact_likelihood(P: ProbMatrix, W: WeightTable) -> Fraction:
                          "use log_likelihood for real exponents")
     if not P.is_exact:
         raise ValueError("exact_likelihood requires rational matrix entries")
-    exponents = _tally((p, int(W.cell(i, j))) for i, row in enumerate(P.entries)
-                       for j, p in enumerate(row))
+    exponents = _tally((p, int(w)) for prow, wrow in zip(P.entries, W.w)
+                       for p, w in zip(prow, wrow))
     result = Fraction(1)
     for p, w in exponents:
         if w == 0:

@@ -85,14 +85,16 @@ class RankTwoPoint:
 
 def _require_zero_sum(a: np.ndarray, b: np.ndarray) -> None:
     """Raise ValueError unless every row v of the (K, n) arrays a and b is
-    finite and has |sum v| <= ZERO_SUM_TOL * max(1, max |v_i|). cumsum adds
-    in index order, so each row's sum is that of a Python loop over it."""
+    finite and has |sum v| <= ZERO_SUM_TOL * max(1, max |v_i|). The sum is
+    taken of v / max(1, max |v_i|), so no partial sum overflows, and a row
+    with max |v_i| <= 1 is summed as it is. cumsum adds in index order, so
+    each row's sum is that of a Python loop over it."""
     for name, vec in (("a", a), ("b", b)):
         if not np.isfinite(vec).all():
             raise ValueError(f"{name} must be finite")
-        scale = np.abs(vec).max(axis=-1)
-        total = vec.cumsum(axis=-1)[:, -1]
-        if not (np.abs(total) <= ZERO_SUM_TOL * np.maximum(1.0, scale)).all():
+        scale = np.maximum(1.0, np.abs(vec).max(axis=-1))
+        total = (vec / scale[:, None]).cumsum(axis=-1)[:, -1]
+        if not (np.abs(total) <= ZERO_SUM_TOL).all():
             raise ValueError(f"{name} must sum to zero")
 
 

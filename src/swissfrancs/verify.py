@@ -539,14 +539,31 @@ def _minors(D: tuple, p: int, q: int):
 
 
 def _dominance(label: str, loglik: float, ms: Optional[MultistartResult],
-               failure: Optional[str]) -> CheckResult:
+               failure: Optional[str], weights: WeightTable) -> CheckResult:
     """Whether the multistart search's best does not beat loglik by more
-    than DOMINANCE_TOL; failed, with the reason, when the search found
-    nothing."""
+    than the larger of DOMINANCE_TOL and twice the rounding bound R below;
+    failed, with the reason, when the search found nothing, or when s != t
+    and loglik is not above 2 R, where both values are rounding noise."""
     if ms is None:
         return CheckResult("multistart_dominance", False, failure)
+    # R bounds the rounding of a float log L = sum w_ij log p_ij at these
+    # weights, as the search's _loglik and core.log_likelihood form it:
+    # each entry p_ij ~ 1 is rounded and logged with an absolute error of
+    # a few u = 2^-53, and summing n^2 terms adds at most n^2 u times the
+    # sum of w_ij |log p_ij| (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., sec. 4.2). With |log p_ij| <= 3 where the
+    # weight lies, R = 4 n^2 u W, W the total weight. The flat matrix has
+    # log L = 0 exactly, so a log L not above 2 R is not told from it.
+    R = 4 * weights.n ** 2 * 2.0 ** -53 * float(weights.total())
+    s, t = weights.symmetric_pair()
+    if s != t and not loglik > 2 * R:
+        return CheckResult(
+            "multistart_dominance", False,
+            f"the float search cannot resolve s/t = {Fraction(s) / Fraction(t)}: "
+            f"{label} log L {loglik:.17g} is not above 2 R, R = {R:.3g}")
     return CheckResult(
-        "multistart_dominance", bool(loglik >= ms.best.loglik - DOMINANCE_TOL),
+        "multistart_dominance",
+        bool(loglik >= ms.best.loglik - max(DOMINANCE_TOL, 2 * R)),
         f"{label} log L {loglik:.17g} vs search best {ms.best.loglik:.17g}")
 
 
@@ -560,7 +577,8 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
     that yields CERTIFIED_CANDIDATE_MAX. A skipped step does not block that
     verdict. All other shapes take the conjectured block or corner matrix
     through all three matrix_checks and compare it against multistart, and
-    can reach at most SUPPORTED. When no multistart start converges,
+    can reach at most SUPPORTED. When no multistart start converges, or
+    when the float search cannot resolve s/t (see _dominance),
     multistart_dominance fails with that reason and the verdict is
     INCONCLUSIVE.
     """
@@ -580,7 +598,7 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
         (stationary, margins, _), _ = matrix_checks(winner.matrix, rho)
         checks = [CheckResult("exact_ordering", strict, method), stationary, margins,
                   *(LEMMAS[name](s, t, cands) for name in CERTIFY_STEPS),
-                  _dominance("winner", winner.loglik, ms, failure)]
+                  _dominance("winner", winner.loglik, ms, failure, weights)]
         decided = [c.passed for c in checks if c.passed is not None]
         verdict = VERDICT_CERTIFIED if all(decided) else VERDICT_INCONCLUSIVE
         return Certificate(n=n, s=s, t=t, verdict=verdict, checks=tuple(checks),
@@ -591,7 +609,7 @@ def certify(n: int, s: Number, t: Number, cfg: SolverConfig) -> Certificate:
     nsq = convert_convention(matrix, Convention.SUM_NSQ)
     loglik = log_likelihood(nsq, weights)
     exact, residual = matrix_checks(nsq, rho)
-    checks = [*exact, _dominance("conjectured", loglik, ms, failure)]
+    checks = [*exact, _dominance("conjectured", loglik, ms, failure, weights)]
     verdict = VERDICT_SUPPORTED if all(
         c.passed for c in checks if c.passed is not None) else VERDICT_INCONCLUSIVE
     return Certificate(n=n, s=s, t=t, verdict=verdict, checks=tuple(checks),

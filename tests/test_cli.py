@@ -59,6 +59,22 @@ class TestSolve:
         target = 24 * math.log(3 / 40) + 16 * math.log(1 / 20)
         assert abs(data["best_loglik_counts"] - target) < 1e-8
 
+    @pytest.mark.parametrize("form", [
+        {"n": 4, "kind": "symmetric", "s": 4, "t": 2},
+        {"n": 4, "kind": "full", "w": [[4 if i == j else 2 for j in range(4)]
+                                       for i in range(4)]}], ids=["symmetric", "full"])
+    def test_counts_file_in_either_form_is_the_default_instance(self, capsys, tmp_path,
+                                                                form):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(form))
+        argv = ("solve", "--starts", "5", "--seed", "1")
+        _, default, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--counts", str(path)) == (0, default, "")
+        assert "best_loglik_counts" in json.loads(default)
+        # weights given as --s/--t are not a count table
+        _, out, _ = run(capsys, *argv, "--s", "4", "--t", "2")
+        assert "best_loglik_counts" not in json.loads(out)
+
     def test_invalid_class_count(self, capsys, counts_file):
         code, _, err = run(capsys, "solve", "--counts", counts_file,
                            "--method", "em", "--classes", "0")

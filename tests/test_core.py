@@ -39,7 +39,7 @@ def brute_loglik(matrix, weights):
     total = 0.0
     for i in range(matrix.n):
         for j in range(matrix.n):
-            w = float(weights.cell(i, j))
+            w = float(weights.w[i][j])
             p = float(matrix.entries[i][j])
             if w == 0:
                 continue
@@ -190,11 +190,21 @@ class TestSwissCounts:
         symmetric = WeightTable.symmetric(4, 4, 2)
         for i in range(4):
             for j in range(4):
-                assert table.cell(i, j) == symmetric.cell(i, j)
+                assert table.w[i][j] == symmetric.w[i][j]
         assert table.symmetric_pair() == (4, 2)
 
     def test_total(self):
         assert swiss_counts().total() == 40
+
+    def test_one_table_however_built(self):
+        symmetric = WeightTable.symmetric(4, 4, 2)
+        full = WeightTable.full([[4 if i == j else 2 for j in range(4)] for i in range(4)])
+        for table in (swiss_counts(), full):
+            assert table == symmetric
+            assert hash(table) == hash(symmetric)
+            assert table.to_json_dict() == symmetric.to_json_dict()
+            assert log_likelihood(SWISS_OPT, table).hex() \
+                == log_likelihood(SWISS_OPT, symmetric).hex()
 
 
 class TestValidation:
@@ -256,8 +266,8 @@ class TestValidation:
             WeightTable.full(w)
 
     def test_symmetric_weights_at_the_float_range_edge(self):
-        table = WeightTable.symmetric(3, 1e300, 1e-7)
-        assert 0 < float(table.s) / float(table.t) < math.inf
+        s, t = WeightTable.symmetric(3, 1e300, 1e-7).symmetric_pair()
+        assert 0 < float(s) / float(t) < math.inf
 
 
 class TestJson:

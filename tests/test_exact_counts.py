@@ -58,7 +58,7 @@ def _reference_likelihood(P, W):
     result = F(1)
     for i in range(P.n):
         for j in range(P.n):
-            w = int(W.cell(i, j))
+            w = int(W.w[i][j])
             if w == 0:
                 continue
             p = F(P.entries[i][j])

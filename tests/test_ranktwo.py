@@ -367,6 +367,20 @@ class TestPointValidation:
             pt = RankTwoPoint.of([1e200, -1e200], [0.0, 0.0])
         assert pt.a == (1e200, -1e200)
 
+    def test_zero_sum_past_the_float_range_accepted_silently(self):
+        # the row is scaled before it is summed, so no partial sum overflows
+        a = [1e308, 1e308, -1e308, -1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pt = RankTwoPoint.of(a, [0.0] * 4)
+        assert pt.a == tuple(a)
+
+    def test_huge_nonzero_sum_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="a must sum to zero"):
+                RankTwoPoint.of([1e308, 1e308, -1e308, -1e300], [0.0] * 4)
+
     def test_nan_table_is_not_interior(self):
         # a NaN entry fails min > FEASIBILITY_MARGIN, as a negative one does
         pt = _unchecked([math.nan, 0.0], [0.0, 0.0])

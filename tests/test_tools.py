@@ -3,8 +3,9 @@
 The A/B script's cases reach into private names (solvers._newton,
 _reports, _labels, _random_starts), so a rename fails here, not first at
 the next A/B run. Each case is set up and called once, untimed, and the
-candidate and algebra digests are taken once each. The scripts are read, compiled and run in
-memory, so no bytecode is written next to them.
+candidate, certificate and algebra digests are taken once each. The
+scripts are read, compiled and run in memory, so no bytecode is written
+next to them.
 """
 
 import sys
@@ -63,6 +64,14 @@ def test_candidate_digest_covers_the_comparison(monkeypatch):
     monkeypatch.setattr(swissfrancs.candidates, "compare_candidates", renamed)
     after = AB.candidate_digests(swissfrancs)
     assert all(b != a for (_, b), (_, a) in zip(before, after))
+
+
+def test_certificate_digest_covers_every_shape():
+    workloads = _script(ROOT / "bench" / "workloads.py", "bench_workloads")
+    assert AB.HARD_CASES == list(workloads.HARD_CASES)
+    digests = AB.certificate_digests(swissfrancs)
+    assert [key for key, _ in digests] == AB.CERTIFICATE_SHAPES
+    assert all(len(digest) == 64 for _, digest in digests)
 
 
 def test_algebra_digest_covers_every_lemma():

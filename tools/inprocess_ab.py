@@ -22,11 +22,11 @@ iterations, label and converged flag. It does the same for the EM reports
 of the bench's two EM cases (EM_CASES) at IDENTITY_SEEDS, every field as
 hex, trace included, for enumerate_n4's candidates at
 CANDIDATE_WEIGHTS: each point()'s a and b as hex, and to_json_dict(), with
-compare_candidates' winner, strict flag and method, and for the exact
-algebra: each LEMMAS entry's detail and data at
-LEMMA_WEIGHTS, lemma_a2_factorization()'s to_json_dict() and the
-to_string() of its quotient, remainder and cofactor, and
-reference_f3_poly().to_string(). Last, it compares the likelihood
+compare_candidates' winner, strict flag and method, for certify's
+certificate JSON at CERTIFICATE_SHAPES, and for the exact algebra: each
+LEMMAS entry's detail and data at LEMMA_WEIGHTS,
+lemma_a2_factorization()'s to_json_dict() and the to_string() of its
+quotient, remainder and cofactor, and reference_f3_poly().to_string(). Last, it compares the likelihood
 evaluation on the fixed rows of evaluation_rows: solvers'
 _value_and_gradient and scaled_loglik as hex. The package does not
 import this script.
@@ -60,6 +60,15 @@ EM_CASES = [(4, None, 2, 100), (8, 0, 3, 20)]
 # (s, t) of the candidate check: exact likelihoods at 2:1 and 3:2, interval
 # logs at 5/2:1, log L printed at 1000:1, and past the exact bound at 20001:1
 CANDIDATE_WEIGHTS = [(2, 1), (3, 2), (Fraction(5, 2), 1), (1000, 1), (20001, 1)]
+# (n, s, t, starts) of the certificate check, at seed 1: the bench's
+# HARD_CASES, its two n = 4 certificates, and near-equal weights, where the
+# float search cannot resolve s/t from 1e8 + 1 : 1e8 on
+HARD_CASES = [(6, 1, 2, 50), (3, 2, 1, 50), (5, 2, 1, 50), (16, 2, 1, 50),
+              (4, 1, 1, 50), (4, 100, 1, 10), (4, 1000, 1, 1)]
+CERTIFICATE_SHAPES = HARD_CASES + [
+    (4, 2, 1, 200), (4, 3, 2, 200),
+    *((4, 10 ** k + 1, 10 ** k, 5) for k in (4, 8, 12, 16, 22)),
+    (16, 10001, 10000, 5), (6, 10 ** 12 + 1, 10 ** 12, 5), (6, 10 ** 12, 10 ** 12 + 1, 5)]
 # (s, t) of the LEMMAS check: ratio 2, where every entry runs, and 3:2,
 # where the ratio-2 entries skip
 LEMMA_WEIGHTS = [(2, 1), (3, 2)]
@@ -249,6 +258,18 @@ def candidate_digests(pkg) -> list:
     return digests
 
 
+def certificate_digests(pkg) -> list:
+    """One sha256 per shape of CERTIFICATE_SHAPES over the JSON text of
+    certify's certificate at seed 1, whose floats print as repr and which
+    holds the weight table's JSON."""
+    digests = []
+    for n, s, t, starts in CERTIFICATE_SHAPES:
+        cert = pkg.certify(n, s, t, pkg.SolverConfig(starts=starts, seed=1))
+        text = json.dumps(cert.to_json_dict())
+        digests.append(((n, s, t, starts), hashlib.sha256(text.encode()).hexdigest()))
+    return digests
+
+
 def algebra_digests(pkg) -> list:
     """One sha256 per LEMMAS entry at each pair of LEMMA_WEIGHTS over its
     detail and data, whose floats print as repr, one over
@@ -382,6 +403,10 @@ def main(argv=None) -> int:
     print(f"enumerate_n4 candidates at {len(CANDIDATE_WEIGHTS)} weights: "
           + ("bit-identical" if not differ else
              "differ at (s, t) " + ", ".join(map(str, differ))))
+    differ = _differ(base, change, certificate_digests)
+    print(f"certificates at {len(CERTIFICATE_SHAPES)} shapes: "
+          + ("bit-identical" if not differ else
+             "differ at (n, s, t, starts) " + ", ".join(map(str, differ))))
     differ = _differ(base, change, algebra_digests)
     print(f"algebra (LEMMAS at {len(LEMMA_WEIGHTS)} weights, factor lemma, f3 cofactor): "
           + ("bit-identical" if not differ else "differ at " + ", ".join(map(str, differ))))
